@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .clopen import ClopenSet, cylinder, full_set
+from .clopen import ClopenSet, full_set, merge_siblings
 from .errors import RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
@@ -78,25 +78,6 @@ def _fn_translate(fn: CoeffFn, old: Word, new: Word, g: FollowerGraph) -> CoeffF
         assert g.is_prefix_legal(nw), "translated word must stay legal"
         out[nw] = c
     return CoeffFn(fn.resolution - k + len(new), out)
-
-
-def _fn_compact(fn: CoeffFn, floor: int, g: FollowerGraph) -> CoeffFn:
-    res, coeffs = fn.resolution, fn.coeffs
-    while res > floor and coeffs:
-        parents: dict[Word, list[Word]] = {}
-        for w in coeffs:
-            parents.setdefault(w[:-1], []).append(w)
-        ok = True
-        for p, kids in parents.items():
-            children = {p + (a,) for a, _ in g.out_edges(p[-g.m:])}
-            if set(kids) != children or len({coeffs[k] for k in kids}) != 1:
-                ok = False
-                break
-        if not ok:
-            break
-        res -= 1
-        coeffs = {p: coeffs[kids[0]] for p, kids in parents.items()}
-    return CoeffFn(res, dict(coeffs))
 
 
 def _common_prefix_len(a: Word, b: Word) -> int:
@@ -165,9 +146,6 @@ class SubshiftAlgebra:
         """``s_alpha p_A s_beta^*``; zero exactly when A, F_alpha and F_beta
         have empty intersection."""
         return self.elem_s(alpha) * self.gen_p(a) * self.elem_s_star(beta)
-
-    def scale(self, r, x: "AlgebraElement") -> "AlgebraElement":
-        return x.scale(r)
 
     def __eq__(self, other):
         return isinstance(other, SubshiftAlgebra) and \
@@ -354,31 +332,13 @@ class AlgebraElement:
         spec = g.spec
         lines = []
         for (u, v) in sorted(self.components):
-            fn = _fn_compact(self.components[(u, v)], len(u) + g.m, g)
+            fn = self.components[(u, v)]
+            _, coeffs = merge_siblings(g, fn.resolution, fn.coeffs, len(u) + g.m)
             body = " ; ".join(
-                f"{ring.format(fn.coeffs[w])} {spec.word_to_str(w)}"
-                for w in sorted(fn.coeffs))
+                f"{ring.format(coeffs[w])} {spec.word_to_str(w)}"
+                for w in sorted(coeffs))
             lines.append(f"{spec.word_to_str(u)} {spec.word_to_str(v)}^-1 | {body}")
         return "\n".join(lines)
 
     def __repr__(self):
         return f"AlgebraElement(\n{self.format()}\n)"
-
-
-# -- module-level conveniences mirroring the operation names ---------------------
-
-
-def gen_s(algebra: SubshiftAlgebra, letter: int) -> AlgebraElement:
-    return algebra.gen_s(letter)
-
-
-def gen_s_star(algebra: SubshiftAlgebra, letter: int) -> AlgebraElement:
-    return algebra.gen_s_star(letter)
-
-
-def gen_p(algebra: SubshiftAlgebra, a: ClopenSet) -> AlgebraElement:
-    return algebra.gen_p(a)
-
-
-def mono(algebra: SubshiftAlgebra, alpha: Word, a: ClopenSet, beta: Word) -> AlgebraElement:
-    return algebra.mono(alpha, a, beta)

@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .algebra import SubshiftAlgebra
-from .errors import SubshiftAlgebraError
+from .errors import ContractViolation, SubshiftAlgebraError
 from .parsing import eval_set, evaluate, parse_set, parse_shift
 from .reduction import (CycleForm, ProjectionMultiple, reduce as reduce_element,
                         verify as verify_witness)
@@ -216,26 +216,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Errors in input content (files, expressions) are usage errors; violated
-# computational contracts (bad cycle data, non-domain rings, failed
-# verification) exit with code 3.
-_CONTRACT_ERRORS = (
-    "NotMinimalCycle", "NotInCorner", "NotADomain", "ZeroInput",
-    "InternalNonzeroViolation", "RootExtractionFailure", "RingMismatch",
-)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except SubshiftAlgebraError as exc:
+        # Errors in input content (files, expressions, ring names) are usage
+        # errors; violated computational contracts exit with code 3.
         print(f"error: {exc}", file=sys.stderr)
-        if type(exc).__name__ in _CONTRACT_ERRORS:
+        if isinstance(exc, ContractViolation):
             return CONTRACT_ERROR
         return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -104,22 +104,8 @@ class ClopenSet:
         """
         g = self.graph
         floor = g.m if floor is None else max(floor, g.m)
-        res, words = self.resolution, self.words
-        while res > floor and words:
-            parents = {w[:-1] for w in words}
-            ok = True
-            for p in parents:
-                children = {p + (a,) for a, _ in g.out_edges(p[-g.m:])}
-                if not children <= words:
-                    ok = False
-                    break
-            if not ok:
-                break
-            res -= 1
-            words = frozenset(parents)
-        if not words:
-            res = floor
-        return ClopenSet(g, res, words)
+        res, words = merge_siblings(g, self.resolution, dict.fromkeys(self.words, True), floor)
+        return ClopenSet(g, res if words else floor, frozenset(words))
 
     def format(self) -> str:
         c = self.compact()
@@ -129,6 +115,26 @@ class ClopenSet:
 
     def __repr__(self):
         return f"ClopenSet({self.format()})"
+
+
+def merge_siblings(g: FollowerGraph, res: int, values: dict[Word, object],
+                   floor: int) -> tuple[int, dict[Word, object]]:
+    """Coarsen a function given on the resolution-``res`` words one level at
+    a time, as long as every word's sibling family (its parent's legal
+    one-letter extensions) is fully present with one common value; never
+    below ``floor``.  A set is the constant map.  Returns the new resolution
+    and the map at it."""
+    while res > floor and values:
+        parents: dict[Word, list[Word]] = {}
+        for w in values:
+            parents.setdefault(w[:-1], []).append(w)
+        for p, kids in parents.items():
+            children = {p + (a,) for a, _ in g.out_edges(p[-g.m:])}
+            if set(kids) != children or len({values[k] for k in kids}) != 1:
+                return res, values
+        res -= 1
+        values = {p: values[kids[0]] for p, kids in parents.items()}
+    return res, values
 
 
 # -- constructors -------------------------------------------------------------

@@ -5,6 +5,14 @@ class SubshiftAlgebraError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class ContractViolation(SubshiftAlgebraError):
+    """A computational contract failed, as opposed to malformed input.
+
+    The command line exits with code 3 for these and with code 2 (usage
+    error) for every other package error.
+    """
+
+
 class EmptyShift(SubshiftAlgebraError):
     """The presented shift space is empty (every state was pruned)."""
 
@@ -21,35 +29,32 @@ class Inconsistent(SubshiftAlgebraError):
     """multi_common_root precondition (pairwise equal powers) fails."""
 
 
-class RingMismatch(SubshiftAlgebraError):
+class RingMismatch(ContractViolation):
     """Operands belong to different rings or different shift contexts."""
 
 
-class ZeroInput(SubshiftAlgebraError):
+class ZeroInput(ContractViolation):
     """An operation requiring a nonzero element received zero."""
 
 
-class InternalNonzeroViolation(SubshiftAlgebraError):
-    """A reduction step produced zero where the theory guarantees nonzero.
+class InternalNonzeroViolation(ContractViolation):
+    """A reduction step broke an invariant the theory guarantees: it produced
+    zero, made no progress, or left a shape its successor cannot take.
 
     Raised only on bugs: every multiplication inside the reduction pipeline
-    re-verifies nonzero-ness.
+    re-verifies nonzero-ness, and every phase checks the shape it hands on.
     """
 
 
-class RootExtractionFailure(SubshiftAlgebraError):
-    """A word-root rewrite failed; indicates a violated step precondition."""
-
-
-class NotInCorner(SubshiftAlgebraError):
+class NotInCorner(ContractViolation):
     """Element has a graded component outside the corner's {c^n} family."""
 
 
-class NotMinimalCycle(SubshiftAlgebraError):
+class NotMinimalCycle(ContractViolation):
     """The supplied (set, word) pair is not a minimal cycle without exit."""
 
 
-class NotADomain(SubshiftAlgebraError):
+class NotADomain(ContractViolation):
     """The coefficient ring has zero divisors where a domain is required."""
 
 
@@ -84,6 +89,10 @@ class ExprSyntaxError(SubshiftAlgebraError):
 
 class UnknownLetter(SubshiftAlgebraError):
     """A word literal used a symbol outside the shift's alphabet."""
+
+
+class UnknownRing(SubshiftAlgebraError):
+    """A ring name is not ``z``, ``q`` or ``zmod:N`` with ``N >= 2``."""
 
 
 class BadScalarForRing(SubshiftAlgebraError):

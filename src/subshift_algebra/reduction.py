@@ -4,15 +4,33 @@ Any nonzero element can be compressed, by multiplying with explicit left and
 right factors, to one of two shapes: a nonzero scalar multiple of a
 projection, or a cycle form ``gamma_1 p_A + sum_i gamma_i s_{beta^{q_i}} p_A``
 over a minimal cycle without exit.  :func:`reduce` produces the factors
-together with the classified shape as a :class:`ReductionWitness`;
-:func:`verify` re-multiplies and compares exactly.
+together with the classified shape as a :class:`ReductionWitness`.
+
+The reduction is one loop over the ``_phase_*`` functions, which share a
+:class:`_Pipeline` accumulating the factors ``mu`` and ``nu``:
+
+* ``_phase_positive`` right-multiplies by letters until every component is
+  positive, and ``_phase_prefix_nest`` nests the positive words into a chain;
+* the loop then repeats ``_phase_common_projection`` (scalar coefficients
+  over one common set), ``_phase_strip_z`` (strip the shortest word and
+  normalise the cylinder containments), ``_phase_pump`` (shrink the set into
+  its relative range under the second word) and ``_phase_power_align``
+  (kill the words that are not powers of one root) until either a projection
+  multiple appears or ``_extract_root`` finds a common root, when
+  ``_phase_exit_kill`` decides the cycle dichotomy.
 
 The pipeline keeps two running invariants, re-checked after every single
 multiplication: the element stays nonzero, and each phase strictly decreases
 a termination measure (total negative length, then term count, then maximal
 word length).  All multiplier factors have coefficient 1, so no new
 zero-divisor products can arise even over rings with zero divisors; the
-nonzero checks therefore operate purely on supports.
+nonzero checks therefore operate purely on supports.  A broken invariant
+raises :class:`InternalNonzeroViolation`.
+
+:func:`reduce` verifies its own witness before returning it and is the one
+verification point: a witness it returns is correct.  The public
+:func:`verify`, and the command line's ``reduce --verify``, re-multiply and
+compare for callers that hold a witness from elsewhere or want a re-check.
 """
 
 from __future__ import annotations
@@ -22,8 +40,7 @@ from dataclasses import dataclass
 from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import (ClopenSet, CycleKind, as_singleton, classify_cycle,
                      cylinder, relative_range)
-from .errors import (InternalNonzeroViolation, RootExtractionFailure,
-                     ZeroInput)
+from .errors import InternalNonzeroViolation, ZeroInput
 from .words import OMEGA, Word, ep_normalize, primitive_root
 
 Pair = tuple[Word, Word]
@@ -103,8 +120,15 @@ def _sorted_keys(x: AlgebraElement) -> list[Pair]:
 
 def _scalar_of(x: AlgebraElement, key: Pair):
     vals = set(x.components[key].coeffs.values())
-    assert len(vals) == 1, "component is not a scalar multiple of an indicator"
+    if len(vals) != 1:
+        raise InternalNonzeroViolation(
+            "component is not a scalar multiple of an indicator")
     return vals.pop()
+
+
+def _require_positive(x: AlgebraElement):
+    if any(v != OMEGA for (_, v) in x.components):
+        raise InternalNonzeroViolation("a negative component survived the positive phase")
 
 
 # -- phase: make every component positive (right-multiplication by letters) ----
@@ -116,17 +140,12 @@ def _phase_positive(p: _Pipeline):
         if not negs:
             return
         before = sum(len(v) for (_, v) in p.x.components)
-        # Target the component with the longest negative part, then scan the
-        # alphabet for the first letter keeping that component nonzero.
+        # Target the component with the longest negative part ``(u, v)``.  Its
+        # letter is forced to be ``v[0]``: the reduced index ``u v^-1 a``
+        # stays in the (positive)(negative)^-1 family for no other letter,
+        # and ``s_u p s_v^* s_{v[0]} s_{v[0]}^* = s_u p s_v^*`` is nonzero.
         target = min(negs, key=lambda t: (-len(t[1]), t[1], t[0]))
-        comp = p.x.component_element(target)
-        letter = None
-        for a in range(p.alg.graph.n_letters):
-            if not (comp * p.alg.gen_s(a)).is_zero():
-                letter = a
-                break
-        if letter is None:
-            raise InternalNonzeroViolation("letter-extension search found no letter")
+        letter = target[1][0]
         p.right(p.alg.gen_s(letter), f"s({p.alg.graph.spec.alphabet[letter]})")
         after = sum(len(v) for (_, v) in p.x.components)
         if after >= before:
@@ -137,7 +156,7 @@ def _phase_positive(p: _Pipeline):
 
 
 def _phase_prefix_nest(p: _Pipeline):
-    assert all(v == OMEGA for (_, v) in p.x.components)
+    _require_positive(p.x)
     words = [u for (u, _) in p.x.components]
     beta = min(words, key=lambda u: (-len(u), u))
     if beta == OMEGA:
@@ -151,7 +170,7 @@ def _phase_prefix_nest(p: _Pipeline):
 
 def _phase_common_projection(p: _Pipeline) -> ClopenSet:
     g = p.alg.graph
-    assert all(v == OMEGA for (_, v) in p.x.components)
+    _require_positive(p.x)
     # First pass: per-component set factors, in chain order.  Components whose
     # coefficient function is not a scalar multiple of an indicator get
     # collapsed onto one of their cylinders (the lexicographically least
@@ -174,7 +193,8 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
     keys = _sorted_keys(p.x)
     tails = [p.x.tail_set(k) for k in keys]
     common = tails[0]
-    assert all(t == common for t in tails), "projection cascade left unequal sets"
+    if not all(t == common for t in tails):
+        raise InternalNonzeroViolation("projection cascade left unequal sets")
     for k in keys:
         _scalar_of(p.x, k)
     return common
@@ -229,13 +249,34 @@ def _phase_strip_z(p: _Pipeline) -> ProjectionMultiple | ClopenSet:
         _phase_common_projection(p)
 
 
+# -- phase: pump the common set into its relative range -------------------------
+
+
+def _phase_pump(p: _Pipeline, b_set: ClopenSet) -> bool:
+    """One pump pass: when ``B`` is not inside ``r(B, b_2)`` for the second
+    word ``b_2``, left-multiply by ``p_D s_{b_2}^*`` with
+    ``D = B \\ r(B, b_2)``, which strictly lowers the term count.  Returns
+    whether the pass ran."""
+    b2 = _sorted_keys(p.x)[1][0]
+    ran = relative_range(b_set, b2)
+    if b_set.is_subset(ran):
+        return False
+    terms = len(p.x.components)
+    pump = p.alg.gen_p(b_set.difference(ran)) * p.alg.elem_s_star(b2)
+    p.left(pump, f"p(D) st({p.fmt_word(b2)})")
+    if len(p.x.components) >= terms:
+        raise InternalNonzeroViolation("pump pass made no progress")
+    return True
+
+
 # -- phase: align longer words onto powers of the base word ---------------------
 
 
 def _phase_power_align(p: _Pipeline, b_set: ClopenSet):
     g = p.alg.graph
     keys = _sorted_keys(p.x)
-    assert keys[0][0] == OMEGA and len(keys) >= 3
+    if keys[0][0] != OMEGA or len(keys) < 3:
+        raise InternalNonzeroViolation("power alignment needs a constant and two words")
     alpha = keys[1][0]
     cmax = keys[-1][0]
     n = -(-len(cmax) // len(alpha))
@@ -301,7 +342,8 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
     bad = sorted(w for w in refined.words if w[:len(prefix)] != prefix)
     w0 = bad[0]
     beta = w0[j * len(c):(j + 1) * len(c)]
-    assert beta != c
+    if beta == c:
+        raise InternalNonzeroViolation("exit search found no diverging block")
     witness_word = c * j + beta
     p.left(p.alg.gen_p(cylinder(g, witness_word)),
            f"p(Z({p.fmt_word(witness_word)}))")
@@ -317,7 +359,15 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
 
 def reduce(x: AlgebraElement, record_trace: bool = False) -> ReductionWitness:
     """Produce multipliers ``(mu, nu)`` and the classified reduced form of a
-    nonzero element; the returned witness verifies exactly."""
+    nonzero element.
+
+    Runs the phases in the order the module docstring gives; with
+    ``record_trace`` the witness also lists every factor as ``L label`` or
+    ``R label``.  Before returning, the witness is checked with
+    :func:`verify`; a failure raises :class:`InternalNonzeroViolation`, so
+    every returned witness is correct and callers need not verify again.
+    Raises :class:`ZeroInput` for the zero element.
+    """
     if x.is_zero():
         raise ZeroInput("cannot reduce the zero element")
     p = _Pipeline(x, record_trace)
@@ -337,16 +387,7 @@ def reduce(x: AlgebraElement, record_trace: bool = False) -> ReductionWitness:
             form = res
             break
         b_set = res
-        keys = _sorted_keys(p.x)
-        b2 = keys[1][0]
-        ran = relative_range(b_set, b2)
-        if not b_set.is_subset(ran):
-            diff = b_set.difference(ran)
-            terms = len(p.x.components)
-            pump = p.alg.gen_p(diff) * p.alg.elem_s_star(b2)
-            p.left(pump, f"p(D) st({p.fmt_word(b2)})")
-            if len(p.x.components) >= terms:
-                raise InternalNonzeroViolation("pump pass made no progress")
+        if _phase_pump(p, b_set):
             continue
         rooted = _extract_root(p.x)
         if rooted is not None:
@@ -383,104 +424,3 @@ def verify(witness: ReductionWitness, x: AlgebraElement) -> bool:
         return False
     cc = classify_cycle(form.cycle_set, form.beta)
     return cc.kind is CycleKind.CYCLE_WITHOUT_EXIT and cc.minimal is True
-
-
-# -- spec-level step entry points (used directly by tests and tooling) -----------
-
-
-def step_positive(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
-    """Right-multiply by letters until every component is positive; returns
-    the new element and the accumulated right factor."""
-    if x.is_zero():
-        raise ZeroInput("step_positive needs a nonzero element")
-    p = _Pipeline(x)
-    _phase_positive(p)
-    return p.x, p.nu
-
-
-def step_prefix_nest(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:
-    """Left-multiply by ``s_beta s_beta^*`` for the longest word ``beta``;
-    surviving words become initial segments of ``beta``.  Returns
-    ``(mu, x')``."""
-    p = _Pipeline(x)
-    _phase_prefix_nest(p)
-    return p.mu, p.x
-
-
-def step_common_projection(x: AlgebraElement) \
-        -> tuple[AlgebraElement, ClopenSet, tuple[int, ...]]:
-    """Right-projection cascade producing scalar coefficients over one common
-    set.  Returns ``(x', A, J)`` where ``J`` lists the surviving component
-    indices relative to the input's chain order."""
-    before = _sorted_keys(x)
-    p = _Pipeline(x)
-    common = _phase_common_projection(p)
-    after = set(p.x.components)
-    j = tuple(i for i, k in enumerate(before) if k in after)
-    return p.x, common, j
-
-
-def step_strip_constant(x: AlgebraElement) \
-        -> tuple[AlgebraElement, AlgebraElement, AlgebraElement]:
-    """Strip the shortest word and normalize cylinder containments; returns
-    ``(mu, nu, x')`` where ``x'`` is either a plain projection multiple or
-    has the shape ``gamma_1 p_B + sum gamma_i s_{b_i} p_B``."""
-    p = _Pipeline(x)
-    _phase_strip_z(p)
-    return p.mu, p.nu, p.x
-
-
-def step_cycle_pump(x: AlgebraElement) \
-        -> tuple[AlgebraElement, ClopenSet | None]:
-    """Pump until the common set satisfies ``B`` inside ``r(B, b_2)``.
-
-    Returns ``(x', C)`` with the final common set, or ``(x', None)`` when the
-    pumping collapsed the element to a plain projection multiple."""
-    p = _Pipeline(x)
-    while True:
-        res = _phase_strip_z(p)
-        if isinstance(res, ProjectionMultiple):
-            return p.x, None
-        b_set = res
-        keys = _sorted_keys(p.x)
-        b2 = keys[1][0]
-        ran = relative_range(b_set, b2)
-        if b_set.is_subset(ran):
-            return p.x, b_set
-        diff = b_set.difference(ran)
-        p.left(p.alg.gen_p(diff) * p.alg.elem_s_star(b2), "pump")
-        _phase_common_projection(p)
-
-
-def step_power_align(x: AlgebraElement) -> AlgebraElement:
-    """One sandwich pass killing words that do not align onto powers of the
-    base word; ends with a fresh common projection."""
-    p = _Pipeline(x)
-    keys = _sorted_keys(p.x)
-    b_set = p.x.tail_set(keys[0])
-    _phase_power_align(p, b_set)
-    return p.x
-
-
-def step_word_gcd(x: AlgebraElement) \
-        -> tuple[AlgebraElement, Word, tuple[int, ...]]:
-    """Rewrite the positive words as powers of one primitive root; the words
-    themselves are unchanged, so the element is returned as-is together with
-    the root and the exponents."""
-    rooted = _extract_root(x)
-    if rooted is None:
-        raise RootExtractionFailure("words are not powers of a common root")
-    c, exps = rooted
-    return x, c, tuple(exps)
-
-
-def step_exit_kill(x: AlgebraElement) -> ReducedForm:
-    """Final dichotomy: cycle form when the common set is the periodic point
-    of the root, otherwise a projection multiple obtained by cutting with a
-    diverging cylinder."""
-    p = _Pipeline(x)
-    keys = _sorted_keys(p.x)
-    assert keys[0][0] == OMEGA
-    b_set = p.x.tail_set(keys[0])
-    _x, c, exps = step_word_gcd(x)
-    return _phase_exit_kill(p, b_set, c, list(exps))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import BadScalarForRing
+from .errors import BadScalarForRing, UnknownRing
 
 
 def _is_prime(n: int) -> bool:
@@ -174,6 +174,7 @@ def ring_from_name(name: str) -> Ring:
         return ZZ
     if name == "q":
         return QQ
-    if name.startswith("zmod:"):
-        return Zmod(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown ring: {name!r}")
+    modulus = name[len("zmod:"):]
+    if name.startswith("zmod:") and modulus.isdecimal() and int(modulus) >= 2:
+        return Zmod(int(modulus))
+    raise UnknownRing(f"unknown ring: {name!r} (expected z, q or zmod:N with N >= 2)")

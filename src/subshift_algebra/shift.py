@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyShift
+from .errors import EmptyShift, UnknownLetter
 from .words import OMEGA, EpPoint, Word, ep_normalize
 
 
@@ -74,7 +74,10 @@ class SftSpec:
         if text == "_":
             return OMEGA
         index = {s: i for i, s in enumerate(self.alphabet)}
-        return tuple(index[ch] for ch in text)
+        try:
+            return tuple(index[ch] for ch in text)
+        except KeyError as exc:
+            raise UnknownLetter(f"unknown letter {exc.args[0]!r} in word {text!r}") from None
 
 
 class FollowerGraph:

@@ -222,6 +222,24 @@ def test_corner_command_not_minimal_is_contract_error():
     assert code == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["iszero", SHIFT_PATHS["full2"], "-e", "1", "--ring", "zmod:x"],
+    ["iszero", SHIFT_PATHS["full2"], "-e", "1", "--ring", "zmod:1"],
+    ["iszero", SHIFT_PATHS["full2"], "-e", "1", "--ring", "w"],
+    ["corner", SHIFT_PATHS["full2"], "--set", "X", "--word", "c", "-e", "s(a)"],
+    ["nf", FIXTURES, "-e", "1"],
+], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir"])
+def test_malformed_input_is_usage_error(argv):
+    # Exit 1 is a documented answer ("nonzero"), so malformed input must not
+    # crash with a traceback and exit 1.
+    proc = subprocess.run(
+        [sys.executable, "-m", "subshift_algebra.cli", *map(str, argv)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "subshift_algebra.cli", "cycles",

@@ -1,4 +1,4 @@
-"""Reduction pipeline: individual steps and end-to-end witnesses."""
+"""Reduction pipeline: individual phases and end-to-end witnesses."""
 
 import random
 
@@ -7,39 +7,50 @@ import pytest
 from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.clopen import (CycleKind, classify_cycle, cylinder,
                                      follower, full_set, relative_range)
-from subshift_algebra.errors import RootExtractionFailure, ZeroInput
+from subshift_algebra.errors import InternalNonzeroViolation, ZeroInput
 from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
-                                        embed_form, reduce,
-                                        step_common_projection,
-                                        step_cycle_pump, step_exit_kill,
-                                        step_positive, step_power_align,
-                                        step_prefix_nest, step_strip_constant,
-                                        step_word_gcd, verify)
+                                        _extract_root, _phase_common_projection,
+                                        _phase_exit_kill, _phase_positive,
+                                        _phase_power_align, _phase_prefix_nest,
+                                        _phase_pump, _phase_strip_z, _Pipeline,
+                                        _scalar_of, _sorted_keys, embed_form,
+                                        reduce, verify)
 from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.words import OMEGA
 
 from conftest import W, random_nonzero_element
 
 
-# -- step_positive -----------------------------------------------------------------
+def test_scalar_of_rejects_non_constant_component(alg_full, g_full):
+    # Coefficients 1 on Z_aa and 2 on Z_ab: not a multiple of an indicator.
+    x = alg_full.gen_p(cylinder(g_full, W("aa"))) \
+        + alg_full.gen_p(cylinder(g_full, W("ab"))).scale(2)
+    with pytest.raises(InternalNonzeroViolation):
+        _scalar_of(x, (OMEGA, OMEGA))
+
+
+# -- _phase_positive -------------------------------------------------------------
 
 
 def test_positive_noop(alg_full):
     x = alg_full.gen_s(0) + alg_full.one()
-    x2, nu = step_positive(x)
-    assert x2 == x and nu == alg_full.one()
+    p = _Pipeline(x)
+    _phase_positive(p)
+    assert p.x == x and p.nu == alg_full.one()
 
 
 def test_positive_full_shift_star(alg_full, g_full):
-    x2, nu = step_positive(alg_full.gen_s_star(0))
-    assert x2 == alg_full.one()             # p_{F_a} = p_X
-    assert nu == alg_full.gen_s(0)
+    p = _Pipeline(alg_full.gen_s_star(0))
+    _phase_positive(p)
+    assert p.x == alg_full.one()             # p_{F_a} = p_X
+    assert p.nu == alg_full.gen_s(0)
 
 
 def test_positive_golden_star_b(alg_gold, g_gold):
-    x2, nu = step_positive(alg_gold.gen_s_star(1))
-    assert nu == alg_gold.gen_s(1)
-    assert x2 == alg_gold.gen_p(follower(g_gold, W("b")))
+    p = _Pipeline(alg_gold.gen_s_star(1))
+    _phase_positive(p)
+    assert p.nu == alg_gold.gen_s(1)
+    assert p.x == alg_gold.gen_p(follower(g_gold, W("b")))
 
 
 def test_positive_makes_all_components_positive(all_graphs):
@@ -48,44 +59,75 @@ def test_positive_makes_all_components_positive(all_graphs):
         rng = random.Random(3)
         for _ in range(40):
             x = random_nonzero_element(algebra, rng, max_word=2, max_terms=3)
-            x2, nu = step_positive(x)
-            assert not x2.is_zero()
-            assert all(v == OMEGA for (_, v) in x2.f_grade_support())
-            assert x * nu == x2
+            p = _Pipeline(x)
+            _phase_positive(p)
+            assert not p.x.is_zero()
+            assert all(v == OMEGA for (_, v) in p.x.f_grade_support())
+            assert x * p.nu == p.x
 
 
-# -- step_prefix_nest ----------------------------------------------------------------
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)])
+def test_positive_letter_is_first_letter_of_negative_word(all_graphs, ring):
+    # Reference for the positive phase's letter choice: by trial
+    # multiplication, a negative component (u, v) times s_a is nonzero
+    # exactly for a = v[0].
+    for g in all_graphs.values():
+        algebra = SubshiftAlgebra(g, ring)
+        rng = random.Random(11)
+        for _ in range(40):
+            x = random_nonzero_element(algebra, rng, max_word=3, max_terms=3)
+            for t in x.f_grade_support():
+                if t[1] == OMEGA:
+                    continue
+                comp = x.component_element(t)
+                for a in range(g.n_letters):
+                    assert (not (comp * algebra.gen_s(a)).is_zero()) == (a == t[1][0])
+
+
+# -- _phase_prefix_nest ----------------------------------------------------------------
 
 
 def test_nest_full_shift(alg_full):
     x = alg_full.gen_s(0) + alg_full.gen_s(1)
-    mu, x2 = step_prefix_nest(x)
-    assert x2 == alg_full.gen_s(0)
-    assert mu == alg_full.gen_s(0) * alg_full.gen_s_star(0)
+    p = _Pipeline(x)
+    _phase_prefix_nest(p)
+    assert p.x == alg_full.gen_s(0)
+    assert p.mu == alg_full.gen_s(0) * alg_full.gen_s_star(0)
 
 
 def test_nest_single_term(alg_full, g_full):
     x = alg_full.mono(W("ab"), full_set(g_full), OMEGA)
-    mu, x2 = step_prefix_nest(x)
-    assert x2 == x
+    p = _Pipeline(x)
+    _phase_prefix_nest(p)
+    assert p.x == x
 
 
 def test_nest_chain_survives(alg_gold):
     x = alg_gold.gen_s(0) + alg_gold.elem_s(W("ab"))
-    mu, x2 = step_prefix_nest(x)
-    words = sorted(u for (u, _) in x2.f_grade_support())
+    p = _Pipeline(x)
+    _phase_prefix_nest(p)
+    words = sorted(u for (u, _) in p.x.f_grade_support())
     assert words == [W("a"), W("ab")]
-    assert mu * x == x2
+    assert p.mu * x == p.x
     # both survive: a is an initial segment of ab
-    assert not x2.is_zero()
+    assert not p.x.is_zero()
 
 
-# -- step_common_projection ------------------------------------------------------------
+# -- _phase_common_projection ------------------------------------------------------------
+
+
+def common_projection(x):
+    """Run the phase on ``x``; returns ``(x', A, J)`` where ``J`` lists the
+    surviving component indices relative to the input's chain order."""
+    p = _Pipeline(x)
+    a_set = _phase_common_projection(p)
+    after = p.x.f_grade_support()
+    return p.x, a_set, tuple(i for i, k in enumerate(_sorted_keys(x)) if k in after)
 
 
 def test_common_projection_single_term(alg_gold, g_gold):
     x = alg_gold.mono(W("a"), follower(g_gold, W("a")), OMEGA).scale(3)
-    x2, a_set, j = step_common_projection(x)
+    x2, a_set, j = common_projection(x)
     assert x2 == x
     assert j == (0,)
     assert a_set == follower(g_gold, W("a"))
@@ -94,7 +136,7 @@ def test_common_projection_single_term(alg_gold, g_gold):
 def test_common_projection_two_terms(alg_full, g_full):
     za, zb = cylinder(g_full, W("a")), cylinder(g_full, W("b"))
     x = alg_full.gen_p(za) + alg_full.gen_s(0) * alg_full.gen_p(zb)
-    x2, a_set, j = step_common_projection(x)
+    x2, a_set, j = common_projection(x)
     assert not x2.is_zero()
     assert len(j) >= 1
     for t in x2.f_grade_support():
@@ -105,34 +147,37 @@ def test_common_projection_disjoint_sets_drop_a_term(alg_full, g_full):
     zaa = cylinder(g_full, W("aa"))
     zbb = cylinder(g_full, W("bb"))
     x = alg_full.gen_p(zaa) + alg_full.gen_s(0) * alg_full.gen_p(zbb)
-    x2, a_set, j = step_common_projection(x)
+    x2, a_set, j = common_projection(x)
     assert len(j) == 1
     assert not x2.is_zero()
 
 
-# -- step_strip_constant ------------------------------------------------------------------
+# -- _phase_strip_z ------------------------------------------------------------------
 
 
 def test_strip_plain_projection(alg_gold, g_gold):
     x = alg_gold.gen_p(cylinder(g_gold, W("ab"))).scale(5)
-    mu, nu, x2 = step_strip_constant(x)
-    assert x2 == x
+    p = _Pipeline(x)
+    _phase_strip_z(p)
+    assert p.x == x
 
 
 def test_strip_single_positive(alg_full, g_full):
     x = alg_full.gen_s(0)
-    mu, nu, x2 = step_strip_constant(x)
-    assert x2 == alg_full.one()
-    assert mu * x * nu == x2
+    p = _Pipeline(x)
+    _phase_strip_z(p)
+    assert p.x == alg_full.one()
+    assert p.mu * x * p.nu == p.x
 
 
 def test_strip_y_shape(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
     x = alg_y.gen_s(1) * alg_y.gen_p(zb) + alg_y.elem_s(W("bb")) * alg_y.gen_p(zb)
-    mu, nu, x2 = step_strip_constant(x)
-    words = sorted(u for (u, _) in x2.f_grade_support())
+    p = _Pipeline(x)
+    _phase_strip_z(p)
+    words = sorted(u for (u, _) in p.x.f_grade_support())
     assert words == [OMEGA, W("b")]
-    assert mu * x * nu == x2
+    assert p.mu * x * p.nu == p.x
 
 
 def test_strip_kills_terms_beyond_the_cut(alg_full, g_full):
@@ -144,21 +189,36 @@ def test_strip_kills_terms_beyond_the_cut(alg_full, g_full):
         + alg_full.gen_s(0) * alg_full.gen_p(zaa) \
         + alg_full.elem_s(W("aba")) * alg_full.gen_p(zaa)
     assert not (alg_full.elem_s(W("aba")) * alg_full.gen_p(zaa)).is_zero()
-    mu, nu, x2 = step_strip_constant(x)
-    words = sorted(u for (u, _) in x2.f_grade_support())
+    p = _Pipeline(x)
+    _phase_strip_z(p)
+    words = sorted(u for (u, _) in p.x.f_grade_support())
     assert words == [OMEGA, W("a")]
-    assert mu * x * nu == x2
-    b_set = x2.tail_set((OMEGA, OMEGA))
+    assert p.mu * x * p.nu == p.x
+    b_set = p.x.tail_set((OMEGA, OMEGA))
     assert b_set.is_subset(cylinder(g_full, W("a")))
 
 
-# -- step_cycle_pump --------------------------------------------------------------------
+# -- _phase_pump --------------------------------------------------------------------
+
+
+def pump_until_stable(x):
+    """Alternate the strip, pump and common-projection phases as ``reduce``
+    does until ``B`` lies inside ``r(B, b_2)``.  Returns ``(x', B)``, or
+    ``(x', None)`` when the element collapsed to a projection multiple."""
+    p = _Pipeline(x)
+    while True:
+        b_set = _phase_strip_z(p)
+        if isinstance(b_set, ProjectionMultiple):
+            return p.x, None
+        if not _phase_pump(p, b_set):
+            return p.x, b_set
+        _phase_common_projection(p)
 
 
 def test_pump_not_needed(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
     x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb)
-    x2, c_set_out = step_cycle_pump(x)
+    x2, c_set_out = pump_until_stable(x)
     assert c_set_out is not None
     assert c_set_out == zb
     assert x2 == x
@@ -171,7 +231,10 @@ def test_pump_runs_and_collapses(alg_full, g_full):
     x = alg_full.gen_p(zab) + alg_full.gen_s(0) * alg_full.gen_p(zab)
     ran = relative_range(zab, W("a"))
     assert not zab.is_subset(ran)
-    x2, c_set_out = step_cycle_pump(x)
+    p = _Pipeline(x, record_trace=True)
+    assert _phase_pump(p, zab)
+    assert p.trace == ["L p(D) st(a)"]
+    x2, c_set_out = pump_until_stable(x)
     assert not x2.is_zero()
     if c_set_out is None:
         words = [u for (u, _) in x2.f_grade_support()]
@@ -181,7 +244,13 @@ def test_pump_runs_and_collapses(alg_full, g_full):
         assert c_set_out.is_subset(relative_range(c_set_out, b2))
 
 
-# -- step_power_align ---------------------------------------------------------------------
+# -- _phase_power_align ---------------------------------------------------------------------
+
+
+def power_align(x):
+    p = _Pipeline(x)
+    _phase_power_align(p, p.x.tail_set((OMEGA, OMEGA)))
+    return p.x
 
 
 def test_align_keeps_power_terms(alg_y, g_y):
@@ -189,7 +258,7 @@ def test_align_keeps_power_terms(alg_y, g_y):
     x = alg_y.gen_p(zb) \
         + alg_y.gen_s(1) * alg_y.gen_p(zb) \
         + alg_y.elem_s(W("bbb")) * alg_y.gen_p(zb)
-    x2 = step_power_align(x)
+    x2 = power_align(x)
     words = sorted(u for (u, _) in x2.f_grade_support())
     assert words == [OMEGA, W("b"), W("bbb")]
     assert not x2.is_zero()
@@ -202,13 +271,13 @@ def test_align_kills_misaligned_term(alg_full, g_full):
     x = alg_full.gen_p(cylinder(g_full, W("aa"))) \
         + alg_full.gen_s(0) * alg_full.gen_p(cylinder(g_full, W("aa"))) \
         + alg_full.elem_s(W("ab")) * alg_full.gen_p(cylinder(g_full, W("aa")))
-    x2 = step_power_align(x)
+    x2 = power_align(x)
     words = sorted(u for (u, _) in x2.f_grade_support())
     assert W("ab") not in words
     assert not x2.is_zero()
 
 
-# -- step_word_gcd ------------------------------------------------------------------------
+# -- _extract_root ------------------------------------------------------------------------
 
 
 def test_gcd_single_letter_powers(alg_y, g_y):
@@ -216,27 +285,33 @@ def test_gcd_single_letter_powers(alg_y, g_y):
     x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb) \
         + alg_y.elem_s(W("bb")) * alg_y.gen_p(zb) \
         + alg_y.elem_s(W("bbbb")) * alg_y.gen_p(zb)
-    x2, c, exps = step_word_gcd(x)
-    assert x2 == x
+    before = x.format()
+    c, exps = _extract_root(x)
+    assert x.format() == before
     assert c == W("b")
-    assert exps == (1, 2, 4)
+    assert exps == [1, 2, 4]
 
 
 def test_gcd_rejects_mixed_words(alg_full, g_full):
     xf = full_set(g_full)
     x = alg_full.gen_p(xf) + alg_full.gen_s(0) * alg_full.gen_p(xf) \
         + alg_full.elem_s(W("ab")) * alg_full.gen_p(xf)
-    with pytest.raises(RootExtractionFailure):
-        step_word_gcd(x)
+    assert _extract_root(x) is None
 
 
-# -- step_exit_kill ------------------------------------------------------------------------
+# -- _phase_exit_kill ------------------------------------------------------------------------
+
+
+def exit_kill(x):
+    assert _sorted_keys(x)[0] == (OMEGA, OMEGA)
+    p = _Pipeline(x)
+    return _phase_exit_kill(p, p.x.tail_set((OMEGA, OMEGA)), *_extract_root(x))
 
 
 def test_exit_kill_cycle_form(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
     x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb)
-    form = step_exit_kill(x)
+    form = exit_kill(x)
     assert isinstance(form, CycleForm)
     assert form.beta == W("b")
     assert form.gammas == (1, 1) and form.exps == (1,)
@@ -244,7 +319,7 @@ def test_exit_kill_cycle_form(alg_y, g_y):
 
 def test_exit_kill_projection(alg_full, g_full):
     x = alg_full.one() + alg_full.gen_s(0)
-    form = step_exit_kill(x)
+    form = exit_kill(x)
     assert isinstance(form, ProjectionMultiple)
     assert form.gamma == 1 and not form.proj_set.is_empty()
 
@@ -254,7 +329,7 @@ def test_exit_kill_nonprimitive_root(alg_y, g_y):
     # exponents double.
     zbb = cylinder(g_y, W("bb"))
     x = alg_y.gen_p(zbb) + alg_y.elem_s(W("bb")) * alg_y.gen_p(zbb)
-    form = step_exit_kill(x)
+    form = exit_kill(x)
     assert isinstance(form, CycleForm)
     assert form.beta == W("b")
     assert form.exps == (2,)
