@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .clopen import ClopenSet, full_set, merge_siblings
-from .errors import RingMismatch
+from .errors import BadArgument, InternalNonzeroViolation, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
 from .words import OMEGA, Word
@@ -73,9 +73,12 @@ def _fn_translate(fn: CoeffFn, old: Word, new: Word, g: FollowerGraph) -> CoeffF
     k = len(old)
     out = {}
     for w, c in fn.coeffs.items():
-        assert w[:k] == old, "translation prefix missing from support word"
+        if w[:k] != old:
+            raise InternalNonzeroViolation(
+                f"translation prefix {old} missing from support word {w}")
         nw = new + w[k:]
-        assert g.is_prefix_legal(nw), "translated word must stay legal"
+        if not g.is_prefix_legal(nw):
+            raise InternalNonzeroViolation(f"translated word {nw} is not legal")
         out[nw] = c
     return CoeffFn(fn.resolution - k + len(new), out)
 
@@ -201,7 +204,8 @@ class AlgebraElement:
         """For a positive component ``(u, omega)``: the set of tails, i.e.
         ``r(support, u)``."""
         u, v = t
-        assert v == OMEGA, "tail sets are defined for positive components"
+        if v != OMEGA:
+            raise BadArgument(f"tail sets are defined for positive components, not {t}")
         fn = self.components[t]
         tails = frozenset(w[len(u):] for w in fn.coeffs)
         return ClopenSet(self.algebra.graph, fn.resolution - len(u), tails)

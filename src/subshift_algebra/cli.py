@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .algebra import SubshiftAlgebra
-from .errors import ContractViolation, SubshiftAlgebraError
+from .errors import ContractViolation, ShiftParseError, SubshiftAlgebraError
 from .parsing import eval_set, evaluate, parse_set, parse_shift
 from .reduction import (CycleForm, ProjectionMultiple, reduce as reduce_element,
                         verify as verify_witness)
@@ -41,7 +41,13 @@ CONTRACT_ERROR = 3
 
 
 def _load_algebra(shift_path: str, ring_name: str) -> SubshiftAlgebra:
-    text = Path(shift_path).read_text(encoding="utf-8")
+    try:
+        text = Path(shift_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        data = exc.object
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ShiftParseError(f"{shift_path} is not UTF-8 text", line, column) from None
     spec = parse_shift(text)
     graph = build_follower_graph(spec)
     return SubshiftAlgebra(graph, ring_from_name(ring_name))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .errors import BadArgument, InternalNonzeroViolation
 from .shift import FollowerGraph
 from .words import OMEGA, EpPoint, Word, ep_normalize, is_minimal_cycle_word
 
@@ -216,12 +217,13 @@ def classify_cycle(a: ClopenSet, alpha: Word) -> CycleClass:
     ``{alpha^inf}``, and it is minimal when ``alpha`` is not a proper power.
     """
     if not alpha:
-        raise ValueError("cycle word must be non-empty")
+        raise BadArgument("cycle word must be non-empty")
     if a.is_empty() or not a.is_subset(relative_range(a, alpha)):
         return CycleClass(CycleKind.NOT_A_CYCLE)
     point = as_singleton(a)
     if point is not None:
-        assert point == ep_normalize(OMEGA, alpha), \
-            "a singleton cycle set must be the periodic point of its word"
+        if point != ep_normalize(OMEGA, alpha):
+            raise InternalNonzeroViolation(
+                "a singleton cycle set must be the periodic point of its word")
         return CycleClass(CycleKind.CYCLE_WITHOUT_EXIT, is_minimal_cycle_word(alpha))
     return CycleClass(CycleKind.CYCLE_WITH_EXIT)

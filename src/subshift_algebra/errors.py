@@ -38,8 +38,10 @@ class ZeroInput(ContractViolation):
 
 
 class InternalNonzeroViolation(ContractViolation):
-    """A reduction step broke an invariant the theory guarantees: it produced
-    zero, made no progress, or left a shape its successor cannot take.
+    """A computation broke an invariant the theory guarantees: a reduction
+    step produced zero, made no progress, or left a shape its successor
+    cannot take; a support translation left the shift's language; a
+    singleton cycle set is not the periodic point of its word.
 
     Raised only on bugs: every multiplication inside the reduction pipeline
     re-verifies nonzero-ness, and every phase checks the shape it hands on.
@@ -85,6 +87,11 @@ class ExprSyntaxError(SubshiftAlgebraError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class BadArgument(SubshiftAlgebraError):
+    """An argument lies outside the domain of the function it was passed to
+    (an empty cycle word; a tail set of a component that is not positive)."""
 
 
 class UnknownLetter(SubshiftAlgebraError):

@@ -4,7 +4,11 @@ A shift is presented by an alphabet and a finite set of forbidden words.  The
 follower graph is the standard memory-m automaton (states = legal m-blocks,
 pruned to the states of out-degree >= 1) whose infinite paths are exactly the
 points of the shift.  It decides prefix legality, i.e. non-emptiness of
-cylinders, which is what every other module builds on.
+cylinders, which is what every other module builds on: a word is legal iff
+its first m-block is a state and the walk of its remaining letters through
+the graph's transition table never leaves it (Lind & Marcus, *An
+Introduction to Symbolic Dynamics and Coding*, section 3).  The forbidden
+words themselves are scanned only while the graph is built.
 """
 
 from __future__ import annotations
@@ -84,7 +88,12 @@ class FollowerGraph:
     """Pruned memory-m transition automaton of an SFT.
 
     States are the legal m-blocks that admit an infinite continuation;
-    ``edges[(state, letter)]`` gives the successor m-block.  Built through
+    ``edges[(state, letter)]`` gives the successor m-block.  The states are
+    numbered in sorted order, and ``_delta[i][a]`` holds the number of the
+    successor of state ``i`` under letter ``a``, or -1 where there is no
+    edge.  Prefix legality is a walk of this table, one step per letter
+    after the first m-block; words shorter than m are looked up in the set
+    of proper prefixes of the states.  Built through
     :func:`build_follower_graph`.
     """
 
@@ -95,10 +104,25 @@ class FollowerGraph:
         self.edges = edges
         self.m = spec.memory
         self.n_letters = len(spec.alphabet)
+        self._ids = {s: i for i, s in enumerate(sorted(states))}
+        self._delta: list[list[int]] = []
         self._out: dict[Word, tuple[tuple[int, Word], ...]] = {}
-        for (u, a), v in sorted(edges.items()):
-            self._out.setdefault(u, ())
-            self._out[u] = self._out[u] + ((a, v),)
+        for u in self._ids:
+            row = [-1] * self.n_letters
+            out = []
+            for a in range(self.n_letters):
+                v = edges.get((u, a))
+                if v is not None:
+                    row[a] = self._ids[v]
+                    out.append((a, v))
+            self._delta.append(row)
+            self._out[u] = tuple(out)
+        level = set(states)
+        prefixes: set[Word] = set()
+        for _ in range(self.m):
+            level = {s[:-1] for s in level}
+            prefixes |= level
+        self._prefixes = frozenset(prefixes)
         self._legal_cache: dict[int, tuple[Word, ...]] = {}
 
     def out_edges(self, state: Word) -> tuple[tuple[int, Word], ...]:
@@ -106,12 +130,17 @@ class FollowerGraph:
 
     def is_prefix_legal(self, w: Word) -> bool:
         """True iff the cylinder of ``w`` is non-empty."""
-        if len(w) < self.m:
-            return any(s[:len(w)] == w for s in self.states)
-        if w[-self.m:] not in self.states:
+        m = self.m
+        if len(w) < m:
+            return w in self._prefixes
+        state = self._ids.get(w[:m])
+        if state is None:
             return False
-        if _has_forbidden_factor(w, self.spec.forbidden):
-            return False
+        delta = self._delta
+        for a in w[m:]:
+            state = delta[state][a]
+            if state < 0:
+                return False
         return True
 
     def legal_words(self, n: int) -> tuple[Word, ...]:
@@ -122,34 +151,31 @@ class FollowerGraph:
             if n < self.m:
                 words = sorted({s[:n] for s in self.states})
             else:
-                words = sorted(self._walk(n))
+                words = self._grow(list(self._ids.items()), n - self.m)
             self._legal_cache[n] = tuple(words)
         return self._legal_cache[n]
 
-    def _walk(self, n: int) -> list[Word]:
-        level = {s: s for s in self.states}  # word -> current state
-        for _ in range(n - self.m):
-            nxt = {}
-            for w, s in level.items():
-                for a, v in self.out_edges(s):
-                    nxt[w + (a,)] = v
-            level = nxt
-        return list(level)
+    def _grow(self, frontier: list[tuple[Word, int]], steps: int) -> list[Word]:
+        """Extend every ``(word, state id)`` pair by ``steps`` letters along
+        the table.  Letters are tried in ascending order, so a frontier in
+        lexicographic order stays in it."""
+        delta = self._delta
+        for _ in range(steps):
+            frontier = [(u + (a,), t)
+                        for u, s in frontier
+                        for a, t in enumerate(delta[s]) if t >= 0]
+        return [u for u, _ in frontier]
 
     def extensions(self, w: Word, n: int) -> list[Word]:
-        """Prefix-legal extensions of ``w`` to length ``n`` (``n >= len(w)``)."""
+        """Prefix-legal extensions of ``w`` to length ``n`` (``n >= len(w)``),
+        lexicographically sorted."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
         if not self.is_prefix_legal(w):
             return []
         if len(w) < self.m:
             return [e for e in self.legal_words(n) if e[:len(w)] == w]
-        frontier = [w]
-        while frontier and len(frontier[0]) < n:
-            frontier = [u + (a,)
-                        for u in frontier
-                        for a, _ in self.out_edges(u[-self.m:])]
-        return sorted(frontier)
+        return self._grow([(w, self._ids[w[-self.m:]])], n - len(w))
 
     def unique_extension(self, w: Word) -> EpPoint | None:
         """The single point of ``Z_w`` when the continuation is forced.

@@ -58,6 +58,17 @@ def brute_forbidden_free(w, forbidden):
     )
 
 
+def brute_extends(w, forbidden, k, depth):
+    """True iff the forbidden-free word w has a forbidden-free extension by
+    depth letters; depth-first, abandoning a branch at its first forbidden
+    factor (forbidden-freeness is inherited by prefixes)."""
+    if depth == 0:
+        return True
+    return any(brute_forbidden_free(w + (a,), forbidden)
+               and brute_extends(w + (a,), forbidden, k, depth - 1)
+               for a in range(k))
+
+
 def brute_legal_words(graph, n, lookahead=None):
     """Independent language oracle: forbidden-free words of length n having a
     forbidden-free extension long enough to pump (exact for every SFT)."""
@@ -66,14 +77,9 @@ def brute_legal_words(graph, n, lookahead=None):
     m = spec.memory
     if lookahead is None:
         lookahead = m + k ** m + 1
-    out = []
-    for w in product(range(k), repeat=n):
-        if not brute_forbidden_free(w, spec.forbidden):
-            continue
-        if any(brute_forbidden_free(w + e, spec.forbidden)
-               for e in product(range(k), repeat=lookahead)):
-            out.append(w)
-    return out
+    return [w for w in product(range(k), repeat=n)
+            if brute_forbidden_free(w, spec.forbidden)
+            and brute_extends(w, spec.forbidden, k, lookahead)]
 
 
 def words_up_to(graph, n, include_empty=True):

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from subshift_algebra.algebra import SubshiftAlgebra
+from subshift_algebra.algebra import CoeffFn, SubshiftAlgebra, _fn_translate
 from subshift_algebra.clopen import (c_set, cylinder, empty_set, follower,
                                      full_set, relative_range)
-from subshift_algebra.errors import RingMismatch
+from subshift_algebra.errors import (BadArgument, InternalNonzeroViolation,
+                                     RingMismatch)
 from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.words import OMEGA
 
@@ -231,3 +232,22 @@ def test_letter_extension_search(all_graphs):
                 assert any(
                     not (comp * algebra.gen_s(a)).is_zero()
                     for a in range(g.n_letters)), (t, comp)
+
+
+def test_translate_rejects_word_without_the_prefix(g_gold):
+    with pytest.raises(InternalNonzeroViolation):
+        _fn_translate(CoeffFn(2, {W("ab"): 1}), W("b"), W("a"), g_gold)
+
+
+def test_translate_rejects_illegal_result(g_gold):
+    # ab -> bb leaves the golden mean shift.
+    with pytest.raises(InternalNonzeroViolation):
+        _fn_translate(CoeffFn(2, {W("ab"): 1}), W("a"), W("b"), g_gold)
+
+
+def test_tail_set_rejects_non_positive_component(alg_gold):
+    x = alg_gold.elem_s_star(W("a"))
+    (t,) = x.f_grade_support()
+    assert t == (OMEGA, W("a"))
+    with pytest.raises(BadArgument):
+        x.tail_set(t)

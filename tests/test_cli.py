@@ -222,16 +222,25 @@ def test_corner_command_not_minimal_is_contract_error():
     assert code == 3
 
 
+NOT_UTF8 = "<shift file that is not UTF-8>"
+
+
 @pytest.mark.parametrize("argv", [
     ["iszero", SHIFT_PATHS["full2"], "-e", "1", "--ring", "zmod:x"],
     ["iszero", SHIFT_PATHS["full2"], "-e", "1", "--ring", "zmod:1"],
     ["iszero", SHIFT_PATHS["full2"], "-e", "1", "--ring", "w"],
     ["corner", SHIFT_PATHS["full2"], "--set", "X", "--word", "c", "-e", "s(a)"],
     ["nf", FIXTURES, "-e", "1"],
-], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir"])
-def test_malformed_input_is_usage_error(argv):
+    ["nf", NOT_UTF8, "-e", "1"],
+    ["corner", SHIFT_PATHS["y"], "--set", "Z(b)", "--word", "_", "-e", "1"],
+], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
+        "shift-not-utf8", "word-empty"])
+def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.
+    bad = tmp_path / "bad.shift"
+    bad.write_bytes(b"\xff\xfealphabet: a b\n")
+    argv = [bad if a == NOT_UTF8 else a for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "subshift_algebra.cli", *map(str, argv)],
         capture_output=True, text=True)

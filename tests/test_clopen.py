@@ -3,10 +3,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from subshift_algebra import clopen
 from subshift_algebra.clopen import (ClopenSet, CycleKind, as_singleton,
                                      c_set, classify_cycle, cylinder,
                                      empty_set, follower, full_set, refine,
                                      relative_range)
+from subshift_algebra.errors import BadArgument, InternalNonzeroViolation
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint, ep_normalize
 
@@ -175,3 +177,16 @@ def test_classify_nonminimal_cycle():
     g = build_follower_graph(SftSpec.make("ab", ["ba"]))
     got = classify_cycle(cylinder(g, W("bb")), W("bb"))
     assert got.kind is CycleKind.CYCLE_WITHOUT_EXIT and got.minimal is False
+
+
+def test_classify_rejects_empty_word(g_y):
+    with pytest.raises(BadArgument):
+        classify_cycle(cylinder(g_y, W("b")), OMEGA)
+
+
+def test_classify_rejects_singleton_off_its_periodic_point(g_y, monkeypatch):
+    # ({b}, b) is a cycle without exit; a singleton point other than b^inf
+    # breaks the invariant the classification relies on.
+    monkeypatch.setattr(clopen, "as_singleton", lambda a: EpPoint(OMEGA, W("a")))
+    with pytest.raises(InternalNonzeroViolation):
+        classify_cycle(cylinder(g_y, W("b")), W("b"))

@@ -1,5 +1,7 @@
 """Follower-graph construction, legality and enumeration."""
 
+from itertools import product
+
 import pytest
 
 from subshift_algebra.errors import EmptyShift
@@ -86,6 +88,32 @@ def test_deep_pruning_cascade():
     assert not g.is_prefix_legal((2,))      # c is pruned transitively
     assert not g.is_prefix_legal((0,))      # a dies in round one
     assert list(enumerate_prefix_legal(g, 2)) == brute_legal_words(g, 2)
+
+
+DIFFERENTIAL_SHIFTS = {
+    "full2": ("ab", []),
+    "golden_mean": ("ab", ["bb"]),
+    "y": ("ab", ["ba"]),
+    "deep_pruning": ("abc", ["aa", "ab", "ac", "cb", "cc"]),
+    # c is forbidden-free but dead, so "ac" is illegal inside longer words too.
+    "dead_inner_block": ("abc", ["ca", "cb", "cc"]),
+    **{f"L{m}": ("ab", ["a" * (m + 1), "b" * m + "a"]) for m in (2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("name", list(DIFFERENTIAL_SHIFTS))
+def test_legality_and_extensions_match_brute_force(name):
+    alphabet, forbidden = DIFFERENTIAL_SHIFTS[name]
+    g = build_follower_graph(SftSpec.make(alphabet, forbidden))
+    top = g.m + 3
+    language = {n: brute_legal_words(g, n) for n in range(top + 1)}
+    for n in range(top + 1):
+        legal = set(language[n])
+        for w in product(range(len(alphabet)), repeat=n):
+            assert g.is_prefix_legal(w) == (w in legal), (name, w)
+            for n2 in range(n, top + 1):
+                assert g.extensions(w, n2) == \
+                    [e for e in language[n2] if e[:n] == w], (name, w, n2)
 
 
 def test_extensions(g_gold):
