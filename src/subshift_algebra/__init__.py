@@ -6,12 +6,11 @@ structure maps."""
 from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import (ClopenSet, CycleClass, CycleKind, as_singleton, c_set,
                      classify_cycle, cylinder, empty_set, follower, full_set,
-                     refine, relative_range)
+                     relative_range)
 from .reduction import (CycleForm, ProjectionMultiple, ReductionWitness,
                         embed_form, reduce, verify)
 from .rings import QQ, ZZ, Ring, Zmod, ring_from_name
-from .shift import (FollowerGraph, SftSpec, build_follower_graph,
-                    enumerate_prefix_legal, is_prefix_legal)
+from .shift import FollowerGraph, SftSpec, build_follower_graph
 from .structure import (LaurentPoly, RelationReport, corner_project,
                         corner_to_laurent, find_cycles_without_exit,
                         laurent_to_corner, relations_selftest,
@@ -24,12 +23,11 @@ __all__ = [
     "AlgebraElement", "SubshiftAlgebra",
     "ClopenSet", "CycleClass", "CycleKind", "as_singleton", "c_set",
     "classify_cycle", "cylinder", "empty_set", "follower", "full_set",
-    "refine", "relative_range",
+    "relative_range",
     "CycleForm", "ProjectionMultiple", "ReductionWitness", "embed_form",
     "reduce", "verify",
     "QQ", "ZZ", "Ring", "Zmod", "ring_from_name",
     "FollowerGraph", "SftSpec", "build_follower_graph",
-    "enumerate_prefix_legal", "is_prefix_legal",
     "LaurentPoly", "RelationReport", "corner_project", "corner_to_laurent",
     "find_cycles_without_exit", "laurent_to_corner", "relations_selftest",
     "square_nonzero_check",

@@ -16,71 +16,20 @@ reduced product ``s t``.  If the reduced product is not of the shape
 Zero is the empty component map; because zero coefficients are purged
 eagerly, ``is_zero`` and ``equals`` are exact for every coefficient ring,
 including ones with zero divisors.
+
+This module keeps the arithmetic of the index pairs; the coefficient
+functions (``clopen.CoeffFn``) and their operations live in ``clopen``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .clopen import ClopenSet, full_set, merge_siblings
-from .errors import BadArgument, InternalNonzeroViolation, RingMismatch
+from .clopen import ClopenSet, CoeffFn, accumulate, full_set, merge_siblings
+from .errors import BadArgument, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
 from .words import OMEGA, Word
 
 Pair = tuple[Word, Word]
-
-
-@dataclass(frozen=True)
-class CoeffFn:
-    """Finitely supported function on clopen sets: resolution-N words mapped
-    to nonzero ring values."""
-
-    resolution: int
-    coeffs: dict[Word, object]
-
-
-def _fn_refine(fn: CoeffFn, n: int, g: FollowerGraph) -> CoeffFn:
-    if n == fn.resolution:
-        return fn
-    if n < fn.resolution:
-        raise ValueError("cannot lower a coefficient function's resolution")
-    out = {}
-    for w, c in fn.coeffs.items():
-        for e in g.extensions(w, n):
-            out[e] = c
-    return CoeffFn(n, out)
-
-
-def _fn_add(a: CoeffFn, b: CoeffFn, ring: Ring, g: FollowerGraph) -> CoeffFn | None:
-    n = max(a.resolution, b.resolution)
-    ar, br = _fn_refine(a, n, g), _fn_refine(b, n, g)
-    out = dict(ar.coeffs)
-    for w, c in br.coeffs.items():
-        if w in out:
-            s = ring.add(out[w], c)
-            if ring.is_zero(s):
-                del out[w]
-            else:
-                out[w] = s
-        else:
-            out[w] = c
-    return CoeffFn(n, out) if out else None
-
-
-def _fn_translate(fn: CoeffFn, old: Word, new: Word, g: FollowerGraph) -> CoeffFn:
-    """Support translation ``old.p -> new.p`` (the partial action on words)."""
-    k = len(old)
-    out = {}
-    for w, c in fn.coeffs.items():
-        if w[:k] != old:
-            raise InternalNonzeroViolation(
-                f"translation prefix {old} missing from support word {w}")
-        nw = new + w[k:]
-        if not g.is_prefix_legal(nw):
-            raise InternalNonzeroViolation(f"translated word {nw} is not legal")
-        out[nw] = c
-    return CoeffFn(fn.resolution - k + len(new), out)
 
 
 def _common_prefix_len(a: Word, b: Word) -> int:
@@ -105,9 +54,6 @@ class SubshiftAlgebra:
         self.ring = ring
 
     # -- constructors ---------------------------------------------------------
-
-    def element(self, components: dict[Pair, CoeffFn]) -> "AlgebraElement":
-        return AlgebraElement(self, components)
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
@@ -169,7 +115,7 @@ class AlgebraElement:
             if u and v and u[-1] == v[-1]:
                 raise ValueError(f"component pair not reduced: {(u, v)}")
             if fn.resolution < len(u) + g.m:
-                fn = _fn_refine(fn, len(u) + g.m, g)
+                fn = fn.refine(len(u) + g.m, g)
             coeffs = {w: c for w, c in fn.coeffs.items() if not ring.is_zero(c)}
             if not coeffs:
                 continue
@@ -197,8 +143,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {t: self.components[t]})
 
     def support_set(self, t: Pair) -> ClopenSet:
-        fn = self.components[t]
-        return ClopenSet(self.algebra.graph, fn.resolution, frozenset(fn.coeffs))
+        return self.components[t].support(self.algebra.graph)
 
     def tail_set(self, t: Pair) -> ClopenSet:
         """For a positive component ``(u, omega)``: the set of tails, i.e.
@@ -206,9 +151,7 @@ class AlgebraElement:
         u, v = t
         if v != OMEGA:
             raise BadArgument(f"tail sets are defined for positive components, not {t}")
-        fn = self.components[t]
-        tails = frozenset(w[len(u):] for w in fn.coeffs)
-        return ClopenSet(self.algebra.graph, fn.resolution - len(u), tails)
+        return self.components[t].tail_set(len(u), self.algebra.graph)
 
     # -- ring operations --------------------------------------------------------
 
@@ -217,19 +160,15 @@ class AlgebraElement:
                 or other.algebra.ring != self.algebra.ring:
             raise RingMismatch("elements live in different algebras")
 
+    def _accumulate(self, out: dict[Pair, CoeffFn], items) -> dict[Pair, CoeffFn]:
+        """Add ``(pair, coefficient function)`` items into ``out``; a pair
+        whose sum is zero is dropped."""
+        g, ring = self.algebra.graph, self.algebra.ring
+        return accumulate(out, items, lambda f, h: f.add(h, ring, g), CoeffFn.is_zero)
+
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
-        g, ring = self.algebra.graph, self.algebra.ring
-        out = dict(self.components)
-        for t, fn in other.components.items():
-            if t in out:
-                s = _fn_add(out[t], fn, ring, g)
-                if s is None:
-                    del out[t]
-                else:
-                    out[t] = s
-            else:
-                out[t] = fn
+        out = self._accumulate(dict(self.components), other.components.items())
         return AlgebraElement(self.algebra, out)
 
     def negate(self) -> "AlgebraElement":
@@ -251,50 +190,32 @@ class AlgebraElement:
                 out[t] = CoeffFn(fn.resolution, coeffs)
         return AlgebraElement(self.algebra, out)
 
-    def mul(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
+    def _products(self, other: "AlgebraElement"):
+        """The nonzero contributions ``(pair, coefficient function)`` of the
+        component pairs of ``self * other``, in the order of the pairs."""
         g, ring = self.algebra.graph, self.algebra.ring
-        acc: dict[Pair, CoeffFn] = {}
         for (u, v), f in self.components.items():
             for (u2, v2), h in other.components.items():
                 k = _common_prefix_len(v, u2)
                 v1, u21 = v[k:], u2[k:]
                 if v1 and u21:
                     continue  # product index leaves the (pos)(neg)^-1 family
-                mid = _fn_translate(f, u, v, g)
-                n = max(mid.resolution, h.resolution)
-                fa = _fn_refine(mid, n, g)
-                fb = _fn_refine(h, n, g)
-                prod = {}
-                for w, c in fa.coeffs.items():
-                    d = fb.coeffs.get(w)
-                    if d is None:
-                        continue
-                    p = ring.mul(c, d)
-                    if not ring.is_zero(p):
-                        prod[w] = p
-                if not prod:
+                prod = f.translate(u, v, g).times(h, ring, g)
+                if prod.is_zero():
                     continue
-                back = _fn_translate(CoeffFn(n, prod), v, u, g)
                 if not v1:
                     pair = _strip_common_suffix(u + u21, v2)
                 else:
                     pair = (u, v2 + v1)
-                if pair in acc:
-                    s = _fn_add(acc[pair], back, ring, g)
-                    if s is None:
-                        del acc[pair]
-                    else:
-                        acc[pair] = s
-                else:
-                    acc[pair] = back
-        return AlgebraElement(self.algebra, acc)
+                yield pair, prod.translate(v, u, g)
+
+    def mul(self, other: "AlgebraElement") -> "AlgebraElement":
+        self._check(other)
+        return AlgebraElement(self.algebra, self._accumulate({}, self._products(other)))
 
     def star(self) -> "AlgebraElement":
         g = self.algebra.graph
-        out = {}
-        for (u, v), fn in self.components.items():
-            out[(v, u)] = _fn_translate(fn, u, v, g)
+        out = {(v, u): fn.translate(u, v, g) for (u, v), fn in self.components.items()}
         return AlgebraElement(self.algebra, out)
 
     def equals(self, other: "AlgebraElement") -> bool:
@@ -302,10 +223,9 @@ class AlgebraElement:
         if set(self.components) != set(other.components):
             return False
         g = self.algebra.graph
-        for t, a in self.components.items():
-            b = other.components[t]
-            n = max(a.resolution, b.resolution)
-            if _fn_refine(a, n, g).coeffs != _fn_refine(b, n, g).coeffs:
+        for t, f in self.components.items():
+            a, b = f.common(other.components[t], g)
+            if a.coeffs != b.coeffs:
                 return False
         return True
 

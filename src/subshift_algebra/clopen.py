@@ -1,9 +1,11 @@
-"""The Boolean algebra of clopen subsets of a shift of finite type.
+"""Clopen sets of a shift of finite type and the coefficient functions on
+them: the one home of the support representation.
 
-A :class:`ClopenSet` is a finite union of cylinders, stored canonically as a
-set of prefix-legal words of one common length (the resolution).  All Boolean
-operations, containment, the relative range, and singleton detection are
-decided exactly by refining operands to a common resolution.
+A support is a set (:class:`ClopenSet`) or a map to ring values
+(:class:`CoeffFn`) of prefix-legal words of one common length, the
+resolution, each word standing for its cylinder.  Supports are refined with
+:meth:`FollowerGraph.extensions` and coarsened with :func:`merge_siblings`;
+every operation on them is decided exactly at a common resolution.
 
 The cornerstone identity making this complete for memory-m shifts: with
 ``|p| = m``, the set ``C(alpha, beta) = {beta.x in X : alpha.x in X}`` equals
@@ -118,6 +120,90 @@ class ClopenSet:
         return f"ClopenSet({self.format()})"
 
 
+@dataclass(frozen=True)
+class CoeffFn:
+    """The coefficient of one component of an algebra element: resolution-N
+    prefix-legal words mapped to nonzero ring values, constant on each
+    word's cylinder and zero off the stored words."""
+
+    resolution: int
+    coeffs: dict[Word, object]
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def scalar(self):
+        """The one value taken on the support, or ``None`` if there are
+        several."""
+        vals = set(self.coeffs.values())
+        return vals.pop() if len(vals) == 1 else None
+
+    def support(self, g: FollowerGraph) -> ClopenSet:
+        return ClopenSet(g, self.resolution, frozenset(self.coeffs))
+
+    def tail_set(self, k: int, g: FollowerGraph) -> ClopenSet:
+        """The tails ``p`` of the support words ``u.p`` whose common prefix
+        ``u`` has length ``k``, i.e. ``r(support, u)``."""
+        return ClopenSet(g, self.resolution - k, frozenset(w[k:] for w in self.coeffs))
+
+    def refine(self, n: int, g: FollowerGraph) -> "CoeffFn":
+        if n == self.resolution:
+            return self
+        if n < self.resolution:
+            raise ValueError("cannot lower a coefficient function's resolution")
+        return CoeffFn(n, {e: c for w, c in self.coeffs.items() for e in g.extensions(w, n)})
+
+    def common(self, other: "CoeffFn", g: FollowerGraph) -> tuple["CoeffFn", "CoeffFn"]:
+        """Both functions at the larger of their resolutions."""
+        n = max(self.resolution, other.resolution)
+        return self.refine(n, g), other.refine(n, g)
+
+    def add(self, other: "CoeffFn", ring, g: FollowerGraph) -> "CoeffFn":
+        """The sum, without its zero values."""
+        a, b = self.common(other, g)
+        return CoeffFn(a.resolution, accumulate(dict(a.coeffs), b.coeffs.items(),
+                                                ring.add, ring.is_zero))
+
+    def times(self, other: "CoeffFn", ring, g: FollowerGraph) -> "CoeffFn":
+        """The pointwise product, without its zero values."""
+        a, b = self.common(other, g)
+        prod = {}
+        for w, c in a.coeffs.items():
+            d = b.coeffs.get(w)
+            if d is not None:
+                p = ring.mul(c, d)
+                if not ring.is_zero(p):
+                    prod[w] = p
+        return CoeffFn(a.resolution, prod)
+
+    def translate(self, old: Word, new: Word, g: FollowerGraph) -> "CoeffFn":
+        """Support translation ``old.p -> new.p`` (the partial action on words)."""
+        k = len(old)
+        out = {}
+        for w, c in self.coeffs.items():
+            if w[:k] != old:
+                raise InternalNonzeroViolation(
+                    f"translation prefix {old} missing from support word {w}")
+            nw = new + w[k:]
+            if not g.is_prefix_legal(nw):
+                raise InternalNonzeroViolation(f"translated word {nw} is not legal")
+            out[nw] = c
+        return CoeffFn(self.resolution - k + len(new), out)
+
+
+def accumulate(out: dict, items, add, is_zero) -> dict:
+    """Add the ``(key, value)`` pairs into ``out`` with ``add``, dropping a
+    key whose sum ``is_zero``; returns ``out``."""
+    for key, value in items:
+        if key in out:
+            value = add(out[key], value)
+            if is_zero(value):
+                del out[key]
+                continue
+        out[key] = value
+    return out
+
+
 def merge_siblings(g: FollowerGraph, res: int, values: dict[Word, object],
                    floor: int) -> tuple[int, dict[Word, object]]:
     """Coarsen a function given on the resolution-``res`` words one level at
@@ -168,10 +254,6 @@ def c_set(g: FollowerGraph, alpha: Word, beta: Word) -> ClopenSet:
 def follower(g: FollowerGraph, alpha: Word) -> ClopenSet:
     """The follower set ``F_alpha = {x in X : alpha.x in X}``."""
     return c_set(g, alpha, OMEGA)
-
-
-def refine(a: ClopenSet, n: int) -> ClopenSet:
-    return a.refine(n)
 
 
 def relative_range(a: ClopenSet, alpha: Word) -> ClopenSet:

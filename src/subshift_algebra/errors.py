@@ -17,6 +17,11 @@ class EmptyShift(SubshiftAlgebraError):
     """The presented shift space is empty (every state was pruned)."""
 
 
+class ShiftTooLarge(SubshiftAlgebraError):
+    """The shift has more m-blocks than the follower graph is built for
+    (``shift.MAX_BLOCKS``)."""
+
+
 class NotCommuting(SubshiftAlgebraError):
     """commuting_root was called on a pair with alpha*beta != beta*alpha."""
 
@@ -41,7 +46,9 @@ class InternalNonzeroViolation(ContractViolation):
     """A computation broke an invariant the theory guarantees: a reduction
     step produced zero, made no progress, or left a shape its successor
     cannot take; a support translation left the shift's language; a
-    singleton cycle set is not the periodic point of its word.
+    singleton cycle set is not the periodic point of its word, or a forced
+    graph cycle is not a minimal cycle without exit; a common root or the
+    minimality of a cycle word fails its cross-check.
 
     Raised only on bugs: every multiplication inside the reduction pipeline
     re-verifies nonzero-ness, and every phase checks the shape it hands on.

@@ -38,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, SubshiftAlgebra
-from .clopen import (ClopenSet, CycleKind, as_singleton, classify_cycle,
-                     cylinder, relative_range)
+from .clopen import (ClopenSet, CoeffFn, CycleKind, as_singleton,
+                     classify_cycle, cylinder, relative_range)
 from .errors import InternalNonzeroViolation, ZeroInput
 from .words import OMEGA, Word, ep_normalize, primitive_root
 
@@ -119,11 +119,11 @@ def _sorted_keys(x: AlgebraElement) -> list[Pair]:
 
 
 def _scalar_of(x: AlgebraElement, key: Pair):
-    vals = set(x.components[key].coeffs.values())
-    if len(vals) != 1:
+    gamma = x.components[key].scalar()
+    if gamma is None:
         raise InternalNonzeroViolation(
             "component is not a scalar multiple of an indicator")
-    return vals.pop()
+    return gamma
 
 
 def _require_positive(x: AlgebraElement):
@@ -179,14 +179,11 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
     for key in _sorted_keys(p.x):
         if key not in p.x.components:
             continue
-        u = key[0]
         fn = p.x.components[key]
-        if len(set(fn.coeffs.values())) > 1:
+        if fn.scalar() is None:
             w = min(fn.coeffs)
-            tail = ClopenSet(g, fn.resolution - len(u), frozenset({w[len(u):]}))
-        else:
-            tail = p.x.tail_set(key)
-        p.right(p.alg.gen_p(tail), "p(common)")
+            fn = CoeffFn(fn.resolution, {w: fn.coeffs[w]})
+        p.right(p.alg.gen_p(fn.tail_set(len(key[0]), g)), "p(common)")
     # Follower projections are subsumed: a tail cylinder of resolution >= m
     # automatically sits inside the follower set of its word, so the common
     # set already lands inside every surviving F_{alpha_i}.

@@ -40,7 +40,7 @@ class Ring:
         raise NotImplementedError
 
     def neg(self, a):
-        return self.add(self.zero(), self.mul(self.from_int(-1), a))
+        raise NotImplementedError
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -96,24 +96,16 @@ class IntegerRing(Ring):
             raise BadScalarForRing(f"not an integer scalar: {text!r}") from None
 
 
-class RationalRing(Ring):
+class RationalRing(IntegerRing):
+    """Fractions under the integer ring's operators."""
+
     name = "q"
-    is_domain = True
 
     def zero(self):
         return Fraction(0)
 
     def one(self):
         return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def from_int(self, k: int):
         return Fraction(k)
@@ -123,9 +115,6 @@ class RationalRing(Ring):
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise BadScalarForRing(f"not a rational scalar: {text!r}") from None
-
-    def format(self, a) -> str:
-        return str(a)
 
 
 class IntegerModRing(Ring):

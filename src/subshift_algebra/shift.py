@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyShift, UnknownLetter
+from .errors import EmptyShift, ShiftTooLarge, UnknownLetter
 from .words import OMEGA, EpPoint, Word, ep_normalize
 
 
@@ -173,51 +173,50 @@ class FollowerGraph:
             raise ValueError("cannot extend to a shorter length")
         if not self.is_prefix_legal(w):
             return []
-        if len(w) < self.m:
+        if len(w) >= self.m:
+            return self._grow([(w, self._ids[w[-self.m:]])], n - len(w))
+        if n < self.m:
             return [e for e in self.legal_words(n) if e[:len(w)] == w]
-        return self._grow([(w, self._ids[w[-self.m:]])], n - len(w))
+        starts = [(s, i) for s, i in self._ids.items() if s[:len(w)] == w]
+        return self._grow(starts, n - self.m)
 
     def unique_extension(self, w: Word) -> EpPoint | None:
         """The single point of ``Z_w`` when the continuation is forced.
 
-        Present iff every state reachable from the suffix state of ``w`` has
-        out-degree exactly 1; the forced path closes into a cycle within
+        Present iff every state on the walk from the suffix state of ``w``
+        has out-degree exactly 1; the forced walk closes into a cycle within
         ``len(states)`` steps.
         """
         if len(w) < self.m or not self.is_prefix_legal(w):
             raise ValueError("unique_extension needs a prefix-legal word of length >= memory")
-        start = w[-self.m:]
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            out = self.out_edges(u)
+        letters: list[int] = []
+        pos: dict[Word, int] = {}
+        cur = w[-self.m:]
+        while cur not in pos:
+            out = self.out_edges(cur)
             if len(out) != 1:
                 return None
-            _, v = out[0]
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-        letters: list[int] = []
-        pos = {start: 0}
-        cur = start
-        while True:
-            a, cur = self.out_edges(cur)[0]
-            letters.append(a)
-            if cur in pos:
-                j = pos[cur]
-                break
             pos[cur] = len(letters)
-        pre = w + tuple(letters[:j])
-        per = tuple(letters[j:])
-        return ep_normalize(pre, per)
+            a, cur = out[0]
+            letters.append(a)
+        j = pos[cur]
+        return ep_normalize(w + tuple(letters[:j]), tuple(letters[j:]))
+
+
+# The most m-blocks (alphabet size to the power of the memory) that
+# build_follower_graph enumerates; a larger shift is refused before it starts.
+MAX_BLOCKS = 2 ** 16
 
 
 def build_follower_graph(spec: SftSpec) -> FollowerGraph:
     """Build the pruned follower automaton; raises :class:`EmptyShift` if the
-    shift has no points."""
+    shift has no points and :class:`ShiftTooLarge` if it has more than
+    :data:`MAX_BLOCKS` m-blocks to enumerate."""
     m = spec.memory
     k = len(spec.alphabet)
+    if k ** m > MAX_BLOCKS:
+        raise ShiftTooLarge(
+            f"{k} letters with memory {m} give {k}^{m} blocks, more than {MAX_BLOCKS}")
 
     def blocks(n: int):
         if n == 0:
@@ -252,11 +251,3 @@ def build_follower_graph(spec: SftSpec) -> FollowerGraph:
     if not states:
         raise EmptyShift("all states pruned; the shift space is empty")
     return FollowerGraph(spec, frozenset(states), edges)
-
-
-def is_prefix_legal(g: FollowerGraph, w: Word) -> bool:
-    return g.is_prefix_legal(w)
-
-
-def enumerate_prefix_legal(g: FollowerGraph, n: int) -> tuple[Word, ...]:
-    return g.legal_words(n)

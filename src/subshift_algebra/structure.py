@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, SubshiftAlgebra
-from .clopen import (ClopenSet, CycleKind, c_set, classify_cycle, cylinder,
-                     empty_set, full_set)
-from .errors import NotADomain, NotInCorner, NotMinimalCycle, ZeroInput
+from .clopen import (ClopenSet, CycleKind, accumulate, c_set, classify_cycle,
+                     cylinder, empty_set, full_set)
+from .errors import (InternalNonzeroViolation, NotADomain, NotInCorner,
+                     NotMinimalCycle, ZeroInput)
 from .reduction import reduce as reduce_element
 from .rings import ZZ
 from .shift import FollowerGraph
-from .words import OMEGA, Word, primitive_root
+from .words import OMEGA, Word
 
 
 def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
@@ -26,44 +27,24 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
 
     A cycle without exit is a singleton clopen set, which forces its word's
     forced path to close inside the out-degree-1 part of the follower graph;
-    conversely every such graph cycle yields one.  So the enumeration walks
-    the forced subgraph only.
+    conversely every such graph cycle yields one.  A state lies on one iff
+    the forced point of its cylinder is purely periodic, with the cycle word
+    as its period; each cycle is reported at its least state.
     """
-    forced = {}
-    for s in g.states:
-        out = g.out_edges(s)
-        if len(out) == 1:
-            forced[s] = out[0]
     results = []
-    seen_cycles: set[frozenset[Word]] = set()
-    for start in sorted(g.states):
-        if start not in forced:
+    for s in sorted(g.states):
+        point = g.unique_extension(s)
+        if point is None or point.preperiod:
             continue
-        path = []
-        pos: dict[Word, int] = {}
-        cur = start
-        while cur in forced and cur not in pos:
-            pos[cur] = len(path)
-            path.append(cur)
-            cur = forced[cur][1]
-        if cur not in pos:
-            continue  # the forced walk left the forced subgraph
-        cycle = path[pos[cur]:]
-        key = frozenset(cycle)
-        if key in seen_cycles:
+        alpha = point.period
+        stream = point.prefix(len(alpha) + g.m)
+        if s != min(stream[i:i + g.m] for i in range(len(alpha))):
             continue
-        seen_cycles.add(key)
-        s0 = min(cycle)
-        i0 = cycle.index(s0)
-        rotated = cycle[i0:] + cycle[:i0]
-        labels = tuple(forced[s][0] for s in rotated)
-        # The forced point from s0 is periodic with period len(cycle); its
-        # primitive root is the cycle word aligned at s0.
-        stream = s0 + labels * (g.m // len(labels) + 2)
-        alpha, _ = primitive_root(stream[:len(cycle)])
-        a_set = cylinder(g, s0)
+        a_set = cylinder(g, s)
         cc = classify_cycle(a_set, alpha)
-        assert cc.kind is CycleKind.CYCLE_WITHOUT_EXIT and cc.minimal
+        if cc.kind is not CycleKind.CYCLE_WITHOUT_EXIT or not cc.minimal:
+            raise InternalNonzeroViolation(
+                "a forced graph cycle is not a minimal cycle without exit")
         results.append((a_set, alpha))
     return results
 
@@ -83,18 +64,15 @@ class LaurentPoly:
         return not self.coeffs
 
     def add(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for n, c in other.coeffs.items():
-            out[n] = self.ring.add(out.get(n, self.ring.zero()), c)
-        return LaurentPoly(self.ring, out)
+        ring = self.ring
+        out = accumulate(dict(self.coeffs), other.coeffs.items(), ring.add, ring.is_zero)
+        return LaurentPoly(ring, out)
 
     def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, object] = {}
-        for n, c in self.coeffs.items():
-            for m, d in other.coeffs.items():
-                out[n + m] = self.ring.add(out.get(n + m, self.ring.zero()),
-                                           self.ring.mul(c, d))
-        return LaurentPoly(self.ring, out)
+        ring = self.ring
+        terms = ((n + m, ring.mul(c, d))
+                 for n, c in self.coeffs.items() for m, d in other.coeffs.items())
+        return LaurentPoly(ring, accumulate({}, terms, ring.add, ring.is_zero))
 
     def __eq__(self, other):
         return isinstance(other, LaurentPoly) and self.ring == other.ring \
@@ -156,10 +134,10 @@ def corner_to_laurent(x: AlgebraElement, a: ClopenSet, c: Word) -> LaurentPoly:
             n = -(len(v) // len(c))
         else:
             raise NotInCorner(f"component {(u, v)} lies outside the c-power family")
-        vals = set(fn.coeffs.values())
-        if len(vals) != 1:
+        gamma = fn.scalar()
+        if gamma is None:
             raise NotInCorner(f"component {(u, v)} is not a scalar multiple")
-        coeffs[n] = vals.pop()
+        coeffs[n] = gamma
     return LaurentPoly(algebra.ring, coeffs)
 
 

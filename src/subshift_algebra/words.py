@@ -11,15 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import Inconsistent, NotCommuting, PowersDiffer
+from .errors import (Inconsistent, InternalNonzeroViolation, NotCommuting,
+                     PowersDiffer)
 
 Word = tuple[int, ...]
 
 OMEGA: Word = ()
-
-
-def word_power(w: Word, n: int) -> Word:
-    return w * n
 
 
 def commuting_root(alpha: Word, beta: Word) -> tuple[Word, int, int]:
@@ -42,8 +39,8 @@ def commuting_root(alpha: Word, beta: Word) -> tuple[Word, int, int]:
         a = a[len(b):]
     c = a or b
     n, m = len(alpha) // len(c), len(beta) // len(c)
-    assert c * n == alpha and c * m == beta
-    assert len(c) == gcd(len(alpha), len(beta))
+    if c * n != alpha or c * m != beta or len(c) != gcd(len(alpha), len(beta)):
+        raise InternalNonzeroViolation("Euclid descent did not end at the common root")
     return c, n, m
 
 
@@ -56,7 +53,7 @@ def common_power_root(alpha: Word, beta: Word, p: int, q: int) -> tuple[Word, in
     """
     if not alpha or not beta:
         raise PowersDiffer("common_power_root requires non-empty words")
-    if word_power(alpha, p) != word_power(beta, q):
+    if alpha * p != beta * q:
         raise PowersDiffer(f"alpha^{p} != beta^{q}")
     c, m, n = commuting_root(alpha, beta)
     return c, m, n
@@ -74,9 +71,9 @@ def multi_common_root(words: list[Word], powers: list[int]) -> tuple[Word, list[
         raise Inconsistent("all words must be non-empty")
     if any(p < 1 for p in powers):
         raise Inconsistent("all powers must be >= 1")
-    ref = word_power(words[0], powers[0])
+    ref = words[0] * powers[0]
     for w, p in zip(words, powers):
-        if word_power(w, p) != ref:
+        if w * p != ref:
             raise Inconsistent("powered words are not pairwise equal")
     c = words[0]
     exps = [1]
@@ -87,7 +84,8 @@ def multi_common_root(words: list[Word], powers: list[int]) -> tuple[Word, list[
         exps = [e * m for e in exps]
         exps.append(n)
         c = root
-    assert all(word_power(c, e) == w for w, e in zip(words, exps))
+    if any(c * e != w for w, e in zip(words, exps)):
+        raise InternalNonzeroViolation("common root does not generate every word")
     return c, exps
 
 
@@ -122,7 +120,8 @@ def is_minimal_cycle_word(alpha: Word) -> bool:
         if (beta + stream)[:depth] == stream[:depth]:
             minimal = False
             break
-    assert minimal == (primitive_root(alpha)[1] == 1)
+    if minimal != (primitive_root(alpha)[1] == 1):
+        raise InternalNonzeroViolation("minimality disagrees with primitivity")
     return minimal
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from subshift_algebra.algebra import CoeffFn, SubshiftAlgebra, _fn_translate
-from subshift_algebra.clopen import (c_set, cylinder, empty_set, follower,
-                                     full_set, relative_range)
+from subshift_algebra.algebra import SubshiftAlgebra
+from subshift_algebra.clopen import (CoeffFn, c_set, cylinder, empty_set,
+                                     follower, full_set, relative_range)
 from subshift_algebra.errors import (BadArgument, InternalNonzeroViolation,
                                      RingMismatch)
 from subshift_algebra.rings import QQ, ZZ, Zmod
@@ -236,13 +236,13 @@ def test_letter_extension_search(all_graphs):
 
 def test_translate_rejects_word_without_the_prefix(g_gold):
     with pytest.raises(InternalNonzeroViolation):
-        _fn_translate(CoeffFn(2, {W("ab"): 1}), W("b"), W("a"), g_gold)
+        CoeffFn(2, {W("ab"): 1}).translate(W("b"), W("a"), g_gold)
 
 
 def test_translate_rejects_illegal_result(g_gold):
     # ab -> bb leaves the golden mean shift.
     with pytest.raises(InternalNonzeroViolation):
-        _fn_translate(CoeffFn(2, {W("ab"): 1}), W("a"), W("b"), g_gold)
+        CoeffFn(2, {W("ab"): 1}).translate(W("a"), W("b"), g_gold)
 
 
 def test_tail_set_rejects_non_positive_component(alg_gold):

@@ -223,6 +223,7 @@ def test_corner_command_not_minimal_is_contract_error():
 
 
 NOT_UTF8 = "<shift file that is not UTF-8>"
+TOO_LARGE = "<shift file with 2^24 blocks>"
 
 
 @pytest.mark.parametrize("argv", [
@@ -233,14 +234,17 @@ NOT_UTF8 = "<shift file that is not UTF-8>"
     ["nf", FIXTURES, "-e", "1"],
     ["nf", NOT_UTF8, "-e", "1"],
     ["corner", SHIFT_PATHS["y"], "--set", "Z(b)", "--word", "_", "-e", "1"],
+    ["nf", TOO_LARGE, "-e", "1"],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
-        "shift-not-utf8", "word-empty"])
+        "shift-not-utf8", "word-empty", "shift-too-large"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.
     bad = tmp_path / "bad.shift"
     bad.write_bytes(b"\xff\xfealphabet: a b\n")
-    argv = [bad if a == NOT_UTF8 else a for a in argv]
+    large = tmp_path / "large.shift"
+    large.write_text("alphabet: a b\nforbidden: aaaaaaaaaaaaaaaaaaaaaaaaa\n")
+    argv = [{NOT_UTF8: bad, TOO_LARGE: large}.get(a, a) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "subshift_algebra.cli", *map(str, argv)],
         capture_output=True, text=True)

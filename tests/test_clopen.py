@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from subshift_algebra import clopen
 from subshift_algebra.clopen import (ClopenSet, CycleKind, as_singleton,
                                      c_set, classify_cycle, cylinder,
-                                     empty_set, follower, full_set, refine,
+                                     empty_set, follower, full_set,
                                      relative_range)
 from subshift_algebra.errors import BadArgument, InternalNonzeroViolation
 from subshift_algebra.shift import SftSpec, build_follower_graph
@@ -45,14 +45,14 @@ def test_c_set_examples(g_gold, g_full):
 
 def test_refine_examples(g_gold, g_full):
     z = cylinder(g_gold, W("b"))
-    assert refine(z, 3).words == {W("baa"), W("bab")}
-    assert refine(empty_set(g_gold), 4).is_empty()
-    assert refine(cylinder(g_full, W("a")).compact(), 2).words == {W("aa"), W("ab")}
+    assert z.refine(3).words == {W("baa"), W("bab")}
+    assert empty_set(g_gold).refine(4).is_empty()
+    assert cylinder(g_full, W("a")).compact().refine(2).words == {W("aa"), W("ab")}
 
 
 def test_equality_is_canonical(g_gold):
     a = cylinder(g_gold, W("b"))
-    assert a == refine(a, 5)
+    assert a == a.refine(5)
     assert a.compact() == a
     assert not a == full_set(g_gold)
 

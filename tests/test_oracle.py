@@ -1,0 +1,154 @@
+"""Differential oracle: the algebra acting on point masses of the shift.
+
+A normal-form component ``(u, v)`` with coefficient function ``f`` of
+resolution ``N`` sends the point mass at ``v.x`` to ``f((u.x)[:N])`` times
+the point mass at ``u.x`` when ``u.x`` is a point of X, and kills the point
+masses at points that do not start with ``v``.  Read off the stored
+components, this is a representation of the algebra on finitely supported
+functions of the eventually periodic points.  It is computed here with a
+forbidden-factor scan for point legality and :func:`ep_normalize` for
+canonical points, and shares no code with ``FollowerGraph``, the clopen
+operations, the coefficient-function methods or ``mul``: products, sums and
+reduction witnesses must agree with composition and sum of operators.
+"""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from subshift_algebra.algebra import SubshiftAlgebra
+from subshift_algebra.clopen import cylinder, full_set
+from subshift_algebra.reduction import embed_form, reduce
+from subshift_algebra.rings import ZZ, Zmod
+from subshift_algebra.shift import SftSpec, build_follower_graph
+from subshift_algebra.words import OMEGA, ep_normalize
+
+from conftest import brute_forbidden_free
+
+SHIFTS = {
+    "full2": SftSpec.make("ab", []),
+    "golden_mean": SftSpec.make("ab", ["bb"]),
+    "y": SftSpec.make("ab", ["ba"]),
+    "period2": SftSpec.make("ab", ["aa", "bb"]),
+}
+RINGS = (ZZ, Zmod(6))
+SHORT_WORDS = [w for n in range(3) for w in product(range(2), repeat=n)]
+
+
+def in_shift(point, forbidden) -> bool:
+    """``pre + per^inf`` avoids every forbidden word; every window of the
+    infinite word already occurs in this prefix."""
+    reps = max((len(f) for f in forbidden), default=0) + 2
+    return brute_forbidden_free(point.preperiod + point.period * reps, forbidden)
+
+
+def drop(point, k: int):
+    """The point with its first ``k`` letters removed."""
+    pre, per = point.preperiod, point.period
+    if k <= len(pre):
+        return ep_normalize(pre[k:], per)
+    r = (k - len(pre)) % len(per)
+    return ep_normalize(OMEGA, per[r:] + per[:r])
+
+
+def sample_points(spec):
+    """The points of X with preperiod and period of length at most 2."""
+    points = {ep_normalize(pre, per) for pre in SHORT_WORDS for per in SHORT_WORDS if per}
+    return sorted((p for p in points if in_shift(p, spec.forbidden)),
+                  key=lambda p: (p.preperiod, p.period))
+
+
+def act(x, vec: dict) -> dict:
+    """The operator of ``x`` applied to a finitely supported function on
+    points, given as a map from points to nonzero values."""
+    ring = x.algebra.ring
+    forbidden = x.algebra.graph.spec.forbidden
+    out: dict = {}
+    for point, c in vec.items():
+        for (u, v), fn in x.components.items():
+            if point.prefix(len(v)) != v:
+                continue
+            tail = drop(point, len(v))
+            image = ep_normalize(u + tail.preperiod, tail.period)
+            if not in_shift(image, forbidden):
+                continue
+            f = fn.coeffs.get(image.prefix(fn.resolution))
+            if f is not None:
+                out[image] = ring.add(out.get(image, ring.zero()), ring.mul(f, c))
+    return {p: c for p, c in out.items() if not ring.is_zero(c)}
+
+
+def rep(x, points) -> list[dict]:
+    """The operator of ``x`` on the point mass at each sample point."""
+    one = x.algebra.ring.one()
+    return [act(x, {p: one}) for p in points]
+
+
+def add_vectors(ring, a: dict, b: dict) -> dict:
+    out = dict(a)
+    for p, c in b.items():
+        out[p] = ring.add(out.get(p, ring.zero()), c)
+    return {p: c for p, c in out.items() if not ring.is_zero(c)}
+
+
+@pytest.fixture(scope="module")
+def setups():
+    out = {}
+    for name, spec in SHIFTS.items():
+        g = build_follower_graph(spec)
+        sets = [full_set(g)] + [cylinder(g, w) for w in SHORT_WORDS if w]
+        out[name] = (g, sets, sample_points(spec))
+    return out
+
+
+terms = st.lists(st.tuples(st.integers(-3, 3).filter(bool),
+                           st.sampled_from(SHORT_WORDS),
+                           st.integers(0, 6),
+                           st.sampled_from(SHORT_WORDS)),
+                 min_size=1, max_size=3)
+oracle_settings = settings(max_examples=25, deadline=None)
+
+
+def build(algebra, sets, draw_terms):
+    """The sum of ``k.s(alpha) p(A) st(beta)`` over the drawn terms."""
+    x = algebra.zero()
+    for k, alpha, i, beta in draw_terms:
+        term = algebra.mono(alpha, sets[i], beta).scale(algebra.ring.from_int(k))
+        x = x + term
+    return x
+
+
+@pytest.mark.parametrize("name", SHIFTS)
+@oracle_settings
+@given(ring=st.sampled_from(RINGS), xs=terms, ys=terms)
+def test_product_is_composition(setups, name, ring, xs, ys):
+    g, sets, points = setups[name]
+    algebra = SubshiftAlgebra(g, ring)
+    x, y = build(algebra, sets, xs), build(algebra, sets, ys)
+    composed = [act(x, vec) for vec in rep(y, points)]
+    assert rep(x * y, points) == composed
+
+
+@pytest.mark.parametrize("name", SHIFTS)
+@oracle_settings
+@given(ring=st.sampled_from(RINGS), xs=terms, ys=terms)
+def test_sum_is_sum_of_operators(setups, name, ring, xs, ys):
+    g, sets, points = setups[name]
+    algebra = SubshiftAlgebra(g, ring)
+    x, y = build(algebra, sets, xs), build(algebra, sets, ys)
+    summed = [add_vectors(ring, a, b) for a, b in zip(rep(x, points), rep(y, points))]
+    assert rep(x + y, points) == summed
+
+
+@pytest.mark.parametrize("name", SHIFTS)
+@oracle_settings
+@given(ring=st.sampled_from(RINGS), xs=terms)
+def test_reduction_witness_acts_as_its_form(setups, name, ring, xs):
+    g, sets, points = setups[name]
+    algebra = SubshiftAlgebra(g, ring)
+    x = build(algebra, sets, xs)
+    if x.is_zero():
+        return
+    w = reduce(x)
+    assert rep(w.mu * x * w.nu, points) == rep(embed_form(algebra, w.form), points)

@@ -4,9 +4,8 @@ from itertools import product
 
 import pytest
 
-from subshift_algebra.errors import EmptyShift
-from subshift_algebra.shift import (SftSpec, build_follower_graph,
-                                    enumerate_prefix_legal, is_prefix_legal)
+from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge
+from subshift_algebra.shift import MAX_BLOCKS, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint
 
 from conftest import W, brute_legal_words
@@ -49,24 +48,24 @@ def test_memory_floor_is_one():
 
 
 def test_prefix_legal_examples(g_gold, g_full):
-    assert is_prefix_legal(g_gold, W("ab"))
-    assert not is_prefix_legal(g_gold, W("bb"))
-    assert not is_prefix_legal(g_gold, W("abba"))
-    assert is_prefix_legal(g_gold, OMEGA)
-    assert is_prefix_legal(g_full, OMEGA)
+    assert g_gold.is_prefix_legal(W("ab"))
+    assert not g_gold.is_prefix_legal(W("bb"))
+    assert not g_gold.is_prefix_legal(W("abba"))
+    assert g_gold.is_prefix_legal(OMEGA)
+    assert g_full.is_prefix_legal(OMEGA)
 
 
 def test_enumerate_examples(g_gold, g_full, g_y):
-    assert enumerate_prefix_legal(g_gold, 2) == (W("aa"), W("ab"), W("ba"))
-    assert enumerate_prefix_legal(g_full, 1) == (W("a"), W("b"))
-    assert enumerate_prefix_legal(g_y, 2) == (W("aa"), W("ab"), W("bb"))
-    assert enumerate_prefix_legal(g_full, 0) == (OMEGA,)
+    assert g_gold.legal_words(2) == (W("aa"), W("ab"), W("ba"))
+    assert g_full.legal_words(1) == (W("a"), W("b"))
+    assert g_y.legal_words(2) == (W("aa"), W("ab"), W("bb"))
+    assert g_full.legal_words(0) == (OMEGA,)
 
 
 def test_enumeration_matches_brute_force(all_graphs):
     for name, g in all_graphs.items():
         for n in range(7):
-            assert list(enumerate_prefix_legal(g, n)) == brute_legal_words(g, n), \
+            assert list(g.legal_words(n)) == brute_legal_words(g, n), \
                 (name, n)
 
 
@@ -74,7 +73,7 @@ def test_enumeration_matches_one_step_oracle_on_fixtures(all_graphs):
     # On the fixtures no state is pruned, so a single-block lookahead decides.
     for g in all_graphs.values():
         for n in range(1, 7):
-            assert list(enumerate_prefix_legal(g, n)) == \
+            assert list(g.legal_words(n)) == \
                 brute_legal_words(g, n, lookahead=g.m)
 
 
@@ -87,7 +86,7 @@ def test_deep_pruning_cascade():
     assert g.is_prefix_legal((1,))          # b survives
     assert not g.is_prefix_legal((2,))      # c is pruned transitively
     assert not g.is_prefix_legal((0,))      # a dies in round one
-    assert list(enumerate_prefix_legal(g, 2)) == brute_legal_words(g, 2)
+    assert list(g.legal_words(2)) == brute_legal_words(g, 2)
 
 
 DIFFERENTIAL_SHIFTS = {
@@ -134,3 +133,13 @@ def test_unique_extension_with_preperiod():
     g = build_follower_graph(SftSpec.make("ab", ["ab", "bb"]))
     assert g.unique_extension(W("b")) == EpPoint(W("b"), W("a"))
     assert g.unique_extension(W("a")) == EpPoint(OMEGA, W("a"))
+
+
+def test_too_many_blocks_fail_fast():
+    # Memory 24 over two letters: 2^24 blocks, refused before any is built.
+    assert 2 ** 24 > MAX_BLOCKS
+    with pytest.raises(ShiftTooLarge):
+        build_follower_graph(SftSpec.make("ab", ["a" * 25]))
+    with pytest.raises(ShiftTooLarge):
+        build_follower_graph(SftSpec.make("abcde", ["a" * 8]))
+    assert not issubclass(ShiftTooLarge, ContractViolation)

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from subshift_algebra import structure
 from subshift_algebra.algebra import SubshiftAlgebra
-from subshift_algebra.clopen import (CycleKind, classify_cycle, cylinder,
-                                     full_set)
-from subshift_algebra.errors import (NotADomain, NotInCorner, NotMinimalCycle,
-                                     ZeroInput)
+from subshift_algebra.clopen import (CycleClass, CycleKind, classify_cycle,
+                                     cylinder, full_set)
+from subshift_algebra.errors import (InternalNonzeroViolation, NotADomain,
+                                     NotInCorner, NotMinimalCycle, ZeroInput)
 from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.structure import (LaurentPoly, corner_project,
@@ -53,6 +54,23 @@ def test_cycles_period_two():
     assert alpha == W("ab")
     got = classify_cycle(a_set, alpha)
     assert got.kind is CycleKind.CYCLE_WITHOUT_EXIT and got.minimal
+
+
+def test_cycles_are_ordered_by_least_state():
+    # The forced state ac (below bb) leads into the loop at cc; the cycles
+    # still come in the order of their least states, bb before cc.
+    g = build_follower_graph(SftSpec.make("abc", ["bba", "bc", "ca", "cb"]))
+    pairs = find_cycles_without_exit(g)
+    assert [alpha for _, alpha in pairs] == [(1,), (2,)]
+    assert pairs[0][0] == cylinder(g, (1, 1))
+    assert pairs[1][0] == cylinder(g, (2, 2))
+
+
+def test_forced_cycle_is_rechecked_by_classify(g_y, monkeypatch):
+    monkeypatch.setattr(structure, "classify_cycle",
+                        lambda a, alpha: CycleClass(CycleKind.CYCLE_WITH_EXIT))
+    with pytest.raises(InternalNonzeroViolation):
+        find_cycles_without_exit(g_y)
 
 
 def test_cycle_scan_cross_check(all_graphs):

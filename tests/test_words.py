@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from subshift_algebra.errors import Inconsistent, NotCommuting, PowersDiffer
+from subshift_algebra import words
+from subshift_algebra.errors import (Inconsistent, InternalNonzeroViolation,
+                                     NotCommuting, PowersDiffer)
 from subshift_algebra.words import (OMEGA, EpPoint, commuting_root,
                                     common_power_root, ep_normalize, ep_shift,
                                     is_minimal_cycle_word, multi_common_root,
@@ -169,3 +171,18 @@ class TestEpPoints:
         for _ in range(len(x.preperiod) + len(x.period)):
             x = ep_shift(x)
         assert x.preperiod == OMEGA
+
+
+# -- cross-checks are explicit raises, kept under python -O --------------------------
+
+
+def test_multi_common_root_rechecks_the_root(monkeypatch):
+    monkeypatch.setattr(words, "common_power_root", lambda a, b, p, q: (W("ba"), 1, 2))
+    with pytest.raises(InternalNonzeroViolation):
+        multi_common_root([W("ab"), W("abab")], [2, 1])
+
+
+def test_minimality_rechecks_primitivity(monkeypatch):
+    monkeypatch.setattr(words, "primitive_root", lambda alpha: (alpha, 2))
+    with pytest.raises(InternalNonzeroViolation):
+        is_minimal_cycle_word(W("ab"))
