@@ -49,13 +49,13 @@ def main():
         print()
         show("unit", algebra, algebra.one())
         a, b = 0, 1
-        show("s_a + s_b", algebra, algebra.gen_s(a) + algebra.gen_s(b))
+        show("s_a + s_b", algebra, algebra.elem_s((a,)) + algebra.elem_s((b,)))
         show("s_a* - 2 s_ab", algebra,
-             algebra.gen_s_star(a) - algebra.elem_s((a, b)).scale(2))
+             algebra.elem_s_star((a,)) - algebra.elem_s((a, b)).scale(2))
         if pairs:
             zb = cylinder(g, (b,))
             show("p(Z_b) + s_b p(Z_b)  [the cycle-form element]",
-                 algebra, algebra.gen_p(zb) + algebra.gen_s(b) * algebra.gen_p(zb))
+                 algebra, algebra.gen_p(zb) + algebra.elem_s((b,)) * algebra.gen_p(zb))
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ structure maps."""
 
 from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import (ClopenSet, CycleClass, CycleKind, as_singleton, c_set,
-                     classify_cycle, cylinder, empty_set, follower, full_set,
+                     classify_cycle, cylinder, empty_set, full_set,
                      relative_range)
 from .reduction import (CycleForm, ProjectionMultiple, ReductionWitness,
                         embed_form, reduce, verify)
@@ -22,7 +22,7 @@ from .words import (EpPoint, Word, commuting_root, common_power_root,
 __all__ = [
     "AlgebraElement", "SubshiftAlgebra",
     "ClopenSet", "CycleClass", "CycleKind", "as_singleton", "c_set",
-    "classify_cycle", "cylinder", "empty_set", "follower", "full_set",
+    "classify_cycle", "cylinder", "empty_set", "full_set",
     "relative_range",
     "CycleForm", "ProjectionMultiple", "ReductionWitness", "embed_form",
     "reduce", "verify",

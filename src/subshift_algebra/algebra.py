@@ -70,12 +70,6 @@ class SubshiftAlgebra:
         fn = CoeffFn(a.resolution, {w: one for w in a.words})
         return AlgebraElement(self, {(OMEGA, OMEGA): fn})
 
-    def gen_s(self, letter: int) -> "AlgebraElement":
-        return self.elem_s((letter,))
-
-    def gen_s_star(self, letter: int) -> "AlgebraElement":
-        return self.elem_s_star((letter,))
-
     def elem_s(self, alpha: Word) -> "AlgebraElement":
         """The monomial ``s_alpha`` (``s_omega`` is the unit)."""
         if alpha == OMEGA:
@@ -200,7 +194,7 @@ class AlgebraElement:
                 v1, u21 = v[k:], u2[k:]
                 if v1 and u21:
                     continue  # product index leaves the (pos)(neg)^-1 family
-                prod = f.translate(u, v, g).times(h, ring, g)
+                prod = f.translate(u, v, g).times(h, ring)
                 if prod.is_zero():
                     continue
                 if not v1:

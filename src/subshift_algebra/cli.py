@@ -28,7 +28,7 @@ from pathlib import Path
 from .algebra import SubshiftAlgebra
 from .errors import ContractViolation, ShiftParseError, SubshiftAlgebraError
 from .parsing import eval_set, evaluate, parse_set, parse_shift
-from .reduction import (CycleForm, ProjectionMultiple, reduce as reduce_element,
+from .reduction import (ProjectionMultiple, reduce as reduce_element,
                         verify as verify_witness)
 from .rings import ring_from_name
 from .shift import build_follower_graph

@@ -164,17 +164,20 @@ class CoeffFn:
         return CoeffFn(a.resolution, accumulate(dict(a.coeffs), b.coeffs.items(),
                                                 ring.add, ring.is_zero))
 
-    def times(self, other: "CoeffFn", ring, g: FollowerGraph) -> "CoeffFn":
-        """The pointwise product, without its zero values."""
-        a, b = self.common(other, g)
+    def times(self, other: "CoeffFn", ring) -> "CoeffFn":
+        """The pointwise product, without its zero values, at the larger
+        resolution.  Each word of the finer operand finds its value in the
+        coarser one by its prefix, so the coarser one is never refined."""
+        fine, coarse = (self, other) if self.resolution >= other.resolution else (other, self)
+        k = coarse.resolution
         prod = {}
-        for w, c in a.coeffs.items():
-            d = b.coeffs.get(w)
+        for w, c in fine.coeffs.items():
+            d = coarse.coeffs.get(w[:k])
             if d is not None:
                 p = ring.mul(c, d)
                 if not ring.is_zero(p):
                     prod[w] = p
-        return CoeffFn(a.resolution, prod)
+        return CoeffFn(fine.resolution, prod)
 
     def translate(self, old: Word, new: Word, g: FollowerGraph) -> "CoeffFn":
         """Support translation ``old.p -> new.p`` (the partial action on words)."""
@@ -249,11 +252,6 @@ def c_set(g: FollowerGraph, alpha: Word, beta: Word) -> ClopenSet:
         if g.is_prefix_legal(alpha + p) and g.is_prefix_legal(beta + p):
             words.add(beta + p)
     return ClopenSet(g, len(beta) + g.m, frozenset(words))
-
-
-def follower(g: FollowerGraph, alpha: Word) -> ClopenSet:
-    """The follower set ``F_alpha = {x in X : alpha.x in X}``."""
-    return c_set(g, alpha, OMEGA)
 
 
 def relative_range(a: ClopenSet, alpha: Word) -> ClopenSet:

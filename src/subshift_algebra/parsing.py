@@ -19,6 +19,8 @@ Expression grammar (LL(1), whitespace-insensitive)::
     setunit   := '!' setunit | Z(word) | F(word) | C(word, word) | X
                | '(' setexpr ')'
     word      := '_' | symbol+          ('_' denotes the empty word)
+    symbol    := any single character of the alphabet other than the
+                 reserved '_', ',' and ')'
     scalar    := '-'? digits ['/' digits]   (the trailing '.' is mandatory)
 
 Scalars are ring-dependent: ``k.`` everywhere, ``k/m.`` only over the
@@ -27,16 +29,21 @@ rationals.
 
 from __future__ import annotations
 
+import re
+from functools import partial
+
 from .algebra import AlgebraElement, SubshiftAlgebra
-from .clopen import ClopenSet, c_set, cylinder, follower, full_set
+from .clopen import ClopenSet, c_set, cylinder, full_set
 from .errors import (BadScalarForRing, DuplicateSymbol, EmptyAlphabet,
                      ExprSyntaxError, IllegalForbiddenWord, ShiftParseError,
                      UnknownLetter)
-from .rings import QQ, Ring
+from .rings import QQ
 from .shift import SftSpec
 from .words import OMEGA, Word
 
 # -- shift files ----------------------------------------------------------------
+
+RESERVED_SYMBOLS = "_,)"  # the empty word and the word terminators
 
 
 def parse_shift(text: str) -> SftSpec:
@@ -49,9 +56,13 @@ def parse_shift(text: str) -> SftSpec:
     if not symbols:
         raise EmptyAlphabet("alphabet must list at least one symbol", lineno, 1)
     for s in symbols:
+        column = alpha_line.index(s) + 1
         if len(s) != 1:
             raise ShiftParseError(f"alphabet symbols must be single characters: {s!r}",
-                                  lineno, alpha_line.index(s) + 1)
+                                  lineno, column)
+        if s in RESERVED_SYMBOLS:
+            raise ShiftParseError(f"alphabet symbol {s!r} is reserved by the word grammar",
+                                  lineno, column)
     if len(set(symbols)) != len(symbols):
         dup = next(s for i, s in enumerate(symbols) if s in symbols[:i])
         raise DuplicateSymbol(f"duplicate alphabet symbol {dup!r}", lineno, 1)
@@ -92,6 +103,8 @@ def format_shift(spec: SftSpec) -> str:
 
 ExprAst = tuple
 
+_SCALAR = re.compile(r"(-?\d+(?:/\d+)?)\.")
+
 
 class _Scanner:
     def __init__(self, text: str, spec: SftSpec):
@@ -107,10 +120,6 @@ class _Scanner:
     def peek(self) -> str:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, token: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(token, self.pos)
 
     def take(self, token: str):
         self.skip_ws()
@@ -137,162 +146,87 @@ class _Scanner:
             raise ExprSyntaxError("expected a word", start)
         return tuple(letters)
 
-    def at_end(self) -> bool:
+    def finish(self, node: ExprAst) -> ExprAst:
+        """``node``, if it ends the text; else a trailing input error."""
         self.skip_ws()
-        return self.pos >= len(self.text)
+        if self.pos < len(self.text):
+            raise ExprSyntaxError("trailing input", self.pos)
+        return node
 
 
-def _parse_scalar_prefix(sc: _Scanner) -> str | None:
-    """Scan ``k.`` / ``k/m.`` (optionally negative); None when not present."""
+def _binary(operand, ops: dict[str, str], sc: _Scanner) -> ExprAst:
+    """``operand (op operand)*``, folded to the left; ``ops`` maps each
+    operator character to its tag."""
+    node = operand(sc)
+    while (tag := ops.get(sc.peek())) is not None:
+        sc.pos += 1
+        node = (tag, node, operand(sc))
+    return node
+
+
+def _form(forms: dict, expected: str, sc: _Scanner) -> ExprAst:
+    """The form of ``forms`` whose opener comes next, found by its first
+    character.  Its arguments follow, comma-separated, and an opener ending
+    in ``(`` is closed by ``)``; a group (tag ``None``) is its argument."""
+    for opener, tag, args in forms.get(sc.peek(), ()):
+        if sc.text.startswith(opener, sc.pos):
+            sc.pos += len(opener)
+            node = [tag]
+            for i, arg in enumerate(args):
+                if i:
+                    sc.take(",")
+                node.append(arg(sc))
+            if opener[-1] == "(":
+                sc.take(")")
+            return node[1] if tag is None else tuple(node)
+    raise ExprSyntaxError(expected, sc.pos)
+
+
+def _by_first_char(*forms) -> dict:
+    table: dict = {}
+    for form in forms:
+        table.setdefault(form[0][0], []).append(form)
+    return table
+
+
+def _factor(sc: _Scanner) -> ExprAst:
     sc.skip_ws()
-    save = sc.pos
-    i = sc.pos
-    text = sc.text
-    if i < len(text) and text[i] == "-":
-        i += 1
-    start_digits = i
-    while i < len(text) and text[i].isdigit():
-        i += 1
-    if i == start_digits:
-        sc.pos = save
-        return None
-    if i < len(text) and text[i] == "/":
-        i += 1
-        d0 = i
-        while i < len(text) and text[i].isdigit():
-            i += 1
-        if i == d0:
-            sc.pos = save
-            return None
-    if i < len(text) and text[i] == ".":
-        scalar = text[sc.pos:i]
-        sc.pos = i + 1
-        return scalar
-    sc.pos = save
-    return None
+    scalar = _SCALAR.match(sc.text, sc.pos)
+    if scalar:
+        sc.pos = scalar.end()
+    node = _form(_PRIMARY_FORMS, "expected s(..), st(..), p(..), 1, 0 or '('", sc)
+    return ("scale", scalar[1], node) if scalar else node
 
 
-def _parse_setunit(sc: _Scanner) -> ExprAst:
-    if sc.startswith("!"):
-        sc.take("!")
-        return ("not", _parse_setunit(sc))
-    if sc.startswith("Z("):
-        sc.take("Z(")
-        w = sc.take_word()
-        sc.take(")")
-        return ("Z", w)
-    if sc.startswith("F("):
-        sc.take("F(")
-        w = sc.take_word()
-        sc.take(")")
-        return ("F", w)
-    if sc.startswith("C("):
-        sc.take("C(")
-        w1 = sc.take_word()
-        sc.take(",")
-        w2 = sc.take_word()
-        sc.take(")")
-        return ("C", w1, w2)
-    if sc.startswith("X"):
-        sc.take("X")
-        return ("X",)
-    if sc.startswith("("):
-        sc.take("(")
-        inner = _parse_setexpr(sc)
-        sc.take(")")
-        return inner
-    raise ExprSyntaxError("expected a set expression", sc.pos)
+# The other rules are partials with positional arguments, which cost no
+# stack frame of their own: a level of '(' nesting costs four frames (three
+# inside p(..)) and a '!' one, so deep nesting meets the recursion limit no
+# sooner than one function per grammar level would.
+_term = partial(_binary, _factor, {"*": "mul"})
+_expr = partial(_binary, _term, {"+": "add", "-": "sub"})
+_SET_FORMS: dict = {}  # filled below: its forms refer back to these rules
+_setunit = partial(_form, _SET_FORMS, "expected a set expression")
+_setterm = partial(_binary, _setunit, {"&": "and"})
+_setexpr = partial(_binary, _setterm, {"|": "or"})
 
-
-def _parse_setterm(sc: _Scanner) -> ExprAst:
-    node = _parse_setunit(sc)
-    while sc.startswith("&"):
-        sc.take("&")
-        node = ("and", node, _parse_setunit(sc))
-    return node
-
-
-def _parse_setexpr(sc: _Scanner) -> ExprAst:
-    node = _parse_setterm(sc)
-    while sc.startswith("|"):
-        sc.take("|")
-        node = ("or", node, _parse_setterm(sc))
-    return node
-
-
-def _parse_primary(sc: _Scanner) -> ExprAst:
-    if sc.startswith("st("):
-        sc.take("st(")
-        w = sc.take_word()
-        sc.take(")")
-        return ("st", w)
-    if sc.startswith("s("):
-        sc.take("s(")
-        w = sc.take_word()
-        sc.take(")")
-        return ("s", w)
-    if sc.startswith("p("):
-        sc.take("p(")
-        s = _parse_setexpr(sc)
-        sc.take(")")
-        return ("p", s)
-    if sc.startswith("1"):
-        sc.take("1")
-        return ("one",)
-    if sc.startswith("0"):
-        sc.take("0")
-        return ("zero",)
-    if sc.startswith("("):
-        sc.take("(")
-        inner = _parse_expr(sc)
-        sc.take(")")
-        return inner
-    raise ExprSyntaxError("expected s(..), st(..), p(..), 1, 0 or '('", sc.pos)
-
-
-def _parse_factor(sc: _Scanner) -> ExprAst:
-    scalar = _parse_scalar_prefix(sc)
-    node = _parse_primary(sc)
-    if scalar is not None:
-        return ("scale", scalar, node)
-    return node
-
-
-def _parse_term(sc: _Scanner) -> ExprAst:
-    node = _parse_factor(sc)
-    while sc.startswith("*"):
-        sc.take("*")
-        node = ("mul", node, _parse_factor(sc))
-    return node
-
-
-def _parse_expr(sc: _Scanner) -> ExprAst:
-    node = _parse_term(sc)
-    while True:
-        if sc.startswith("+"):
-            sc.take("+")
-            node = ("add", node, _parse_term(sc))
-        elif sc.startswith("-"):
-            sc.take("-")
-            node = ("sub", node, _parse_term(sc))
-        else:
-            return node
+_word = _Scanner.take_word
+# (opener, tag, argument parsers); "st(" is tried before "s(".
+_PRIMARY_FORMS = _by_first_char(
+    ("st(", "st", (_word,)), ("s(", "s", (_word,)), ("p(", "p", (_setexpr,)),
+    ("1", "one", ()), ("0", "zero", ()), ("(", None, (_expr,)))
+_SET_FORMS.update(_by_first_char(
+    ("!", "not", (_setunit,)), ("Z(", "Z", (_word,)), ("F(", "F", (_word,)),
+    ("C(", "C", (_word, _word)), ("X", "X", ()), ("(", None, (_setexpr,))))
 
 
 def parse_expr(text: str, spec: SftSpec) -> ExprAst:
     sc = _Scanner(text, spec)
-    node = _parse_expr(sc)
-    if not sc.at_end():
-        raise ExprSyntaxError("trailing input", sc.pos)
-    return node
+    return sc.finish(_expr(sc))
 
 
 def parse_set(text: str, spec: SftSpec) -> ExprAst:
     sc = _Scanner(text, spec)
-    node = _parse_setexpr(sc)
-    if not sc.at_end():
-        raise ExprSyntaxError("trailing input", sc.pos)
-    return node
+    return sc.finish(_setexpr(sc))
 
 
 def eval_set(node: ExprAst, algebra: SubshiftAlgebra) -> ClopenSet:
@@ -301,7 +235,7 @@ def eval_set(node: ExprAst, algebra: SubshiftAlgebra) -> ClopenSet:
     if tag == "Z":
         return cylinder(g, node[1])
     if tag == "F":
-        return follower(g, node[1])
+        return c_set(g, node[1], OMEGA)
     if tag == "C":
         return c_set(g, node[1], node[2])
     if tag == "X":
@@ -345,47 +279,19 @@ def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:
     return eval_expr(parse_expr(text, algebra.graph.spec), algebra)
 
 
+# The printed form of each tag, filled with its arguments in order.
+_FORMATS = {
+    "s": "s({})", "st": "st({})", "p": "p({})", "one": "1", "zero": "0",
+    "scale": "{}.({})", "add": "({}) + ({})", "sub": "({}) - ({})", "mul": "({}) * ({})",
+    "Z": "Z({})", "F": "F({})", "C": "C({},{})", "X": "X",
+    "not": "!({})", "and": "({}) & ({})", "or": "({}) | ({})",
+}
+
+
 def format_expr(node: ExprAst, spec: SftSpec) -> str:
-    """Re-emit an AST; parsing the output yields an equal element."""
-
-    def wfmt(w: Word) -> str:
-        return spec.word_to_str(w)
-
-    def setfmt(n: ExprAst) -> str:
-        tag = n[0]
-        if tag == "Z":
-            return f"Z({wfmt(n[1])})"
-        if tag == "F":
-            return f"F({wfmt(n[1])})"
-        if tag == "C":
-            return f"C({wfmt(n[1])},{wfmt(n[2])})"
-        if tag == "X":
-            return "X"
-        if tag == "not":
-            return f"!({setfmt(n[1])})"
-        if tag == "and":
-            return f"({setfmt(n[1])}) & ({setfmt(n[2])})"
-        if tag == "or":
-            return f"({setfmt(n[1])}) | ({setfmt(n[2])})"
-        raise AssertionError
-
-    tag = node[0]
-    if tag == "s":
-        return f"s({wfmt(node[1])})"
-    if tag == "st":
-        return f"st({wfmt(node[1])})"
-    if tag == "p":
-        return f"p({setfmt(node[1])})"
-    if tag == "one":
-        return "1"
-    if tag == "zero":
-        return "0"
-    if tag == "scale":
-        return f"{node[1]}.({format_expr(node[2], spec)})"
-    if tag == "add":
-        return f"({format_expr(node[1], spec)}) + ({format_expr(node[2], spec)})"
-    if tag == "sub":
-        return f"({format_expr(node[1], spec)}) - ({format_expr(node[2], spec)})"
-    if tag == "mul":
-        return f"({format_expr(node[1], spec)}) * ({format_expr(node[2], spec)})"
-    raise AssertionError
+    """Re-emit an expression or set AST; parsing the output yields an equal
+    AST.  An argument is the scalar text, a child node or a word."""
+    parts = (a if isinstance(a, str) else
+             format_expr(a, spec) if a and isinstance(a[0], str) else
+             spec.word_to_str(a) for a in node[1:])
+    return _FORMATS[node[0]].format(*parts)

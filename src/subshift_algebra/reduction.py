@@ -146,7 +146,7 @@ def _phase_positive(p: _Pipeline):
         # and ``s_u p s_v^* s_{v[0]} s_{v[0]}^* = s_u p s_v^*`` is nonzero.
         target = min(negs, key=lambda t: (-len(t[1]), t[1], t[0]))
         letter = target[1][0]
-        p.right(p.alg.gen_s(letter), f"s({p.alg.graph.spec.alphabet[letter]})")
+        p.right(p.alg.elem_s((letter,)), f"s({p.alg.graph.spec.alphabet[letter]})")
         after = sum(len(v) for (_, v) in p.x.components)
         if after >= before:
             raise InternalNonzeroViolation("no progress in positive phase")

@@ -228,7 +228,7 @@ def relations_selftest(g: FollowerGraph, max_len: int,
                  f"p({la} | {lb}) = p + p - p(&)")
 
     for a in range(g.n_letters):
-        sa, sas = algebra.gen_s(a), algebra.gen_s_star(a)
+        sa, sas = algebra.elem_s((a,)), algebra.elem_s_star((a,))
         sym = spec.alphabet[a]
         note(sa * sas * sa == sa, f"s({sym}) st({sym}) s({sym}) = s({sym})")
         note(sas * sa * sas == sas, f"st({sym}) s({sym}) st({sym}) = st({sym})")

@@ -15,7 +15,7 @@ import pytest
 
 from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.clopen import (CycleKind, c_set, classify_cycle,
-                                     cylinder, follower, full_set)
+                                     cylinder, full_set)
 from subshift_algebra.reduction import CycleForm, ProjectionMultiple, reduce, verify
 from subshift_algebra.rings import QQ, ZZ
 from subshift_algebra.structure import (LaurentPoly, corner_to_laurent,
@@ -40,7 +40,7 @@ def test_criterion_1_relation_suite(all_graphs):
         algebra = SubshiftAlgebra(g, ZZ)
         words = words_up_to(g, 3)
         for a in range(g.n_letters):
-            sa, sas = algebra.gen_s(a), algebra.gen_s_star(a)
+            sa, sas = algebra.elem_s((a,)), algebra.elem_s_star((a,))
             assert (sa * sas * sa - sa).is_zero()
             assert (sas * sa * sas - sas).is_zero()
         for alpha in words:
@@ -67,9 +67,9 @@ def test_criterion_2_monomial_vanishing(all_graphs):
         for n in (1, 2):
             cyl_words.extend(product(range(g.n_letters), repeat=n))
         for alpha in words:
-            fa = follower(g, alpha)
+            fa = c_set(g, alpha, OMEGA)
             for beta in words:
-                fb = follower(g, beta)
+                fb = c_set(g, beta, OMEGA)
                 for w in cyl_words:
                     a_set = cylinder(g, w)
                     expect_zero = a_set.intersect(fa).intersect(fb).is_empty()
@@ -128,7 +128,7 @@ def test_criterion_5_exit_dichotomy(all_graphs, g_y):
             assert isinstance(w.form, ProjectionMultiple), name
     algebra = SubshiftAlgebra(g_y, ZZ)
     zb = cylinder(g_y, W("b"))
-    demo = algebra.gen_p(zb) + algebra.gen_s(1) * algebra.gen_p(zb)
+    demo = algebra.gen_p(zb) + algebra.elem_s((1,)) * algebra.gen_p(zb)
     w = reduce(demo)
     assert isinstance(w.form, CycleForm)
     assert w.form.beta == W("b")

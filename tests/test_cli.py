@@ -13,12 +13,14 @@ from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.cli import main
 from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
-                                     IllegalForbiddenWord, UnknownLetter)
-from subshift_algebra.parsing import (eval_expr, evaluate, format_expr,
-                                      format_shift, parse_expr, parse_set,
-                                      parse_shift)
+                                     IllegalForbiddenWord, ShiftParseError,
+                                     UnknownLetter)
+from subshift_algebra.parsing import (RESERVED_SYMBOLS, eval_expr, evaluate,
+                                      format_expr, format_shift, parse_expr,
+                                      parse_set, parse_shift)
 from subshift_algebra.rings import QQ, ZZ
 from subshift_algebra.shift import build_follower_graph
+from subshift_algebra.words import OMEGA
 
 from conftest import W
 
@@ -57,6 +59,10 @@ def test_parse_shift_errors():
         parse_shift("alphabet:\nforbidden:\n")
     with pytest.raises(IllegalForbiddenWord):
         parse_shift("alphabet: a b\nforbidden: bc\n")
+    for symbol in RESERVED_SYMBOLS:
+        with pytest.raises(ShiftParseError, match="reserved") as err:
+            parse_shift(f"alphabet: a {symbol}\nforbidden:\n")
+        assert (err.value.line, err.value.column) == (1, 13)
 
 
 def test_shift_print_round_trip():
@@ -79,7 +85,7 @@ def test_expr_examples(g_gold, g_y):
     a_y = SubshiftAlgebra(g_y, ZZ)
     demo = evaluate("p(Z(b)) + s(b)*p(Z(b))", a_y)
     zb = cylinder(g_y, W("b"))
-    assert demo == a_y.gen_p(zb) + a_y.gen_s(1) * a_y.gen_p(zb)
+    assert demo == a_y.gen_p(zb) + a_y.elem_s((1,)) * a_y.gen_p(zb)
 
 
 def test_expr_syntax_errors(g_gold):
@@ -101,14 +107,17 @@ def test_expr_syntax_errors(g_gold):
 
 def test_scalar_parsing(g_full):
     algebra = SubshiftAlgebra(g_full, ZZ)
-    assert evaluate("2.s(a)", algebra) == algebra.gen_s(0).scale(2)
-    assert evaluate("-2.s(a)", algebra) == algebra.gen_s(0).scale(-2)
+    assert evaluate("2.s(a)", algebra) == algebra.elem_s((0,)).scale(2)
+    assert evaluate("-2.s(a)", algebra) == algebra.elem_s((0,)).scale(-2)
     assert evaluate("1 - 2.1", algebra) == algebra.one().scale(-1)
+    assert evaluate("\u0663.s(a)", algebra) == algebra.elem_s((0,)).scale(3)  # Arabic-Indic 3
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("\u00b2.s(a)", g_full.spec)  # superscript 2: a digit to isdigit only
     with pytest.raises(BadScalarForRing):
         evaluate("1/2.s(a)", algebra)
     rational = SubshiftAlgebra(g_full, QQ)
     half = evaluate("1/2.s(a)", rational)
-    assert half + half == rational.gen_s(0)
+    assert half + half == rational.elem_s((0,))
 
 
 def test_set_expressions(g_gold):
@@ -139,9 +148,17 @@ def test_precedence(g_full):
     assert mixed == algebra.gen_p(expected)
 
 
+def _random_set(rng, depth):
+    op = rng.choice(["leaf", "not", "and", "or"]) if depth else "leaf"
+    if op == "leaf":
+        return rng.choice([("Z", W("a")), ("F", W("b")), ("F", OMEGA), ("X",),
+                           ("C", W("a"), W("b"))])
+    if op == "not":
+        return ("not", _random_set(rng, depth - 1))
+    return (op, _random_set(rng, depth - 1), _random_set(rng, depth - 1))
+
+
 def _random_ast(rng, depth):
-    words = ["a", "b", "ab", "ba", "_"]
-    sets = [("Z", W("a")), ("F", W("b")), ("X",), ("C", W("a"), W("b"))]
     if depth == 0:
         choice = rng.randrange(5)
         if choice == 0:
@@ -149,7 +166,7 @@ def _random_ast(rng, depth):
         if choice == 1:
             return ("st", W(rng.choice(["a", "b", "ba"])))
         if choice == 2:
-            return ("p", rng.choice(sets))
+            return ("p", _random_set(rng, rng.randint(0, 2)))
         if choice == 3:
             return ("one",)
         return ("zero",)
@@ -167,6 +184,7 @@ def test_expression_print_parse_round_trip(g_gold):
         ast = _random_ast(rng, rng.randint(1, 3))
         text = format_expr(ast, spec)
         reparsed = parse_expr(text, spec)
+        assert reparsed == ast, text
         assert eval_expr(reparsed, algebra) == eval_expr(ast, algebra), text
 
 
@@ -224,6 +242,14 @@ def test_corner_command_not_minimal_is_contract_error():
 
 NOT_UTF8 = "<shift file that is not UTF-8>"
 TOO_LARGE = "<shift file with 2^24 blocks>"
+EMPTY_WORD_SYMBOL = "<shift file with the symbol _>"
+COMMA_SYMBOL = "<shift file with the symbol ,>"
+BAD_SHIFT_FILES = {
+    NOT_UTF8: b"\xff\xfealphabet: a b\n",
+    TOO_LARGE: b"alphabet: a b\nforbidden: aaaaaaaaaaaaaaaaaaaaaaaaa\n",
+    EMPTY_WORD_SYMBOL: b"alphabet: _ a\nforbidden:\n",
+    COMMA_SYMBOL: b"alphabet: a ,\nforbidden:\n",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -235,16 +261,19 @@ TOO_LARGE = "<shift file with 2^24 blocks>"
     ["nf", NOT_UTF8, "-e", "1"],
     ["corner", SHIFT_PATHS["y"], "--set", "Z(b)", "--word", "_", "-e", "1"],
     ["nf", TOO_LARGE, "-e", "1"],
+    ["nf", EMPTY_WORD_SYMBOL, "-e", "s(_)"],
+    ["nf", COMMA_SYMBOL, "-e", "s(a)"],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
-        "shift-not-utf8", "word-empty", "shift-too-large"])
+        "shift-not-utf8", "word-empty", "shift-too-large", "symbol-underscore",
+        "symbol-comma"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.
-    bad = tmp_path / "bad.shift"
-    bad.write_bytes(b"\xff\xfealphabet: a b\n")
-    large = tmp_path / "large.shift"
-    large.write_text("alphabet: a b\nforbidden: aaaaaaaaaaaaaaaaaaaaaaaaa\n")
-    argv = [{NOT_UTF8: bad, TOO_LARGE: large}.get(a, a) for a in argv]
+    files = {}
+    for i, (name, data) in enumerate(BAD_SHIFT_FILES.items()):
+        files[name] = tmp_path / f"bad{i}.shift"
+        files[name].write_bytes(data)
+    argv = [files.get(a, a) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "subshift_algebra.cli", *map(str, argv)],
         capture_output=True, text=True)
@@ -300,3 +329,23 @@ def test_outputs_byte_identical_across_runs():
         first = run_cli(argv)
         second = run_cli(argv)
         assert first == second, name
+
+
+# -- scripts and README -------------------------------------------------------------------
+
+
+def test_scripts_and_readme_quick_start_run():
+    root = FIXTURES.parent
+    demo = subprocess.run([sys.executable, str(root / "scripts" / "demo_reduction.py")],
+                          capture_output=True, text=True)
+    assert demo.returncode == 0, demo.stderr
+    assert [ln for ln in demo.stdout.splitlines() if ln.startswith("####")] == [
+        "#### full 2-shift", "#### golden mean (forbidden bb)", "#### Y (forbidden ba)"]
+    census = subprocess.run(
+        [sys.executable, str(root / "scripts" / "reduction_census.py"), "5", "1"],
+        capture_output=True, text=True)
+    assert census.returncode == 0, census.stderr
+    assert census.stdout.split()[:6] == ["shift", "n", "proj", "cycle", "max-trace", "sec"]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Library quick start")[1].split("```python\n")[1]
+    exec(quick_start.split("```")[0], {})

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from subshift_algebra import clopen
 from subshift_algebra.clopen import (ClopenSet, CycleKind, as_singleton,
                                      c_set, classify_cycle, cylinder,
-                                     empty_set, follower, full_set,
-                                     relative_range)
+                                     empty_set, full_set, relative_range)
 from subshift_algebra.errors import BadArgument, InternalNonzeroViolation
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint, ep_normalize
@@ -31,10 +30,10 @@ def test_cylinder_examples(g_gold):
 
 
 def test_follower_examples(g_gold, g_y):
-    assert follower(g_gold, W("b")) == cylinder(g_gold, W("a"))
-    assert follower(g_gold, OMEGA) == full_set(g_gold)
-    assert follower(g_y, W("b")).words == {W("b")}
-    assert follower(g_gold, W("bb")).is_empty()
+    assert c_set(g_gold, W("b"), OMEGA) == cylinder(g_gold, W("a"))
+    assert c_set(g_gold, OMEGA, OMEGA) == full_set(g_gold)
+    assert c_set(g_y, W("b"), OMEGA).words == {W("b")}
+    assert c_set(g_gold, W("bb"), OMEGA).is_empty()
 
 
 def test_c_set_examples(g_gold, g_full):
@@ -101,7 +100,7 @@ def test_cross_graph_operands_rejected(g_gold, g_y):
 
 
 def test_relative_range_examples(g_gold):
-    assert relative_range(full_set(g_gold), W("a")) == follower(g_gold, W("a"))
+    assert relative_range(full_set(g_gold), W("a")) == c_set(g_gold, W("a"), OMEGA)
     assert relative_range(cylinder(g_gold, W("a")), W("b")).is_empty()
 
 
@@ -110,8 +109,8 @@ def test_follower_composition(all_graphs):
     for g in all_graphs.values():
         for alpha in words_up_to(g, 3):
             for beta in words_up_to(g, 3):
-                lhs = relative_range(follower(g, alpha), beta)
-                assert lhs == follower(g, alpha + beta)
+                lhs = relative_range(c_set(g, alpha, OMEGA), beta)
+                assert lhs == c_set(g, alpha + beta, OMEGA)
 
 
 def test_single_letter_composition(all_graphs):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from subshift_algebra.algebra import SubshiftAlgebra
-from subshift_algebra.clopen import (CycleKind, classify_cycle, cylinder,
-                                     follower, full_set, relative_range)
+from subshift_algebra.clopen import (CycleKind, c_set, classify_cycle,
+                                     cylinder, full_set, relative_range)
 from subshift_algebra.errors import InternalNonzeroViolation, ZeroInput
 from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
                                         _extract_root, _phase_common_projection,
@@ -16,6 +16,7 @@ from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
                                         _scalar_of, _sorted_keys, embed_form,
                                         reduce, verify)
 from subshift_algebra.rings import QQ, ZZ, Zmod
+from subshift_algebra.shift import FollowerGraph
 from subshift_algebra.words import OMEGA
 
 from conftest import W, random_nonzero_element
@@ -33,24 +34,24 @@ def test_scalar_of_rejects_non_constant_component(alg_full, g_full):
 
 
 def test_positive_noop(alg_full):
-    x = alg_full.gen_s(0) + alg_full.one()
+    x = alg_full.elem_s((0,)) + alg_full.one()
     p = _Pipeline(x)
     _phase_positive(p)
     assert p.x == x and p.nu == alg_full.one()
 
 
 def test_positive_full_shift_star(alg_full, g_full):
-    p = _Pipeline(alg_full.gen_s_star(0))
+    p = _Pipeline(alg_full.elem_s_star((0,)))
     _phase_positive(p)
     assert p.x == alg_full.one()             # p_{F_a} = p_X
-    assert p.nu == alg_full.gen_s(0)
+    assert p.nu == alg_full.elem_s((0,))
 
 
 def test_positive_golden_star_b(alg_gold, g_gold):
-    p = _Pipeline(alg_gold.gen_s_star(1))
+    p = _Pipeline(alg_gold.elem_s_star((1,)))
     _phase_positive(p)
-    assert p.nu == alg_gold.gen_s(1)
-    assert p.x == alg_gold.gen_p(follower(g_gold, W("b")))
+    assert p.nu == alg_gold.elem_s((1,))
+    assert p.x == alg_gold.gen_p(c_set(g_gold, W("b"), OMEGA))
 
 
 def test_positive_makes_all_components_positive(all_graphs):
@@ -81,18 +82,18 @@ def test_positive_letter_is_first_letter_of_negative_word(all_graphs, ring):
                     continue
                 comp = x.component_element(t)
                 for a in range(g.n_letters):
-                    assert (not (comp * algebra.gen_s(a)).is_zero()) == (a == t[1][0])
+                    assert (not (comp * algebra.elem_s((a,))).is_zero()) == (a == t[1][0])
 
 
 # -- _phase_prefix_nest ----------------------------------------------------------------
 
 
 def test_nest_full_shift(alg_full):
-    x = alg_full.gen_s(0) + alg_full.gen_s(1)
+    x = alg_full.elem_s((0,)) + alg_full.elem_s((1,))
     p = _Pipeline(x)
     _phase_prefix_nest(p)
-    assert p.x == alg_full.gen_s(0)
-    assert p.mu == alg_full.gen_s(0) * alg_full.gen_s_star(0)
+    assert p.x == alg_full.elem_s((0,))
+    assert p.mu == alg_full.elem_s((0,)) * alg_full.elem_s_star((0,))
 
 
 def test_nest_single_term(alg_full, g_full):
@@ -103,7 +104,7 @@ def test_nest_single_term(alg_full, g_full):
 
 
 def test_nest_chain_survives(alg_gold):
-    x = alg_gold.gen_s(0) + alg_gold.elem_s(W("ab"))
+    x = alg_gold.elem_s((0,)) + alg_gold.elem_s(W("ab"))
     p = _Pipeline(x)
     _phase_prefix_nest(p)
     words = sorted(u for (u, _) in p.x.f_grade_support())
@@ -126,16 +127,16 @@ def common_projection(x):
 
 
 def test_common_projection_single_term(alg_gold, g_gold):
-    x = alg_gold.mono(W("a"), follower(g_gold, W("a")), OMEGA).scale(3)
+    x = alg_gold.mono(W("a"), c_set(g_gold, W("a"), OMEGA), OMEGA).scale(3)
     x2, a_set, j = common_projection(x)
     assert x2 == x
     assert j == (0,)
-    assert a_set == follower(g_gold, W("a"))
+    assert a_set == c_set(g_gold, W("a"), OMEGA)
 
 
 def test_common_projection_two_terms(alg_full, g_full):
     za, zb = cylinder(g_full, W("a")), cylinder(g_full, W("b"))
-    x = alg_full.gen_p(za) + alg_full.gen_s(0) * alg_full.gen_p(zb)
+    x = alg_full.gen_p(za) + alg_full.elem_s((0,)) * alg_full.gen_p(zb)
     x2, a_set, j = common_projection(x)
     assert not x2.is_zero()
     assert len(j) >= 1
@@ -146,7 +147,7 @@ def test_common_projection_two_terms(alg_full, g_full):
 def test_common_projection_disjoint_sets_drop_a_term(alg_full, g_full):
     zaa = cylinder(g_full, W("aa"))
     zbb = cylinder(g_full, W("bb"))
-    x = alg_full.gen_p(zaa) + alg_full.gen_s(0) * alg_full.gen_p(zbb)
+    x = alg_full.gen_p(zaa) + alg_full.elem_s((0,)) * alg_full.gen_p(zbb)
     x2, a_set, j = common_projection(x)
     assert len(j) == 1
     assert not x2.is_zero()
@@ -163,7 +164,7 @@ def test_strip_plain_projection(alg_gold, g_gold):
 
 
 def test_strip_single_positive(alg_full, g_full):
-    x = alg_full.gen_s(0)
+    x = alg_full.elem_s((0,))
     p = _Pipeline(x)
     _phase_strip_z(p)
     assert p.x == alg_full.one()
@@ -172,7 +173,7 @@ def test_strip_single_positive(alg_full, g_full):
 
 def test_strip_y_shape(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
-    x = alg_y.gen_s(1) * alg_y.gen_p(zb) + alg_y.elem_s(W("bb")) * alg_y.gen_p(zb)
+    x = alg_y.elem_s((1,)) * alg_y.gen_p(zb) + alg_y.elem_s(W("bb")) * alg_y.gen_p(zb)
     p = _Pipeline(x)
     _phase_strip_z(p)
     words = sorted(u for (u, _) in p.x.f_grade_support())
@@ -186,7 +187,7 @@ def test_strip_kills_terms_beyond_the_cut(alg_full, g_full):
     # left projection round must remove it.
     zaa = cylinder(g_full, W("aa"))
     x = alg_full.gen_p(zaa) \
-        + alg_full.gen_s(0) * alg_full.gen_p(zaa) \
+        + alg_full.elem_s((0,)) * alg_full.gen_p(zaa) \
         + alg_full.elem_s(W("aba")) * alg_full.gen_p(zaa)
     assert not (alg_full.elem_s(W("aba")) * alg_full.gen_p(zaa)).is_zero()
     p = _Pipeline(x)
@@ -217,7 +218,7 @@ def pump_until_stable(x):
 
 def test_pump_not_needed(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
-    x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb)
+    x = alg_y.gen_p(zb) + alg_y.elem_s((1,)) * alg_y.gen_p(zb)
     x2, c_set_out = pump_until_stable(x)
     assert c_set_out is not None
     assert c_set_out == zb
@@ -228,7 +229,7 @@ def test_pump_runs_and_collapses(alg_full, g_full):
     # B = Z_ab sits inside Z_a and F_a but not inside r(Z_ab, a) = Z_b, so one
     # pump pass runs and the two-term element collapses to a projection.
     zab = cylinder(g_full, W("ab"))
-    x = alg_full.gen_p(zab) + alg_full.gen_s(0) * alg_full.gen_p(zab)
+    x = alg_full.gen_p(zab) + alg_full.elem_s((0,)) * alg_full.gen_p(zab)
     ran = relative_range(zab, W("a"))
     assert not zab.is_subset(ran)
     p = _Pipeline(x, record_trace=True)
@@ -256,7 +257,7 @@ def power_align(x):
 def test_align_keeps_power_terms(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
     x = alg_y.gen_p(zb) \
-        + alg_y.gen_s(1) * alg_y.gen_p(zb) \
+        + alg_y.elem_s((1,)) * alg_y.gen_p(zb) \
         + alg_y.elem_s(W("bbb")) * alg_y.gen_p(zb)
     x2 = power_align(x)
     words = sorted(u for (u, _) in x2.f_grade_support())
@@ -269,7 +270,7 @@ def test_align_kills_misaligned_term(alg_full, g_full):
     # so the sandwich kills it.
     x_set = full_set(g_full)
     x = alg_full.gen_p(cylinder(g_full, W("aa"))) \
-        + alg_full.gen_s(0) * alg_full.gen_p(cylinder(g_full, W("aa"))) \
+        + alg_full.elem_s((0,)) * alg_full.gen_p(cylinder(g_full, W("aa"))) \
         + alg_full.elem_s(W("ab")) * alg_full.gen_p(cylinder(g_full, W("aa")))
     x2 = power_align(x)
     words = sorted(u for (u, _) in x2.f_grade_support())
@@ -282,7 +283,7 @@ def test_align_kills_misaligned_term(alg_full, g_full):
 
 def test_gcd_single_letter_powers(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
-    x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb) \
+    x = alg_y.gen_p(zb) + alg_y.elem_s((1,)) * alg_y.gen_p(zb) \
         + alg_y.elem_s(W("bb")) * alg_y.gen_p(zb) \
         + alg_y.elem_s(W("bbbb")) * alg_y.gen_p(zb)
     before = x.format()
@@ -294,7 +295,7 @@ def test_gcd_single_letter_powers(alg_y, g_y):
 
 def test_gcd_rejects_mixed_words(alg_full, g_full):
     xf = full_set(g_full)
-    x = alg_full.gen_p(xf) + alg_full.gen_s(0) * alg_full.gen_p(xf) \
+    x = alg_full.gen_p(xf) + alg_full.elem_s((0,)) * alg_full.gen_p(xf) \
         + alg_full.elem_s(W("ab")) * alg_full.gen_p(xf)
     assert _extract_root(x) is None
 
@@ -310,7 +311,7 @@ def exit_kill(x):
 
 def test_exit_kill_cycle_form(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
-    x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb)
+    x = alg_y.gen_p(zb) + alg_y.elem_s((1,)) * alg_y.gen_p(zb)
     form = exit_kill(x)
     assert isinstance(form, CycleForm)
     assert form.beta == W("b")
@@ -318,7 +319,7 @@ def test_exit_kill_cycle_form(alg_y, g_y):
 
 
 def test_exit_kill_projection(alg_full, g_full):
-    x = alg_full.one() + alg_full.gen_s(0)
+    x = alg_full.one() + alg_full.elem_s((0,))
     form = exit_kill(x)
     assert isinstance(form, ProjectionMultiple)
     assert form.gamma == 1 and not form.proj_set.is_empty()
@@ -352,7 +353,7 @@ def test_reduce_one(alg_full, g_full):
 
 
 def test_reduce_sum_of_generators(alg_full):
-    x = alg_full.gen_s(0) + alg_full.gen_s(1)
+    x = alg_full.elem_s((0,)) + alg_full.elem_s((1,))
     w = reduce(x)
     assert isinstance(w.form, ProjectionMultiple)
     assert w.form.gamma == 1
@@ -361,7 +362,7 @@ def test_reduce_sum_of_generators(alg_full):
 
 def test_reduce_y_cycle_element(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
-    x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb)
+    x = alg_y.gen_p(zb) + alg_y.elem_s((1,)) * alg_y.gen_p(zb)
     w = reduce(x, record_trace=True)
     assert isinstance(w.form, CycleForm)
     assert w.form.beta == W("b")
@@ -373,7 +374,7 @@ def test_reduce_y_cycle_element(alg_y, g_y):
 
 def test_verify_rejects_tampering(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
-    x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb)
+    x = alg_y.gen_p(zb) + alg_y.elem_s((1,)) * alg_y.gen_p(zb)
     w = reduce(x)
     bad_gamma = CycleForm(w.form.cycle_set, w.form.beta, (1, 2), w.form.exps)
     bad_exps = CycleForm(w.form.cycle_set, w.form.beta, w.form.gammas, (2,))
@@ -383,8 +384,30 @@ def test_verify_rejects_tampering(alg_y, g_y):
     assert not verify(ReductionWitness(w.mu, w.nu, bad_exps), x)
 
 
+def test_verify_products_refine_no_coarse_factor(alg_gold, monkeypatch):
+    # The verification product mu * x * nu multiplies coefficient functions
+    # whose resolutions lie far apart (up to 35).  Refining the coarser one
+    # to the finer resolution enumerates Fibonacci-many words that the
+    # product then discards: reducing s(abababab) + st(aabababab) took minutes.
+    extensions = FollowerGraph.extensions
+    produced = 0
+
+    def counted(self, w, n):
+        nonlocal produced
+        out = extensions(self, w, n)
+        produced += len(out)
+        if produced > 100_000:
+            raise RuntimeError(f"{produced} extension words")
+        return out
+
+    monkeypatch.setattr(FollowerGraph, "extensions", counted)
+    x = alg_gold.elem_s(W("abababab")) + alg_gold.elem_s_star(W("aabababab"))
+    w = reduce(x)
+    assert verify(w, x)
+
+
 def test_reduce_mixed_grades(alg_gold, g_gold):
-    x = alg_gold.gen_s(0) * alg_gold.gen_s_star(1) \
+    x = alg_gold.elem_s((0,)) * alg_gold.elem_s_star((1,)) \
         + alg_gold.gen_p(cylinder(g_gold, W("ab"))).scale(-2)
     w = reduce(x)
     assert verify(w, x)

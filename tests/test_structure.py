@@ -100,9 +100,9 @@ def test_corner_examples(y_corner):
     algebra, a_set, c = y_corner
     proj = algebra.gen_p(a_set)
     assert corner_to_laurent(proj, a_set, c) == LaurentPoly(ZZ, {0: 1})
-    x1 = algebra.gen_s(1) * proj
+    x1 = algebra.elem_s((1,)) * proj
     assert corner_to_laurent(x1, a_set, c) == LaurentPoly(ZZ, {1: 1})
-    x2 = (algebra.gen_s(1) * proj).scale(2) - (algebra.gen_s_star(1) * proj).scale(3)
+    x2 = (algebra.elem_s((1,)) * proj).scale(2) - (algebra.elem_s_star((1,)) * proj).scale(3)
     assert corner_to_laurent(x2, a_set, c) == LaurentPoly(ZZ, {1: 2, -1: -3})
 
 
@@ -119,7 +119,7 @@ def test_corner_rejects_outside_elements(y_corner):
     # s_a and the unit differ from their corner projections.
     algebra, a_set, c = y_corner
     with pytest.raises(NotInCorner):
-        corner_to_laurent(algebra.gen_s(0), a_set, c)
+        corner_to_laurent(algebra.elem_s((0,)), a_set, c)
     with pytest.raises(NotInCorner):
         corner_to_laurent(algebra.one(), a_set, c)
 
@@ -176,9 +176,9 @@ def test_corner_project(y_corner, g_y):
     algebra, a_set, c = y_corner
     assert corner_project(algebra.one(), a_set) == algebra.gen_p(a_set)
     full = full_set(g_y)
-    x = algebra.gen_s(0) + algebra.gen_s(1)
+    x = algebra.elem_s((0,)) + algebra.elem_s((1,))
     assert corner_project(x, full) == x
-    assert corner_project(algebra.gen_s(0), a_set).is_zero()
+    assert corner_project(algebra.elem_s((0,)), a_set).is_zero()
 
 
 def test_corner_project_lands_in_family(y_corner):
@@ -199,7 +199,7 @@ def test_corner_project_lands_in_family(y_corner):
 def test_square_nonzero_basic(alg_y, g_y):
     assert square_nonzero_check(alg_y.one())
     zb = cylinder(g_y, W("b"))
-    x = alg_y.gen_p(zb) + alg_y.gen_s(1) * alg_y.gen_p(zb)
+    x = alg_y.gen_p(zb) + alg_y.elem_s((1,)) * alg_y.gen_p(zb)
     assert square_nonzero_check(x)
 
 
