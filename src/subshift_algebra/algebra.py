@@ -23,6 +23,8 @@ functions (``clopen.CoeffFn``) and their operations live in ``clopen``.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .clopen import ClopenSet, CoeffFn, accumulate, full_set, merge_siblings
 from .errors import BadArgument, RingMismatch
 from .rings import Ring
@@ -64,10 +66,7 @@ class SubshiftAlgebra:
     def gen_p(self, a: ClopenSet) -> "AlgebraElement":
         if a.graph is not self.graph:
             raise RingMismatch("clopen set belongs to a different shift")
-        if a.is_empty():
-            return self.zero()
-        one = self.ring.one()
-        fn = CoeffFn(a.resolution, {w: one for w in a.words})
+        fn = CoeffFn(a.graph, a.resolution, dict.fromkeys(a.coeffs, self.ring.one()))
         return AlgebraElement(self, {(OMEGA, OMEGA): fn})
 
     def elem_s(self, alpha: Word) -> "AlgebraElement":
@@ -75,11 +74,8 @@ class SubshiftAlgebra:
         if alpha == OMEGA:
             return self.one()
         g = self.graph
-        words = g.extensions(alpha, len(alpha) + g.m)
-        if not words:
-            return self.zero()
-        one = self.ring.one()
-        fn = CoeffFn(len(alpha) + g.m, {w: one for w in words})
+        n = len(alpha) + g.m
+        fn = CoeffFn(g, n, dict.fromkeys(g.extensions(alpha, n), self.ring.one()))
         return AlgebraElement(self, {(alpha, OMEGA): fn})
 
     def elem_s_star(self, beta: Word) -> "AlgebraElement":
@@ -109,7 +105,7 @@ class AlgebraElement:
             if u and v and u[-1] == v[-1]:
                 raise ValueError(f"component pair not reduced: {(u, v)}")
             if fn.resolution < len(u) + g.m:
-                fn = fn.refine(len(u) + g.m, g)
+                fn = fn.refine(len(u) + g.m)
             coeffs = {w: c for w, c in fn.coeffs.items() if not ring.is_zero(c)}
             if not coeffs:
                 continue
@@ -117,7 +113,7 @@ class AlgebraElement:
                 if w[:len(u)] != u or not g.is_prefix_legal(v + w[len(u):]):
                     raise ValueError(
                         f"support word {w} violates the W-constraint of {(u, v)}")
-            clean[(u, v)] = CoeffFn(fn.resolution, coeffs)
+            clean[(u, v)] = CoeffFn(g, fn.resolution, coeffs)
         self.components = clean
 
     # -- basic structure -------------------------------------------------------
@@ -137,7 +133,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {t: self.components[t]})
 
     def support_set(self, t: Pair) -> ClopenSet:
-        return self.components[t].support(self.algebra.graph)
+        return self.components[t].support()
 
     def tail_set(self, t: Pair) -> ClopenSet:
         """For a positive component ``(u, omega)``: the set of tails, i.e.
@@ -145,7 +141,7 @@ class AlgebraElement:
         u, v = t
         if v != OMEGA:
             raise BadArgument(f"tail sets are defined for positive components, not {t}")
-        return self.components[t].tail_set(len(u), self.algebra.graph)
+        return self.components[t].tail_set(len(u))
 
     # -- ring operations --------------------------------------------------------
 
@@ -157,82 +153,66 @@ class AlgebraElement:
     def _accumulate(self, out: dict[Pair, CoeffFn], items) -> dict[Pair, CoeffFn]:
         """Add ``(pair, coefficient function)`` items into ``out``; a pair
         whose sum is zero is dropped."""
-        g, ring = self.algebra.graph, self.algebra.ring
-        return accumulate(out, items, lambda f, h: f.add(h, ring, g), CoeffFn.is_zero)
+        ring = self.algebra.ring
+        return accumulate(out, items, lambda f, h: f.add(h, ring), CoeffFn.is_zero)
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         out = self._accumulate(dict(self.components), other.components.items())
         return AlgebraElement(self.algebra, out)
 
+    def _map_values(self, f) -> "AlgebraElement":
+        """``f`` applied to every coefficient value; zero values are dropped."""
+        return AlgebraElement(self.algebra, {
+            t: CoeffFn(fn.graph, fn.resolution, {w: f(c) for w, c in fn.coeffs.items()})
+            for t, fn in self.components.items()})
+
     def negate(self) -> "AlgebraElement":
-        ring = self.algebra.ring
-        out = {t: CoeffFn(fn.resolution, {w: ring.neg(c) for w, c in fn.coeffs.items()})
-               for t, fn in self.components.items()}
-        return AlgebraElement(self.algebra, out)
+        return self._map_values(self.algebra.ring.neg)
 
     def scale(self, r) -> "AlgebraElement":
-        ring = self.algebra.ring
-        out = {}
-        for t, fn in self.components.items():
-            coeffs = {}
-            for w, c in fn.coeffs.items():
-                p = ring.mul(r, c)
-                if not ring.is_zero(p):
-                    coeffs[w] = p
-            if coeffs:
-                out[t] = CoeffFn(fn.resolution, coeffs)
-        return AlgebraElement(self.algebra, out)
+        return self._map_values(partial(self.algebra.ring.mul, r))
 
     def _products(self, other: "AlgebraElement"):
         """The nonzero contributions ``(pair, coefficient function)`` of the
         component pairs of ``self * other``, in the order of the pairs."""
-        g, ring = self.algebra.graph, self.algebra.ring
+        ring = self.algebra.ring
         for (u, v), f in self.components.items():
             for (u2, v2), h in other.components.items():
                 k = _common_prefix_len(v, u2)
                 v1, u21 = v[k:], u2[k:]
                 if v1 and u21:
                     continue  # product index leaves the (pos)(neg)^-1 family
-                prod = f.translate(u, v, g).times(h, ring)
+                prod = f.translate(u, v).times(h, ring)
                 if prod.is_zero():
                     continue
                 if not v1:
                     pair = _strip_common_suffix(u + u21, v2)
                 else:
                     pair = (u, v2 + v1)
-                yield pair, prod.translate(v, u, g)
+                yield pair, prod.translate(v, u)
 
     def mul(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
         return AlgebraElement(self.algebra, self._accumulate({}, self._products(other)))
 
     def star(self) -> "AlgebraElement":
-        g = self.algebra.graph
-        out = {(v, u): fn.translate(u, v, g) for (u, v), fn in self.components.items()}
+        out = {(v, u): fn.translate(u, v) for (u, v), fn in self.components.items()}
         return AlgebraElement(self.algebra, out)
 
     def equals(self, other: "AlgebraElement") -> bool:
         self._check(other)
-        if set(self.components) != set(other.components):
-            return False
-        g = self.algebra.graph
-        for t, f in self.components.items():
-            a, b = f.common(other.components[t], g)
-            if a.coeffs != b.coeffs:
-                return False
-        return True
+        return self.components.keys() == other.components.keys() and all(
+            f.equals(other.components[t]) for t, f in self.components.items())
 
     # -- operators ---------------------------------------------------------------
 
     __add__ = add
     __mul__ = mul
+    __neg__ = negate
 
     def __sub__(self, other):
         return self.add(other.negate())
-
-    def __neg__(self):
-        return self.negate()
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -29,6 +29,7 @@ rationals.
 
 from __future__ import annotations
 
+import operator
 import re
 from functools import partial
 
@@ -44,6 +45,7 @@ from .words import OMEGA, Word
 # -- shift files ----------------------------------------------------------------
 
 RESERVED_SYMBOLS = "_,)"  # the empty word and the word terminators
+_TOKEN = re.compile(r"\S+")
 
 
 def parse_shift(text: str) -> SftSpec:
@@ -51,12 +53,14 @@ def parse_shift(text: str) -> SftSpec:
     stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
     if len(stripped) < 1 or not stripped[0][1].startswith("alphabet:"):
         raise ShiftParseError("expected an 'alphabet:' line", 1, 1)
-    lineno, alpha_line = stripped[0]
-    symbols = alpha_line[len("alphabet:"):].split()
+    lineno = stripped[0][0]
+    line = lines[lineno - 1]
+    tokens = list(_TOKEN.finditer(line, line.index("alphabet:") + len("alphabet:")))
+    symbols = [t[0] for t in tokens]
     if not symbols:
         raise EmptyAlphabet("alphabet must list at least one symbol", lineno, 1)
-    for s in symbols:
-        column = alpha_line.index(s) + 1
+    for t in tokens:
+        s, column = t[0], t.start() + 1
         if len(s) != 1:
             raise ShiftParseError(f"alphabet symbols must be single characters: {s!r}",
                                   lineno, column)
@@ -110,6 +114,7 @@ class _Scanner:
     def __init__(self, text: str, spec: SftSpec):
         self.text = text
         self.pos = 0
+        self.depth = 0  # forms open around the current position
         self.spec = spec
         self.symbol_index = {s: i for i, s in enumerate(spec.alphabet)}
 
@@ -170,7 +175,10 @@ def _form(forms: dict, expected: str, sc: _Scanner) -> ExprAst:
     in ``(`` is closed by ``)``; a group (tag ``None``) is its argument."""
     for opener, tag, args in forms.get(sc.peek(), ()):
         if sc.text.startswith(opener, sc.pos):
+            if sc.depth == MAX_NESTING:
+                raise ExprSyntaxError(f"forms nested deeper than {MAX_NESTING}", sc.pos)
             sc.pos += len(opener)
+            sc.depth += 1
             node = [tag]
             for i, arg in enumerate(args):
                 if i:
@@ -178,6 +186,7 @@ def _form(forms: dict, expected: str, sc: _Scanner) -> ExprAst:
                 node.append(arg(sc))
             if opener[-1] == "(":
                 sc.take(")")
+            sc.depth -= 1
             return node[1] if tag is None else tuple(node)
     raise ExprSyntaxError(expected, sc.pos)
 
@@ -200,8 +209,9 @@ def _factor(sc: _Scanner) -> ExprAst:
 
 # The other rules are partials with positional arguments, which cost no
 # stack frame of their own: a level of '(' nesting costs four frames (three
-# inside p(..)) and a '!' one, so deep nesting meets the recursion limit no
-# sooner than one function per grammar level would.
+# inside p(..)) and a '!' one.  MAX_NESTING bounds the open forms, so parsing
+# and evaluating stay well inside Python's recursion limit.
+MAX_NESTING = 100
 _term = partial(_binary, _factor, {"*": "mul"})
 _expr = partial(_binary, _term, {"+": "add", "-": "sub"})
 _SET_FORMS: dict = {}  # filled below: its forms refer back to these rules
@@ -229,6 +239,23 @@ def parse_set(text: str, spec: SftSpec) -> ExprAst:
     return sc.finish(_setexpr(sc))
 
 
+_SET_OPS = {"and": operator.and_, "or": operator.or_}
+_ELEMENT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _left_fold(node: ExprAst, ops: dict, evaluate):
+    """Evaluate a left-deep chain of the binary ``ops`` one link at a time,
+    so that a long sum costs no recursion per term."""
+    links = []
+    while node[0] in ops:
+        links.append(node)
+        node = node[1]
+    acc = evaluate(node)
+    for tag, _, right in reversed(links):
+        acc = ops[tag](acc, evaluate(right))
+    return acc
+
+
 def eval_set(node: ExprAst, algebra: SubshiftAlgebra) -> ClopenSet:
     g = algebra.graph
     tag = node[0]
@@ -242,10 +269,8 @@ def eval_set(node: ExprAst, algebra: SubshiftAlgebra) -> ClopenSet:
         return full_set(g)
     if tag == "not":
         return eval_set(node[1], algebra).complement()
-    if tag == "and":
-        return eval_set(node[1], algebra).intersect(eval_set(node[2], algebra))
-    if tag == "or":
-        return eval_set(node[1], algebra).union(eval_set(node[2], algebra))
+    if tag in _SET_OPS:
+        return _left_fold(node, _SET_OPS, lambda n: eval_set(n, algebra))
     raise AssertionError(f"bad set node {node!r}")
 
 
@@ -266,12 +291,8 @@ def eval_expr(node: ExprAst, algebra: SubshiftAlgebra) -> AlgebraElement:
         if "/" in node[1] and ring != QQ:
             raise BadScalarForRing(f"fraction scalar {node[1]!r} needs the rational ring")
         return eval_expr(node[2], algebra).scale(ring.parse_scalar(node[1]))
-    if tag == "add":
-        return eval_expr(node[1], algebra) + eval_expr(node[2], algebra)
-    if tag == "sub":
-        return eval_expr(node[1], algebra) - eval_expr(node[2], algebra)
-    if tag == "mul":
-        return eval_expr(node[1], algebra) * eval_expr(node[2], algebra)
+    if tag in _ELEMENT_OPS:
+        return _left_fold(node, _ELEMENT_OPS, lambda n: eval_expr(n, algebra))
     raise AssertionError(f"bad expression node {node!r}")
 
 

@@ -169,7 +169,6 @@ def _phase_prefix_nest(p: _Pipeline):
 
 
 def _phase_common_projection(p: _Pipeline) -> ClopenSet:
-    g = p.alg.graph
     _require_positive(p.x)
     # First pass: per-component set factors, in chain order.  Components whose
     # coefficient function is not a scalar multiple of an indicator get
@@ -182,8 +181,8 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
         fn = p.x.components[key]
         if fn.scalar() is None:
             w = min(fn.coeffs)
-            fn = CoeffFn(fn.resolution, {w: fn.coeffs[w]})
-        p.right(p.alg.gen_p(fn.tail_set(len(key[0]), g)), "p(common)")
+            fn = CoeffFn(fn.graph, fn.resolution, {w: fn.coeffs[w]})
+        p.right(p.alg.gen_p(fn.tail_set(len(key[0]))), "p(common)")
     # Follower projections are subsumed: a tail cylinder of resolution >= m
     # automatically sits inside the follower set of its word, so the common
     # set already lands inside every surviving F_{alpha_i}.
@@ -255,11 +254,11 @@ def _phase_pump(p: _Pipeline, b_set: ClopenSet) -> bool:
     ``D = B \\ r(B, b_2)``, which strictly lowers the term count.  Returns
     whether the pass ran."""
     b2 = _sorted_keys(p.x)[1][0]
-    ran = relative_range(b_set, b2)
-    if b_set.is_subset(ran):
+    d_set = b_set.difference(relative_range(b_set, b2))
+    if d_set.is_empty():
         return False
     terms = len(p.x.components)
-    pump = p.alg.gen_p(b_set.difference(ran)) * p.alg.elem_s_star(b2)
+    pump = p.alg.gen_p(d_set) * p.alg.elem_s_star(b2)
     p.left(pump, f"p(D) st({p.fmt_word(b2)})")
     if len(p.x.components) >= terms:
         raise InternalNonzeroViolation("pump pass made no progress")

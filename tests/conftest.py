@@ -58,6 +58,18 @@ def brute_forbidden_free(w, forbidden):
     )
 
 
+def in_shift(point, forbidden) -> bool:
+    """``pre + per^inf`` avoids every forbidden word; every window of the
+    infinite word already occurs in this prefix."""
+    reps = max((len(f) for f in forbidden), default=0) + 2
+    return brute_forbidden_free(point.preperiod + point.period * reps, forbidden)
+
+
+def l_spec(m: int) -> SftSpec:
+    """``L_m``: forbidden ``a^(m+1)`` and ``b^m a``; memory m, 2^m states."""
+    return SftSpec.make("ab", ["a" * (m + 1), "b" * m + "a"])
+
+
 def brute_extends(w, forbidden, k, depth):
     """True iff the forbidden-free word w has a forbidden-free extension by
     depth letters; depth-first, abandoning a branch at its first forbidden

@@ -236,13 +236,13 @@ def test_letter_extension_search(all_graphs):
 
 def test_translate_rejects_word_without_the_prefix(g_gold):
     with pytest.raises(InternalNonzeroViolation):
-        CoeffFn(2, {W("ab"): 1}).translate(W("b"), W("a"), g_gold)
+        CoeffFn(g_gold, 2, {W("ab"): 1}).translate(W("b"), W("a"))
 
 
 def test_translate_rejects_illegal_result(g_gold):
     # ab -> bb leaves the golden mean shift.
     with pytest.raises(InternalNonzeroViolation):
-        CoeffFn(2, {W("ab"): 1}).translate(W("a"), W("b"), g_gold)
+        CoeffFn(g_gold, 2, {W("ab"): 1}).translate(W("a"), W("b"))
 
 
 def test_tail_set_rejects_non_positive_component(alg_gold):

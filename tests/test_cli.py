@@ -15,7 +15,7 @@ from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
-from subshift_algebra.parsing import (RESERVED_SYMBOLS, eval_expr, evaluate,
+from subshift_algebra.parsing import (MAX_NESTING, RESERVED_SYMBOLS, eval_expr, evaluate,
                                       format_expr, format_shift, parse_expr,
                                       parse_set, parse_shift)
 from subshift_algebra.rings import QQ, ZZ
@@ -63,6 +63,12 @@ def test_parse_shift_errors():
         with pytest.raises(ShiftParseError, match="reserved") as err:
             parse_shift(f"alphabet: a {symbol}\nforbidden:\n")
         assert (err.value.line, err.value.column) == (1, 13)
+    # A symbol's column is its own position in the line as written.
+    for text, position in (("alphabet: ab\n", (1, 11)), ("   alphabet: a  bc\n", (1, 17)),
+                           ("\n  alphabet:   a _\n", (2, 17))):
+        with pytest.raises(ShiftParseError) as err:
+            parse_shift(text)
+        assert (err.value.line, err.value.column) == position
 
 
 def test_shift_print_round_trip():
@@ -263,9 +269,11 @@ BAD_SHIFT_FILES = {
     ["nf", TOO_LARGE, "-e", "1"],
     ["nf", EMPTY_WORD_SYMBOL, "-e", "s(_)"],
     ["nf", COMMA_SYMBOL, "-e", "s(a)"],
+    ["nf", SHIFT_PATHS["full2"], "-e", "(" * 300 + "s(a)" + ")" * 300],
+    ["nf", SHIFT_PATHS["full2"], "-e", "p(" + "!" * 1000 + "X)"],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
         "shift-not-utf8", "word-empty", "shift-too-large", "symbol-underscore",
-        "symbol-comma"])
+        "symbol-comma", "nested-300", "not-1000"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.
@@ -280,6 +288,24 @@ def test_malformed_input_is_usage_error(argv, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_deep_expressions(g_full):
+    # Deep nesting is refused at a position, within the recursion limit.
+    depth = MAX_NESTING - 1  # parentheses around s(a), itself a form
+    assert parse_expr("(" * depth + "s(a)" + ")" * depth, g_full.spec) == ("s", W("a"))
+    with pytest.raises(ExprSyntaxError, match="nested") as err:
+        parse_expr("(" * (depth + 1) + "s(a)" + ")" * (depth + 1), g_full.spec)
+    assert err.value.position == MAX_NESTING
+    # A long sum is evaluated without recursing once per term.
+    terms = " + ".join(["s(a)"] * 1200)
+    proc = subprocess.run(
+        [sys.executable, "-m", "subshift_algebra.cli", "nf", str(SHIFT_PATHS["full2"]),
+         "-e", terms], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "a _^-1 | 1200 aa ; 1200 ab\n", "")
+    union = "p(" + " | ".join(["Z(a)"] * 1200) + ")"
+    assert run_cli(["nf", SHIFT_PATHS["full2"], "-e", union]) == (0, "_ _^-1 | 1 a\n")
 
 
 def test_console_script_runs():

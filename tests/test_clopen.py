@@ -1,5 +1,7 @@
 """Clopen-set algebra: constructors, Boolean laws, relative ranges, cycles."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +13,7 @@ from subshift_algebra.errors import BadArgument, InternalNonzeroViolation
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint, ep_normalize
 
-from conftest import W, words_up_to
+from conftest import W, brute_legal_words, in_shift, l_spec, words_up_to
 
 
 def member(point: EpPoint, a: ClopenSet) -> bool:
@@ -42,6 +44,15 @@ def test_c_set_examples(g_gold, g_full):
     assert c_set(g_gold, W("bb"), OMEGA).is_empty()
 
 
+def test_constructor_rejects_bad_supports(g_gold):
+    with pytest.raises(ValueError, match="shift memory"):
+        ClopenSet(g_gold, 0, ())
+    with pytest.raises(ValueError, match="resolution length"):
+        ClopenSet(g_gold, 2, [W("aa"), W("a")])
+    with pytest.raises(ValueError, match="not prefix-legal"):
+        ClopenSet(g_gold, 2, [W("aa"), W("bb")])
+
+
 def test_refine_examples(g_gold, g_full):
     z = cylinder(g_gold, W("b"))
     assert z.refine(3).words == {W("baa"), W("bab")}
@@ -67,8 +78,9 @@ def test_boolean_examples(g_full, g_gold):
 
 
 @st.composite
-def clopen_sets(draw, graph):
-    n = draw(st.integers(graph.m, 5))
+def clopen_sets(draw, graph, n=None):
+    if n is None:
+        n = draw(st.integers(graph.m, 5))
     pool = graph.legal_words(n)
     words = draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
     return ClopenSet(graph, n, frozenset(words))
@@ -89,6 +101,53 @@ def test_boolean_laws(g_gold, data):
     assert a.complement().complement() == a
     assert a - b == a & b.complement()
     assert a.is_subset(a | b) and (a & b).is_subset(a)
+
+
+MEMBERSHIP_SHIFTS = {"golden_mean": SftSpec.make("ab", ["bb"]),
+                     "y": SftSpec.make("ab", ["ba"]), "L_3": l_spec(3)}
+MAX_EXTRA = 3  # operands are drawn at resolutions m .. m + MAX_EXTRA
+
+
+def covering_points(graph, n: int) -> list[EpPoint]:
+    """One eventually periodic point of X in every cylinder of length
+    ``n``, found by a forbidden-factor scan, so that sets of resolution at
+    most ``n`` are equal exactly when the points cannot tell them apart."""
+    forbidden = graph.spec.forbidden
+    tails = [w for k in range(4) for w in product(range(2), repeat=k)]
+    return [next(p for t in tails for per in tails[1:]
+                 if in_shift(p := ep_normalize(w + t, per), forbidden))
+            for w in brute_legal_words(graph, n)]
+
+
+@pytest.fixture(scope="module")
+def membership_setups():
+    graphs = {name: build_follower_graph(spec) for name, spec in MEMBERSHIP_SHIFTS.items()}
+    return {name: (g, covering_points(g, g.m + MAX_EXTRA)) for name, g in graphs.items()}
+
+
+@pytest.mark.parametrize("left", ["finer", "coarser"])
+@pytest.mark.parametrize("name", MEMBERSHIP_SHIFTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_operations_match_point_membership(membership_setups, name, left, data):
+    """Each operation against the membership rule, with the left operand
+    finer than the right one or coarser, so both sides of the prefix join
+    and of the refinement are exercised."""
+    g, points = membership_setups[name]
+    fine, coarse = sorted(data.draw(st.lists(st.integers(0, MAX_EXTRA), min_size=2,
+                                             max_size=2, unique=True)), reverse=True)
+    ra, rb = (fine, coarse) if left == "finer" else (coarse, fine)
+    a = data.draw(clopen_sets(g, g.m + ra))
+    b = data.draw(clopen_sets(g, g.m + rb))
+    in_a = [member(p, a) for p in points]
+    in_b = [member(p, b) for p in points]
+    assert [member(p, a | b) for p in points] == [x or y for x, y in zip(in_a, in_b)]
+    assert [member(p, a & b) for p in points] == [x and y for x, y in zip(in_a, in_b)]
+    assert [member(p, a - b) for p in points] == [x and not y for x, y in zip(in_a, in_b)]
+    assert [member(p, a.complement()) for p in points] == [not x for x in in_a]
+    assert a.is_subset(b) == all(y for x, y in zip(in_a, in_b) if x)
+    assert (a == b) == (in_a == in_b)
+    assert (a == a.refine(g.m + MAX_EXTRA)) and (a - a).is_empty()
 
 
 def test_cross_graph_operands_rejected(g_gold, g_y):

@@ -24,23 +24,17 @@ from subshift_algebra.rings import ZZ, Zmod
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, ep_normalize
 
-from conftest import brute_forbidden_free
+from conftest import in_shift, l_spec
 
 SHIFTS = {
     "full2": SftSpec.make("ab", []),
     "golden_mean": SftSpec.make("ab", ["bb"]),
     "y": SftSpec.make("ab", ["ba"]),
     "period2": SftSpec.make("ab", ["aa", "bb"]),
+    **{f"L_{m}": l_spec(m) for m in (3, 4, 5)},
 }
 RINGS = (ZZ, Zmod(6))
 SHORT_WORDS = [w for n in range(3) for w in product(range(2), repeat=n)]
-
-
-def in_shift(point, forbidden) -> bool:
-    """``pre + per^inf`` avoids every forbidden word; every window of the
-    infinite word already occurs in this prefix."""
-    reps = max((len(f) for f in forbidden), default=0) + 2
-    return brute_forbidden_free(point.preperiod + point.period * reps, forbidden)
 
 
 def drop(point, k: int):
