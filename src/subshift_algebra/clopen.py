@@ -227,7 +227,7 @@ def merge_siblings(g: FollowerGraph, res: int, values: dict[Word, object],
         for w in values:
             parents.setdefault(w[:-1], []).append(w)
         for p, kids in parents.items():
-            children = {p + (a,) for a, _ in g.out_edges(p[-g.m:])}
+            children = set(g.extensions(p, len(p) + 1))
             if set(kids) != children or len({values[k] for k in kids}) != 1:
                 return res, values
         res -= 1

@@ -106,7 +106,7 @@ class UnknownLetter(SubshiftAlgebraError):
 
 
 class UnknownRing(SubshiftAlgebraError):
-    """A ring name is not ``z``, ``q`` or ``zmod:N`` with ``N >= 2``."""
+    """A ring name is not ``z``, ``q`` or ``zmod:N`` with ``2 <= N < MAX_MODULUS``."""
 
 
 class BadScalarForRing(SubshiftAlgebraError):

@@ -68,26 +68,30 @@ def parse_shift(text: str) -> SftSpec:
             raise ShiftParseError(f"alphabet symbol {s!r} is reserved by the word grammar",
                                   lineno, column)
     if len(set(symbols)) != len(symbols):
-        dup = next(s for i, s in enumerate(symbols) if s in symbols[:i])
-        raise DuplicateSymbol(f"duplicate alphabet symbol {dup!r}", lineno, 1)
+        dup = next(t for i, t in enumerate(tokens) if t[0] in symbols[:i])
+        raise DuplicateSymbol(f"duplicate alphabet symbol {dup[0]!r}", lineno, dup.start() + 1)
     forbidden: list[str] = []
     if len(stripped) > 1:
         lineno2, forb_line = stripped[1]
         if not forb_line.startswith("forbidden:"):
             raise ShiftParseError("expected a 'forbidden:' line", lineno2, 1)
-        body = forb_line[len("forbidden:"):].strip()
-        if body:
-            forbidden = [w.strip() for w in body.split(",")]
         if len(stripped) > 2:
             raise ShiftParseError("unexpected extra line", stripped[2][0], 1)
-        index = set(symbols)
-        for w in forbidden:
-            if not w:
-                raise IllegalForbiddenWord("empty forbidden word", lineno2, 1)
-            for ch in w:
-                if ch not in index:
-                    raise IllegalForbiddenWord(
-                        f"forbidden word {w!r} uses unknown symbol {ch!r}", lineno2, 1)
+        line = lines[lineno2 - 1]
+        start = line.index("forbidden:") + len("forbidden:")
+        if line[start:].strip():
+            for piece in line[start:].split(","):
+                w = piece.strip()
+                column = start + len(piece) - len(piece.lstrip()) + 1  # where w stands
+                start += len(piece) + 1
+                if not w:
+                    raise IllegalForbiddenWord("empty forbidden word", lineno2, column)
+                for i, ch in enumerate(w):
+                    if ch not in symbols:
+                        raise IllegalForbiddenWord(
+                            f"forbidden word {w!r} uses unknown symbol {ch!r}",
+                            lineno2, column + i)
+                forbidden.append(w)
     return SftSpec.make(symbols, forbidden)
 
 
@@ -302,17 +306,35 @@ def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:
 
 # The printed form of each tag, filled with its arguments in order.
 _FORMATS = {
-    "s": "s({})", "st": "st({})", "p": "p({})", "one": "1", "zero": "0",
-    "scale": "{}.({})", "add": "({}) + ({})", "sub": "({}) - ({})", "mul": "({}) * ({})",
-    "Z": "Z({})", "F": "F({})", "C": "C({},{})", "X": "X",
-    "not": "!({})", "and": "({}) & ({})", "or": "({}) | ({})",
+    "s": "s({})", "st": "st({})", "p": "p({})", "one": "1", "zero": "0", "scale": "{}.({})",
+    "add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "Z": "Z({})", "F": "F({})",
+    "C": "C({},{})", "X": "X", "not": "!({})", "and": "{} & {}", "or": "{} | {}",
 }
+# How tightly each chain link binds; every other node is a unit (3).
+_LEVEL = {"add": 1, "sub": 1, "or": 1, "mul": 2, "and": 2}
+
+
+def _operand(node: ExprAst, level: int, spec: SftSpec) -> str:
+    text = format_expr(node, spec)
+    return text if _LEVEL.get(node[0], 3) >= level else f"({text})"
 
 
 def format_expr(node: ExprAst, spec: SftSpec) -> str:
     """Re-emit an expression or set AST; parsing the output yields an equal
-    AST.  An argument is the scalar text, a child node or a word."""
-    parts = (a if isinstance(a, str) else
-             format_expr(a, spec) if a and isinstance(a[0], str) else
-             spec.word_to_str(a) for a in node[1:])
-    return _FORMATS[node[0]].format(*parts)
+    AST.  A left-deep chain prints flat, one link at a time, and an operand
+    is parenthesised only where its level or its place on the right needs
+    it.  An argument is the scalar text, a child node or a word."""
+    level = _LEVEL.get(node[0], 3)
+    if level == 3:
+        parts = (a if isinstance(a, str) else
+                 format_expr(a, spec) if a and isinstance(a[0], str) else
+                 spec.word_to_str(a) for a in node[1:])
+        return _FORMATS[node[0]].format(*parts)
+    links = []
+    while _LEVEL.get(node[0]) == level:
+        links.append(node)
+        node = node[1]
+    text = _operand(node, level, spec)
+    for tag, _, right in reversed(links):
+        text = _FORMATS[tag].format(text, _operand(right, level + 1, spec))
+    return text

@@ -13,15 +13,21 @@ from fractions import Fraction
 from .errors import BadScalarForRing, UnknownRing
 
 
+# The first 13 primes.  Miller-Rabin with these bases decides primality
+# exactly below MAX_MODULUS, the least strong pseudoprime to all of them
+# (Sorenson & Webster, *Math. Comp.* 86, 2017); a larger modulus is refused.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_MODULUS = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Exact for ``n < MAX_MODULUS``: deterministic Miller-Rabin."""
+    if n < 2 or any(n % p == 0 for p in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
+               for a in _BASES)
 
 
 class Ring:
@@ -121,6 +127,9 @@ class IntegerModRing(Ring):
     def __init__(self, modulus: int):
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
+        if modulus >= MAX_MODULUS:
+            raise UnknownRing(f"zmod modulus must be below {MAX_MODULUS}, "
+                              "the bound of the exact primality test")
         self.modulus = modulus
         self.name = f"zmod:{modulus}"
         self.is_domain = _is_prime(modulus)
@@ -163,7 +172,11 @@ def ring_from_name(name: str) -> Ring:
         return ZZ
     if name == "q":
         return QQ
-    modulus = name[len("zmod:"):]
-    if name.startswith("zmod:") and modulus.isdecimal() and int(modulus) >= 2:
-        return Zmod(int(modulus))
+    digits = name[len("zmod:"):]
+    if name.startswith("zmod:") and digits.isdecimal():
+        # A longer digit string is at least the bound, and never converted.
+        fits = len(digits.lstrip("0")) <= len(str(MAX_MODULUS))
+        modulus = int(digits) if fits else MAX_MODULUS
+        if modulus >= 2:
+            return Zmod(modulus)
     raise UnknownRing(f"unknown ring: {name!r} (expected z, q or zmod:N with N >= 2)")

@@ -4,10 +4,10 @@ A shift is presented by an alphabet and a finite set of forbidden words.  The
 follower graph is the standard memory-m automaton (states = legal m-blocks,
 pruned to the states of out-degree >= 1) whose infinite paths are exactly the
 points of the shift.  It decides prefix legality, i.e. non-emptiness of
-cylinders, which is what every other module builds on: a word is legal iff
-its first m-block is a state and the walk of its remaining letters through
-the graph's transition table never leaves it (Lind & Marcus, *An
-Introduction to Symbolic Dynamics and Coding*, section 3).  The forbidden
+cylinders, which is what every other module builds on.  The graph is one
+transition table with a start state, the empty word, and a word is legal iff
+its walk from the start state never leaves the table (Lind & Marcus, *An
+Introduction to Symbolic Dynamics and Coding*, section 3.2).  The forbidden
 words themselves are scanned only while the graph is built.
 """
 
@@ -88,13 +88,11 @@ class FollowerGraph:
     """Pruned memory-m transition automaton of an SFT.
 
     States are the legal m-blocks that admit an infinite continuation;
-    ``edges[(state, letter)]`` gives the successor m-block.  The states are
-    numbered in sorted order, and ``_delta[i][a]`` holds the number of the
-    successor of state ``i`` under letter ``a``, or -1 where there is no
-    edge.  Prefix legality is a walk of this table, one step per letter
-    after the first m-block; words shorter than m are looked up in the set
-    of proper prefixes of the states.  Built through
-    :func:`build_follower_graph`.
+    ``edges[(state, letter)]`` gives the successor m-block.  Every query walks
+    one table from its start state: ``_ids`` numbers the empty word (id 0),
+    the proper prefixes of the states and the states, and ``_delta[i][a]`` is
+    the id that letter ``a`` leads to from id ``i``, or -1.  A word reaches
+    the id of its last (at most m) letters.  Built by :func:`build_follower_graph`.
     """
 
     def __init__(self, spec: SftSpec, states: frozenset[Word],
@@ -104,62 +102,45 @@ class FollowerGraph:
         self.edges = edges
         self.m = spec.memory
         self.n_letters = len(spec.alphabet)
-        self._ids = {s: i for i, s in enumerate(sorted(states))}
-        self._delta: list[list[int]] = []
-        self._out: dict[Word, tuple[tuple[int, Word], ...]] = {}
-        for u in self._ids:
-            row = [-1] * self.n_letters
-            out = []
-            for a in range(self.n_letters):
-                v = edges.get((u, a))
-                if v is not None:
-                    row[a] = self._ids[v]
-                    out.append((a, v))
-            self._delta.append(row)
-            self._out[u] = tuple(out)
-        level = set(states)
-        prefixes: set[Word] = set()
-        for _ in range(self.m):
-            level = {s[:-1] for s in level}
-            prefixes |= level
-        self._prefixes = frozenset(prefixes)
+        self._ids = {OMEGA: 0}
+        self._delta = [[-1] * self.n_letters]
+        for n in range(1, self.m + 1):
+            for w in sorted({s[:n] for s in states}):
+                self._delta[self._ids[w[:-1]]][w[-1]] = len(self._ids)
+                self._ids[w] = len(self._ids)
+                self._delta.append([-1] * self.n_letters)
+        for (u, a), v in edges.items():
+            self._delta[self._ids[u]][a] = self._ids[v]
         self._legal_cache: dict[int, tuple[Word, ...]] = {}
 
-    def out_edges(self, state: Word) -> tuple[tuple[int, Word], ...]:
-        return self._out.get(state, ())
-
     def is_prefix_legal(self, w: Word) -> bool:
-        """True iff the cylinder of ``w`` is non-empty."""
-        m = self.m
-        if len(w) < m:
-            return w in self._prefixes
-        state = self._ids.get(w[:m])
+        """True iff the cylinder of ``w`` is non-empty.  The walk of the first
+        m letters is one lookup; each further letter is one table step."""
+        state = self._ids.get(w[:self.m])
         if state is None:
             return False
         delta = self._delta
-        for a in w[m:]:
+        for a in w[self.m:]:
             state = delta[state][a]
             if state < 0:
                 return False
         return True
 
     def legal_words(self, n: int) -> tuple[Word, ...]:
-        """All prefix-legal words of length ``n``, lexicographically sorted."""
+        """All prefix-legal words of length ``n``, lexicographically sorted:
+        the extensions of the empty word."""
         if n < 0:
             raise ValueError("length must be >= 0")
         if n not in self._legal_cache:
-            if n < self.m:
-                words = sorted({s[:n] for s in self.states})
-            else:
-                words = self._grow(list(self._ids.items()), n - self.m)
-            self._legal_cache[n] = tuple(words)
+            self._legal_cache[n] = tuple(self._grow(OMEGA, 0, n))
         return self._legal_cache[n]
 
-    def _grow(self, frontier: list[tuple[Word, int]], steps: int) -> list[Word]:
-        """Extend every ``(word, state id)`` pair by ``steps`` letters along
-        the table.  Letters are tried in ascending order, so a frontier in
-        lexicographic order stays in it."""
+    def _grow(self, w: Word, state: int, steps: int) -> list[Word]:
+        """Extend ``w``, which reaches id ``state``, by ``steps`` letters
+        along the table.  Letters are tried in ascending order, so the
+        result is in lexicographic order."""
         delta = self._delta
+        frontier = [(w, state)]
         for _ in range(steps):
             frontier = [(u + (a,), t)
                         for u, s in frontier
@@ -173,12 +154,7 @@ class FollowerGraph:
             raise ValueError("cannot extend to a shorter length")
         if not self.is_prefix_legal(w):
             return []
-        if len(w) >= self.m:
-            return self._grow([(w, self._ids[w[-self.m:]])], n - len(w))
-        if n < self.m:
-            return [e for e in self.legal_words(n) if e[:len(w)] == w]
-        starts = [(s, i) for s, i in self._ids.items() if s[:len(w)] == w]
-        return self._grow(starts, n - self.m)
+        return self._grow(w, self._ids[w[-self.m:]], n - len(w))
 
     def unique_extension(self, w: Word) -> EpPoint | None:
         """The single point of ``Z_w`` when the continuation is forced.
@@ -190,16 +166,16 @@ class FollowerGraph:
         if len(w) < self.m or not self.is_prefix_legal(w):
             raise ValueError("unique_extension needs a prefix-legal word of length >= memory")
         letters: list[int] = []
-        pos: dict[Word, int] = {}
-        cur = w[-self.m:]
-        while cur not in pos:
-            out = self.out_edges(cur)
+        pos: dict[int, int] = {}
+        state = self._ids[w[-self.m:]]
+        while state not in pos:
+            out = [(a, t) for a, t in enumerate(self._delta[state]) if t >= 0]
             if len(out) != 1:
                 return None
-            pos[cur] = len(letters)
-            a, cur = out[0]
+            pos[state] = len(letters)
+            a, state = out[0]
             letters.append(a)
-        j = pos[cur]
+        j = pos[state]
         return ep_normalize(w + tuple(letters[:j]), tuple(letters[j:]))
 
 
@@ -211,43 +187,26 @@ MAX_BLOCKS = 2 ** 16
 def build_follower_graph(spec: SftSpec) -> FollowerGraph:
     """Build the pruned follower automaton; raises :class:`EmptyShift` if the
     shift has no points and :class:`ShiftTooLarge` if it has more than
-    :data:`MAX_BLOCKS` m-blocks to enumerate."""
+    :data:`MAX_BLOCKS` m-blocks to enumerate.  The forbidden-free words grow
+    one letter at a time up to length m+1, each an edge from its first m-block
+    to its last; a new word's prefix has passed, so only its suffixes are
+    tested."""
     m = spec.memory
     k = len(spec.alphabet)
     if k ** m > MAX_BLOCKS:
         raise ShiftTooLarge(
             f"{k} letters with memory {m} give {k}^{m} blocks, more than {MAX_BLOCKS}")
-
-    def blocks(n: int):
-        if n == 0:
-            yield OMEGA
-            return
-        for w in blocks(n - 1):
-            for a in range(k):
-                yield w + (a,)
-
-    candidates = {w for w in blocks(m) if not _has_forbidden_factor(w, spec.forbidden)}
-    edges: dict[tuple[Word, int], Word] = {}
-    for u in candidates:
-        for a in range(k):
-            ext = u + (a,)
-            if _has_forbidden_factor(ext, spec.forbidden):
-                continue
-            v = ext[-m:]
-            if v in candidates:
-                edges[(u, a)] = v
-    # Prune to the retention fixpoint: drop states with no outgoing edge.
-    states = set(candidates)
-    changed = True
-    while changed:
-        changed = False
-        live = {u for (u, _a), v in edges.items() if v in states}
-        dead = states - live
-        if dead:
-            states -= dead
-            edges = {(u, a): v for (u, a), v in edges.items()
-                     if u in states and v in states}
-            changed = True
+    forbidden, lengths = spec.forbidden, {len(f) for f in spec.forbidden}
+    level = [OMEGA]
+    for _ in range(m + 1):
+        level = [w for w in (u + (a,) for u in level for a in range(k))
+                 if not any(w[-n:] in forbidden for n in lengths)]
+    edges = {(w[:-1], w[-1]): w[1:] for w in level}
+    # Prune to the retention fixpoint: keep the states with an outgoing edge.
+    states = None
+    while states != (live := {u for u, _a in edges}):
+        states = live
+        edges = {(u, a): v for (u, a), v in edges.items() if v in states}
     if not states:
         raise EmptyShift("all states pruned; the shift space is empty")
     return FollowerGraph(spec, frozenset(states), edges)

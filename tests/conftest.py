@@ -7,7 +7,7 @@ from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.clopen import cylinder, full_set
 from subshift_algebra.rings import ZZ
 from subshift_algebra.shift import SftSpec, build_follower_graph
-from subshift_algebra.words import OMEGA
+from subshift_algebra.words import OMEGA, ep_normalize
 
 
 @pytest.fixture(scope="session")
@@ -73,25 +73,58 @@ def l_spec(m: int) -> SftSpec:
 def brute_extends(w, forbidden, k, depth):
     """True iff the forbidden-free word w has a forbidden-free extension by
     depth letters; depth-first, abandoning a branch at its first forbidden
-    factor (forbidden-freeness is inherited by prefixes)."""
+    factor.  Forbidden-freeness is inherited by prefixes, so only the factors
+    that end at the new letter are checked."""
     if depth == 0:
         return True
-    return any(brute_forbidden_free(w + (a,), forbidden)
-               and brute_extends(w + (a,), forbidden, k, depth - 1)
-               for a in range(k))
+    return any(not any(v[-len(f):] == f for f in forbidden)
+               and brute_extends(v, forbidden, k, depth - 1)
+               for v in (w + (a,) for a in range(k)))
 
 
-def brute_legal_words(graph, n, lookahead=None):
-    """Independent language oracle: forbidden-free words of length n having a
+def brute_is_legal(spec, w, lookahead=None):
+    """Independent legality oracle: ``w`` is forbidden-free and has a
     forbidden-free extension long enough to pump (exact for every SFT)."""
-    spec = graph.spec
     k = len(spec.alphabet)
-    m = spec.memory
     if lookahead is None:
-        lookahead = m + k ** m + 1
-    return [w for w in product(range(k), repeat=n)
-            if brute_forbidden_free(w, spec.forbidden)
-            and brute_extends(w, spec.forbidden, k, lookahead)]
+        lookahead = spec.memory + k ** spec.memory + 1
+    return (brute_forbidden_free(w, spec.forbidden)
+            and brute_extends(w, spec.forbidden, k, lookahead))
+
+
+def brute_legal_words(spec, n, lookahead=None):
+    """The words of length n that :func:`brute_is_legal` accepts."""
+    return [w for w in product(range(len(spec.alphabet)), repeat=n)
+            if brute_is_legal(spec, w, lookahead)]
+
+
+def brute_follower_graph(spec):
+    """The follower graph by its definition: the states are the m-blocks of
+    the language, and each forbidden-free (m+1)-word from a state to a state
+    is an edge.  Returns ``(states, edges)``."""
+    m = spec.memory
+    states = set(brute_legal_words(spec, m))
+    edges = {(w[:-1], w[-1]): w[1:]
+             for w in product(range(len(spec.alphabet)), repeat=m + 1)
+             if w[:-1] in states and w[1:] in states
+             and brute_forbidden_free(w, spec.forbidden)}
+    return states, edges
+
+
+def brute_forced_point(spec, w):
+    """The single point of ``Z_w`` when every letter after ``w`` is the only
+    legal one, else None; ``w`` is legal and at least m long.  The point
+    closes up once its last m-block repeats."""
+    m = spec.memory
+    seen = {}
+    while w[-m:] not in seen:
+        seen[w[-m:]] = len(w)
+        nexts = [a for a in range(len(spec.alphabet)) if brute_is_legal(spec, w + (a,))]
+        if len(nexts) != 1:
+            return None
+        w += (nexts[0],)
+    j = seen[w[-m:]]
+    return ep_normalize(w[:j], w[j:])
 
 
 def words_up_to(graph, n, include_empty=True):

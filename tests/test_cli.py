@@ -18,7 +18,7 @@ from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
 from subshift_algebra.parsing import (MAX_NESTING, RESERVED_SYMBOLS, eval_expr, evaluate,
                                       format_expr, format_shift, parse_expr,
                                       parse_set, parse_shift)
-from subshift_algebra.rings import QQ, ZZ
+from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ
 from subshift_algebra.shift import build_follower_graph
 from subshift_algebra.words import OMEGA
 
@@ -69,6 +69,17 @@ def test_parse_shift_errors():
         with pytest.raises(ShiftParseError) as err:
             parse_shift(text)
         assert (err.value.line, err.value.column) == position
+    # So is an offending symbol's or forbidden word's, leading spaces included.
+    for text, error, position in (
+            ("alphabet: a b a\n", DuplicateSymbol, (1, 15)),
+            ("  alphabet:  a b a\n", DuplicateSymbol, (1, 18)),
+            ("alphabet: a b\nforbidden: aa, ac\n", IllegalForbiddenWord, (2, 17)),
+            ("alphabet: a b\n  forbidden:  aa,  ac\n", IllegalForbiddenWord, (2, 21)),
+            ("alphabet: a b\nforbidden: aa, , b\n", IllegalForbiddenWord, (2, 16)),
+            ("alphabet: a b\nforbidden: aa,\n", IllegalForbiddenWord, (2, 15))):
+        with pytest.raises(error) as err:
+            parse_shift(text)
+        assert (err.value.line, err.value.column) == position, text
 
 
 def test_shift_print_round_trip():
@@ -192,6 +203,23 @@ def test_expression_print_parse_round_trip(g_gold):
         reparsed = parse_expr(text, spec)
         assert reparsed == ast, text
         assert eval_expr(reparsed, algebra) == eval_expr(ast, algebra), text
+    # A long chain prints flat, so its printed form parses back.
+    sum_text = " - ".join(" + ".join(["s(a)", "st(b)", "2.(s(ab))"]) for _ in range(400))
+    union_text = " | ".join(["Z(a)", "Z(b) & F(a)", "!(Z(ab))"] * 400)
+    for text, parse in ((sum_text, parse_expr), (union_text, parse_set)):
+        ast = parse(text, spec)
+        assert format_expr(ast, spec) == text
+        assert _left_spine(parse(format_expr(ast, spec), spec)) == _left_spine(ast)
+
+
+def _left_spine(ast):
+    """The base and the (tag, right operand) links of a left-deep chain,
+    which compare without recursing once per link."""
+    links = []
+    while ast[0] in ("add", "sub", "or"):
+        links.append((ast[0], ast[2]))
+        ast = ast[1]
+    return [ast, *reversed(links)]
 
 
 # -- commands ---------------------------------------------------------------------------
@@ -271,9 +299,10 @@ BAD_SHIFT_FILES = {
     ["nf", COMMA_SYMBOL, "-e", "s(a)"],
     ["nf", SHIFT_PATHS["full2"], "-e", "(" * 300 + "s(a)" + ")" * 300],
     ["nf", SHIFT_PATHS["full2"], "-e", "p(" + "!" * 1000 + "X)"],
+    ["nf", SHIFT_PATHS["full2"], "-e", "1", "--ring", f"zmod:{MAX_MODULUS}"],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
         "shift-not-utf8", "word-empty", "shift-too-large", "symbol-underscore",
-        "symbol-comma", "nested-300", "not-1000"])
+        "symbol-comma", "nested-300", "not-1000", "ring-zmod-bound"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.

@@ -116,7 +116,7 @@ def covering_points(graph, n: int) -> list[EpPoint]:
     tails = [w for k in range(4) for w in product(range(2), repeat=k)]
     return [next(p for t in tails for per in tails[1:]
                  if in_shift(p := ep_normalize(w + t, per), forbidden))
-            for w in brute_legal_words(graph, n)]
+            for w in brute_legal_words(graph.spec, n)]
 
 
 @pytest.fixture(scope="module")

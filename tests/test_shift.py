@@ -1,5 +1,6 @@
 """Follower-graph construction, legality and enumeration."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge
 from subshift_algebra.shift import MAX_BLOCKS, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint
 
-from conftest import W, brute_legal_words
+from conftest import W, brute_follower_graph, brute_forced_point, brute_legal_words
 
 
 def test_golden_mean_graph(g_gold):
@@ -65,7 +66,7 @@ def test_enumerate_examples(g_gold, g_full, g_y):
 def test_enumeration_matches_brute_force(all_graphs):
     for name, g in all_graphs.items():
         for n in range(7):
-            assert list(g.legal_words(n)) == brute_legal_words(g, n), \
+            assert list(g.legal_words(n)) == brute_legal_words(g.spec, n), \
                 (name, n)
 
 
@@ -74,7 +75,7 @@ def test_enumeration_matches_one_step_oracle_on_fixtures(all_graphs):
     for g in all_graphs.values():
         for n in range(1, 7):
             assert list(g.legal_words(n)) == \
-                brute_legal_words(g, n, lookahead=g.m)
+                brute_legal_words(g.spec, n, lookahead=g.m)
 
 
 def test_deep_pruning_cascade():
@@ -86,7 +87,7 @@ def test_deep_pruning_cascade():
     assert g.is_prefix_legal((1,))          # b survives
     assert not g.is_prefix_legal((2,))      # c is pruned transitively
     assert not g.is_prefix_legal((0,))      # a dies in round one
-    assert list(g.legal_words(2)) == brute_legal_words(g, 2)
+    assert list(g.legal_words(2)) == brute_legal_words(g.spec, 2)
 
 
 DIFFERENTIAL_SHIFTS = {
@@ -105,7 +106,7 @@ def test_legality_and_extensions_match_brute_force(name):
     alphabet, forbidden = DIFFERENTIAL_SHIFTS[name]
     g = build_follower_graph(SftSpec.make(alphabet, forbidden))
     top = g.m + 3
-    language = {n: brute_legal_words(g, n) for n in range(top + 1)}
+    language = {n: brute_legal_words(g.spec, n) for n in range(top + 1)}
     for n in range(top + 1):
         legal = set(language[n])
         for w in product(range(len(alphabet)), repeat=n):
@@ -113,6 +114,40 @@ def test_legality_and_extensions_match_brute_force(name):
             for n2 in range(n, top + 1):
                 assert g.extensions(w, n2) == \
                     [e for e in language[n2] if e[:n] == w], (name, w, n2)
+
+
+def _random_specs(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        alphabet = rng.choice(["ab", "abc"])
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                     for _ in range(rng.randint(1, 4))]
+        yield SftSpec.make(alphabet, forbidden)
+
+
+def test_graph_matches_its_definition_on_random_shifts():
+    for spec in _random_specs(300, seed=7):
+        states, edges = brute_follower_graph(spec)
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            assert not states, spec
+            continue
+        assert (g.states, g.edges) == (states, edges), spec
+        top = g.m + 2
+        language = {n: brute_legal_words(spec, n) for n in range(top + 1)}
+        assert [list(g.legal_words(n)) for n in language] == list(language.values()), spec
+        for n in range(g.m + 2):
+            for w in product(range(len(spec.alphabet)), repeat=n):
+                assert g.is_prefix_legal(w) == (w in language[n]), (spec, w)
+                for n2 in range(n, top + 1):
+                    assert g.extensions(w, n2) == \
+                        [e for e in language[n2] if e[:n] == w], (spec, w, n2)
+                if n >= g.m and w in language[n]:
+                    assert g.unique_extension(w) == brute_forced_point(spec, w), (spec, w)
+                else:
+                    with pytest.raises(ValueError):
+                        g.unique_extension(w)
 
 
 def test_extensions(g_gold):
