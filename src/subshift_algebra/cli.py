@@ -222,9 +222,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_expr_values(argv: list[str]) -> list[str]:
+    """``-e VALUE`` and ``--expr VALUE`` (or an abbreviation such as
+    ``--ex``, which argparse accepts) as ``--expr=VALUE``: the value is the
+    next argument whatever it starts with, so that argparse does not take an
+    expression such as ``-3.p(X)`` for an option.  A last ``-e`` stays as it
+    is, for argparse to refuse."""
+    out, rest = [], iter(argv)
+    for arg in rest:
+        if arg == "-e" or len(arg) > 2 and "--expr".startswith(arg):
+            value = next(rest, None)
+            if value is not None:
+                arg = f"--expr={value}"
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_expr_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SubshiftAlgebraError as exc:

@@ -19,6 +19,7 @@ junction word plus membership of the tail decides everything.)
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -174,8 +175,19 @@ class ClopenSet(CoeffFn):
         return ClopenSet(g, n, (w for w in g.legal_words(n) if w not in self.coeffs))
 
     def is_subset(self, other: "ClopenSet") -> bool:
-        """Whether the difference is empty, decided without building it."""
-        return None not in self._join(other)[1]
+        """Whether the difference is empty, decided without building it and
+        without refining either set.  At least as fine as ``other``, each
+        word looks up its prefix in ``other``; coarser, each word ``w`` needs
+        all of its legal extensions to ``other``'s resolution in ``other``,
+        which holds when it has as many words below ``w`` as ``w`` has
+        extensions."""
+        if self.resolution >= other.resolution:
+            return None not in self._join(other)[1]
+        if other.graph is not self.graph:
+            raise ValueError("operands live over different shifts")
+        g, k, n = self.graph, self.resolution, other.resolution
+        below = Counter(w[:k] for w in other.coeffs)
+        return all(below[w] == g.count_extensions(w, n) for w in self.coeffs)
 
     is_empty = CoeffFn.is_zero
     __or__ = union
@@ -247,9 +259,10 @@ def empty_set(g: FollowerGraph) -> ClopenSet:
 
 
 def cylinder(g: FollowerGraph, beta: Word) -> ClopenSet:
-    """Canonical form of the cylinder ``Z_beta``; empty if ``beta`` is not
+    """The cylinder ``Z_beta``: the extensions of ``beta`` to length
+    ``max(m, |beta|)``, whose union it is exactly; empty if ``beta`` is not
     prefix-legal."""
-    n = max(g.m, len(beta)) + g.m
+    n = max(g.m, len(beta))
     return ClopenSet(g, n, g.extensions(beta, n))
 
 

@@ -119,6 +119,7 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.depth = 0  # forms open around the current position
+        self.letters = 0  # letters in the words read so far
         self.spec = spec
         self.symbol_index = {s: i for i, s in enumerate(spec.alphabet)}
 
@@ -153,6 +154,10 @@ class _Scanner:
             self.pos += 1
         if not letters:
             raise ExprSyntaxError("expected a word", start)
+        self.letters += len(letters)
+        if self.letters > MAX_WORD_LETTERS:
+            raise ExprSyntaxError(
+                f"more than {MAX_WORD_LETTERS} letters in the words of one expression", start)
         return tuple(letters)
 
     def finish(self, node: ExprAst) -> ExprAst:
@@ -216,6 +221,12 @@ def _factor(sc: _Scanner) -> ExprAst:
 # inside p(..)) and a '!' one.  MAX_NESTING bounds the open forms, so parsing
 # and evaluating stay well inside Python's recursion limit.
 MAX_NESTING = 100
+# The most letters, over all its words, that one expression or set expression
+# may hold.  The cost of a reduction grows faster than the length of its
+# words (on the golden mean shift, reducing s(w) + st(bw) takes seconds for
+# a few thousand letters of w and half a minute for 16,000), so longer input
+# is refused at the word that crosses the bound.
+MAX_WORD_LETTERS = 4096
 _term = partial(_binary, _factor, {"*": "mul"})
 _expr = partial(_binary, _term, {"+": "add", "-": "sub"})
 _SET_FORMS: dict = {}  # filled below: its forms refer back to these rules

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import (ClopenSet, CoeffFn, CycleKind, as_singleton,
-                     classify_cycle, cylinder, relative_range)
+                     classify_cycle, cylinder, merge_siblings, relative_range)
 from .errors import InternalNonzeroViolation, ZeroInput
 from .words import OMEGA, Word, ep_normalize, primitive_root
 
@@ -173,15 +173,19 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
     # First pass: per-component set factors, in chain order.  Components whose
     # coefficient function is not a scalar multiple of an indicator get
     # collapsed onto one of their cylinders (the lexicographically least
-    # support word); the rest contribute their own tail set.  The targeted
-    # component always survives its own factor, so the element stays nonzero.
+    # support word at the coarsest resolution the function allows, so that
+    # equal elements collapse alike however they are stored); the rest
+    # contribute their own tail set.  The targeted component always survives
+    # its own factor, so the element stays nonzero.
     for key in _sorted_keys(p.x):
         if key not in p.x.components:
             continue
         fn = p.x.components[key]
         if fn.scalar() is None:
-            w = min(fn.coeffs)
-            fn = CoeffFn(fn.graph, fn.resolution, {w: fn.coeffs[w]})
+            res, coeffs = merge_siblings(fn.graph, fn.resolution, fn.coeffs,
+                                         len(key[0]) + fn.graph.m)
+            w = min(coeffs)
+            fn = CoeffFn(fn.graph, res, {w: coeffs[w]})
         p.right(p.alg.gen_p(fn.tail_set(len(key[0]))), "p(common)")
     # Follower projections are subsumed: a tail cylinder of resolution >= m
     # automatically sits inside the follower set of its word, so the common
@@ -312,7 +316,8 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
 
     The set lies inside every Z_{c^n} exactly when each of its points starts
     with arbitrarily long powers of c, i.e. equals c^inf; so the infinite
-    intersection condition reduces to the exact singleton test.
+    intersection condition reduces to the exact singleton test.  Neither the
+    containment tests nor the search for the diverging block refine the set.
     """
     g = p.alg.graph
     keys = _sorted_keys(p.x)
@@ -332,12 +337,14 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
         if j > cap:
             raise InternalNonzeroViolation(
                 "bounded search exhausted; singleton test should have fired")
-    need = max(b_set.resolution, (j + 1) * len(c) + g.m)
-    refined = b_set.refine(need)
+    # The diverging block ends the least legal word of length (j+1)|c| that
+    # meets the set and is not c^(j+1): a stored word's prefix of that
+    # length, or a shorter stored word's least extension to it.
     prefix = c * (j + 1)
-    bad = sorted(w for w in refined.words if w[:len(prefix)] != prefix)
-    w0 = bad[0]
-    beta = w0[j * len(c):(j + 1) * len(c)]
+    n = len(prefix)
+    w0 = min(filter(None, (g.least_extension(w, n, prefix)
+                           for w in {w[:n] for w in b_set.words})))
+    beta = w0[j * len(c):]
     if beta == c:
         raise InternalNonzeroViolation("exit search found no diverging block")
     witness_word = c * j + beta

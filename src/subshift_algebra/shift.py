@@ -112,6 +112,8 @@ class FollowerGraph:
         for (u, a), v in edges.items():
             self._delta[self._ids[u]][a] = self._ids[v]
         self._legal_cache: dict[int, tuple[Word, ...]] = {}
+        # _walks[s][i]: the number of walks of s steps from id i.
+        self._walks = [[1] * len(self._delta)]
 
     def is_prefix_legal(self, w: Word) -> bool:
         """True iff the cylinder of ``w`` is non-empty.  The walk of the first
@@ -155,6 +157,50 @@ class FollowerGraph:
         if not self.is_prefix_legal(w):
             return []
         return self._grow(w, self._ids[w[-self.m:]], n - len(w))
+
+    def count_extensions(self, w: Word, n: int) -> int:
+        """The number of prefix-legal extensions of ``w`` to length ``n``,
+        without listing them: the walks of ``n - len(w)`` steps from the id
+        ``w`` reaches.  The counts for a number of steps are made once, for
+        every id, and kept."""
+        if n < len(w):
+            raise ValueError("cannot extend to a shorter length")
+        if not self.is_prefix_legal(w):
+            return 0
+        walks = self._walks
+        while len(walks) <= n - len(w):
+            last = walks[-1]
+            walks.append([sum(last[t] for t in row if t >= 0) for row in self._delta])
+        return walks[n - len(w)][self._ids[w[-self.m:]]]
+
+    def least_extension(self, w: Word, n: int, avoid: Word | None = None) -> Word | None:
+        """The lexicographically least prefix-legal extension of ``w`` to
+        length ``n`` other than ``avoid``, or ``None`` if there is none.
+
+        Every id has a successor, so the least word takes the least letter at
+        every step.  If that word is ``avoid``, the next one leaves it at its
+        last step that offers a larger letter, and takes least letters after."""
+        if n < len(w):
+            raise ValueError("cannot extend to a shorter length")
+        if not self.is_prefix_legal(w):
+            return None
+        delta = self._delta
+        word, state = list(w), self._ids[w[-self.m:]]
+        fork = None  # (length, letter, id) of the last step with a larger letter
+        while True:
+            while len(word) < n:
+                row = delta[state]
+                a, *larger = (b for b, t in enumerate(row) if t >= 0)
+                if larger:
+                    fork = (len(word), larger[0], row[larger[0]])
+                word.append(a)
+                state = row[a]
+            if tuple(word) != avoid:
+                return tuple(word)
+            if fork is None:
+                return None
+            k, a, state = fork
+            word[k:] = [a]  # now above ``avoid``: the next pass returns
 
     def unique_extension(self, w: Word) -> EpPoint | None:
         """The single point of ``Z_w`` when the continuation is forced.

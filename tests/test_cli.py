@@ -15,9 +15,9 @@ from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
-from subshift_algebra.parsing import (MAX_NESTING, RESERVED_SYMBOLS, eval_expr, evaluate,
-                                      format_expr, format_shift, parse_expr,
-                                      parse_set, parse_shift)
+from subshift_algebra.parsing import (MAX_NESTING, MAX_WORD_LETTERS, RESERVED_SYMBOLS,
+                                      eval_expr, evaluate, format_expr, format_shift,
+                                      parse_expr, parse_set, parse_shift)
 from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ
 from subshift_algebra.shift import build_follower_graph
 from subshift_algebra.words import OMEGA
@@ -300,9 +300,14 @@ BAD_SHIFT_FILES = {
     ["nf", SHIFT_PATHS["full2"], "-e", "(" * 300 + "s(a)" + ")" * 300],
     ["nf", SHIFT_PATHS["full2"], "-e", "p(" + "!" * 1000 + "X)"],
     ["nf", SHIFT_PATHS["full2"], "-e", "1", "--ring", f"zmod:{MAX_MODULUS}"],
+    ["reduce", SHIFT_PATHS["golden_mean"], "-e",
+     "s(a) + st(" + "a" * MAX_WORD_LETTERS + ")"],
+    ["corner", SHIFT_PATHS["y"], "--set", "Z(" + "b" * (MAX_WORD_LETTERS + 1) + ")",
+     "--word", "b", "-e", "1"],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
         "shift-not-utf8", "word-empty", "shift-too-large", "symbol-underscore",
-        "symbol-comma", "nested-300", "not-1000", "ring-zmod-bound"])
+        "symbol-comma", "nested-300", "not-1000", "ring-zmod-bound", "letters-expr",
+        "letters-set"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.
@@ -335,6 +340,34 @@ def test_deep_expressions(g_full):
         (0, "a _^-1 | 1200 aa ; 1200 ab\n", "")
     union = "p(" + " | ".join(["Z(a)"] * 1200) + ")"
     assert run_cli(["nf", SHIFT_PATHS["full2"], "-e", union]) == (0, "_ _^-1 | 1 a\n")
+
+
+def test_word_letters_bound(g_full):
+    # The words of one expression hold at most MAX_WORD_LETTERS letters; the
+    # word that crosses the bound is refused at its position.
+    head = "s(" + "a" * (MAX_WORD_LETTERS - 2) + ") * st(_) + "
+    assert parse_expr(head + "s(ab)", g_full.spec)[2] == ("s", W("ab"))
+    with pytest.raises(ExprSyntaxError, match="letters") as err:
+        parse_expr(head + "s(aba)", g_full.spec)
+    assert err.value.position == len(head) + 2
+    with pytest.raises(ExprSyntaxError, match="letters") as err:
+        parse_set("Z(a) | Z(" + "a" * MAX_WORD_LETTERS + ")", g_full.spec)
+    assert err.value.position == 9
+
+
+def test_expression_may_start_with_minus(capsys):
+    # -e takes the next argument as the expression, whatever it starts with.
+    full2 = SHIFT_PATHS["full2"]
+    for flag in ("-e", "--expr", "--ex"):
+        assert run_cli(["nf", full2, flag, "-3.p(X)"]) == (0, "_ _^-1 | -3 a ; -3 b\n")
+    assert run_cli(["reduce", full2, "-e", "-2.s(a)"]) == (0, (
+        "mu: _ a^-1 | 1 a ; 1 b\nnu: _ _^-1 | 1 a ; 1 b\nPROJ -2 {a b}@1\n"))
+    # A leading '-' that is not a scalar reaches the expression parser.
+    assert run_cli(["nf", full2, "-e", "-s(a)"]) == (2, "")
+    assert capsys.readouterr().err.startswith("error: expected s(..)")
+    with pytest.raises(SystemExit) as exc:
+        main(["nf", str(full2), "-e"])  # no value
+    assert exc.value.code == 2
 
 
 def test_console_script_runs():

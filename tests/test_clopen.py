@@ -25,8 +25,8 @@ def member(point: EpPoint, a: ClopenSet) -> bool:
 
 
 def test_cylinder_examples(g_gold):
-    assert cylinder(g_gold, W("b")).words == {W("ba")}
-    assert cylinder(g_gold, W("b")).resolution == 2
+    assert cylinder(g_gold, W("b")).words == {W("b")}
+    assert cylinder(g_gold, W("b")).resolution == 1
     assert cylinder(g_gold, OMEGA) == full_set(g_gold)
     assert cylinder(g_gold, W("bb")).is_empty()
 
@@ -153,6 +153,20 @@ def test_operations_match_point_membership(membership_setups, name, left, data):
 def test_cross_graph_operands_rejected(g_gold, g_y):
     with pytest.raises(ValueError):
         full_set(g_gold).union(full_set(g_y))
+    with pytest.raises(ValueError):
+        full_set(g_gold).is_subset(full_set(g_y).refine(3))
+
+
+def test_coarse_subset_refines_nothing(g_gold, monkeypatch):
+    # A coarser left operand is decided by counting each word's extensions
+    # in the finer set, not by refining it.
+    za = cylinder(g_gold, W("a"))
+    fines = [za.refine(n) for n in range(2, 8)]
+    monkeypatch.setattr(clopen.CoeffFn, "refine", None)
+    for fine in fines:
+        short = ClopenSet(g_gold, fine.resolution, list(fine.words)[1:])
+        assert za.is_subset(fine) and not za.is_subset(short)
+        assert not full_set(g_gold).is_subset(fine)
 
 
 # -- relative range -------------------------------------------------------------------

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from subshift_algebra.algebra import SubshiftAlgebra
+from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
 from subshift_algebra.clopen import (CycleKind, c_set, classify_cycle,
                                      cylinder, full_set, relative_range)
 from subshift_algebra.errors import InternalNonzeroViolation, ZeroInput
@@ -16,10 +16,10 @@ from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
                                         _scalar_of, _sorted_keys, embed_form,
                                         reduce, verify)
 from subshift_algebra.rings import QQ, ZZ, Zmod
-from subshift_algebra.shift import FollowerGraph
+from subshift_algebra.shift import FollowerGraph, build_follower_graph
 from subshift_algebra.words import OMEGA
 
-from conftest import W, random_nonzero_element
+from conftest import W, l_spec, random_nonzero_element
 
 
 def test_scalar_of_rejects_non_constant_component(alg_full, g_full):
@@ -404,6 +404,61 @@ def test_verify_products_refine_no_coarse_factor(alg_gold, monkeypatch):
     x = alg_gold.elem_s(W("abababab")) + alg_gold.elem_s_star(W("aabababab"))
     w = reduce(x)
     assert verify(w, x)
+
+
+def _count_extension_words(monkeypatch):
+    """A one-item list holding the number of words ``FollowerGraph.extensions``
+    returns from now on."""
+    extensions = FollowerGraph.extensions
+    produced = [0]
+
+    def counted(self, w, n):
+        out = extensions(self, w, n)
+        produced[0] += len(out)
+        return out
+
+    monkeypatch.setattr(FollowerGraph, "extensions", counted)
+    return produced
+
+
+def test_exit_search_refines_no_set(alg_gold, monkeypatch):
+    # The exit search of this input once refined its set to the diverging
+    # block, and its containment tests refined the coarser set: 121,393 and
+    # then 196,418 words, over seconds.
+    produced = _count_extension_words(monkeypatch)
+    x = alg_gold.elem_s(W("ab" * 6)) + alg_gold.elem_s_star(W("a" + "ab" * 6))
+    w = reduce(x)
+    assert verify(w, x)
+    assert produced[0] < 5_000
+
+
+def test_scaling_reduction_stays_small(monkeypatch):
+    # On L_10 (1,024 states) supports stored at m + |beta| made nu 65,040
+    # words; this reduction and its verification return about 2,300.
+    algebra = SubshiftAlgebra(build_follower_graph(l_spec(10)), ZZ)
+    x = algebra.elem_s(W("a")) + algebra.elem_s(W("bab")).scale(2) \
+        + algebra.elem_s_star(W("b"))
+    produced = _count_extension_words(monkeypatch)
+    w = reduce(x)
+    assert verify(w, x)
+    assert produced[0] < 4_600
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6)])
+def test_witness_does_not_depend_on_storage(all_graphs, ring):
+    # A component that is not a scalar multiple of an indicator collapses
+    # onto its least word at the coarsest resolution it allows, so the same
+    # element stored finer reduces to the same witness.
+    rng = random.Random(41)
+    for g in all_graphs.values():
+        algebra = SubshiftAlgebra(g, ring)
+        for _ in range(40):
+            x = random_nonzero_element(algebra, rng, max_word=2, max_terms=4)
+            y = AlgebraElement(algebra, {
+                t: fn.refine(fn.resolution + rng.randint(1, 3))
+                for t, fn in x.components.items()})
+            wx, wy = reduce(x, record_trace=True), reduce(y, record_trace=True)
+            assert (wx.mu, wx.nu, wx.form, wx.trace) == (wy.mu, wy.nu, wy.form, wy.trace)
 
 
 def test_reduce_mixed_grades(alg_gold, g_gold):

@@ -141,8 +141,13 @@ def test_graph_matches_its_definition_on_random_shifts():
             for w in product(range(len(spec.alphabet)), repeat=n):
                 assert g.is_prefix_legal(w) == (w in language[n]), (spec, w)
                 for n2 in range(n, top + 1):
-                    assert g.extensions(w, n2) == \
-                        [e for e in language[n2] if e[:n] == w], (spec, w, n2)
+                    exts = [e for e in language[n2] if e[:n] == w]
+                    assert g.extensions(w, n2) == exts, (spec, w, n2)
+                    assert g.count_extensions(w, n2) == len(exts), (spec, w, n2)
+                    for avoid in (None, *exts[:1]):
+                        rest = [e for e in exts if e != avoid]
+                        assert g.least_extension(w, n2, avoid) == \
+                            (rest[0] if rest else None), (spec, w, n2, avoid)
                 if n >= g.m and w in language[n]:
                     assert g.unique_extension(w) == brute_forced_point(spec, w), (spec, w)
                 else:
