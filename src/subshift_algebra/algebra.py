@@ -104,16 +104,23 @@ class AlgebraElement:
         for (u, v), fn in components.items():
             if u and v and u[-1] == v[-1]:
                 raise ValueError(f"component pair not reduced: {(u, v)}")
-            if fn.resolution < len(u) + g.m:
-                fn = fn.refine(len(u) + g.m)
-            coeffs = {w: c for w, c in fn.coeffs.items() if not ring.is_zero(c)}
+            k = len(u)
+            if fn.resolution < k + g.m:
+                fn = fn.refine(k + g.m)
+            coeffs = fn.coeffs
+            if any(map(ring.is_zero, coeffs.values())):
+                coeffs = {w: c for w, c in coeffs.items() if not ring.is_zero(c)}
             if not coeffs:
                 continue
+            memo = g.junctions(v)
             for w in coeffs:
-                if w[:len(u)] != u or not g.is_prefix_legal(v + w[len(u):]):
+                q = w[k:]
+                if w[:k] != u or not (q in memo or g.walk_junction(memo, v, q)):
                     raise ValueError(
                         f"support word {w} violates the W-constraint of {(u, v)}")
-            clean[(u, v)] = CoeffFn(g, fn.resolution, coeffs)
+            if coeffs is not fn.coeffs or type(fn) is not CoeffFn or fn.graph is not g:
+                fn = CoeffFn(g, fn.resolution, coeffs)
+            clean[(u, v)] = fn
         self.components = clean
 
     # -- basic structure -------------------------------------------------------

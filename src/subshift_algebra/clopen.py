@@ -111,15 +111,16 @@ class CoeffFn:
         """Support translation ``old.p -> new.p`` (the partial action on words)."""
         g = self.graph
         k = len(old)
+        memo = g.junctions(new)
         out = {}
         for w, c in self.coeffs.items():
             if w[:k] != old:
                 raise InternalNonzeroViolation(
                     f"translation prefix {old} missing from support word {w}")
-            nw = new + w[k:]
-            if not g.is_prefix_legal(nw):
-                raise InternalNonzeroViolation(f"translated word {nw} is not legal")
-            out[nw] = c
+            q = w[k:]
+            if not (q in memo or g.walk_junction(memo, new, q)):
+                raise InternalNonzeroViolation(f"translated word {new + q} is not legal")
+            out[new + q] = c
         return type(self)(g, self.resolution - k + len(new), out)
 
 
@@ -135,10 +136,11 @@ class ClopenSet(CoeffFn):
         if resolution < graph.m:
             raise ValueError("resolution must be at least the shift memory")
         coeffs = dict.fromkeys(words, True)
+        memo = graph.junctions(OMEGA)
         for w in coeffs:
             if len(w) != resolution:
                 raise ValueError("all stored words must have the resolution length")
-            if not graph.is_prefix_legal(w):
+            if not (w in memo or graph.walk_junction(memo, OMEGA, w)):
                 raise ValueError(f"stored word is not prefix-legal: {w}")
         super().__init__(graph, resolution, coeffs)
 
@@ -239,7 +241,7 @@ def merge_siblings(g: FollowerGraph, res: int, values: dict[Word, object],
         for w in values:
             parents.setdefault(w[:-1], []).append(w)
         for p, kids in parents.items():
-            children = set(g.extensions(p, len(p) + 1))
+            children = set(g.followers(p))
             if set(kids) != children or len({values[k] for k in kids}) != 1:
                 return res, values
         res -= 1
@@ -268,9 +270,11 @@ def cylinder(g: FollowerGraph, beta: Word) -> ClopenSet:
 
 def c_set(g: FollowerGraph, alpha: Word, beta: Word) -> ClopenSet:
     """The generator ``C(alpha, beta) = {beta.x in X : alpha.x in X}``."""
+    ma, mb = g.junctions(alpha), g.junctions(beta)
     return ClopenSet(g, len(beta) + g.m, (
         beta + p for p in g.legal_words(g.m)
-        if g.is_prefix_legal(alpha + p) and g.is_prefix_legal(beta + p)))
+        if (p in ma or g.walk_junction(ma, alpha, p))
+        and (p in mb or g.walk_junction(mb, beta, p))))
 
 
 def relative_range(a: ClopenSet, alpha: Word) -> ClopenSet:

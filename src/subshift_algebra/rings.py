@@ -92,6 +92,9 @@ class IntegerRing(Ring):
     def mul(self, a, b):
         return a * b
 
+    def is_zero(self, a) -> bool:
+        return not a
+
     def from_int(self, k: int):
         return k
 
@@ -148,6 +151,9 @@ class IntegerModRing(Ring):
 
     def mul(self, a, b):
         return (a * b) % self.modulus
+
+    def is_zero(self, a) -> bool:
+        return not a
 
     def from_int(self, k: int):
         return k % self.modulus

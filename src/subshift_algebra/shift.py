@@ -9,6 +9,13 @@ transition table with a start state, the empty word, and a word is legal iff
 its walk from the start state never leaves the table (Lind & Marcus, *An
 Introduction to Symbolic Dynamics and Coding*, section 3.2).  The forbidden
 words themselves are scanned only while the graph is built.
+
+Whether ``v.q`` is legal depends only on the id that ``v`` reaches and on
+``q``, so the graph keeps, per id, a memo of the m-letter tails known to be
+walkable from it (:meth:`FollowerGraph.junctions`).  A support check walks
+its common prefix once and answers each m-letter junction tail by a set
+lookup; any other tail, and a tail not yet in the memo, is walked.  The
+memo is exact, and holds at most one entry per id and legal m-block.
 """
 
 from __future__ import annotations
@@ -93,6 +100,15 @@ class FollowerGraph:
     the proper prefixes of the states and the states, and ``_delta[i][a]`` is
     the id that letter ``a`` leads to from id ``i``, or -1.  A word reaches
     the id of its last (at most m) letters.  Built by :func:`build_follower_graph`.
+
+    ``_junctions[i]`` is the set of m-letter tails ``q`` found walkable from
+    id ``i``, filled lazily by :meth:`walk_junction` and never emptied.  It is
+    exact: the walk of ``v.q`` passes through the id ``v`` reaches, so the
+    answer for ``q`` is the same after every ``v`` reaching ``i``.  A tail
+    not in the set is decided by walking it.  Only walkable tails are kept,
+    and each is a legal m-block, so the memo holds at most ``len(_delta)``
+    times the number of legal m-blocks entries, and never more than the
+    (id, tail) pairs actually queried.
     """
 
     def __init__(self, spec: SftSpec, states: frozenset[Word],
@@ -114,6 +130,7 @@ class FollowerGraph:
         self._legal_cache: dict[int, tuple[Word, ...]] = {}
         # _walks[s][i]: the number of walks of s steps from id i.
         self._walks = [[1] * len(self._delta)]
+        self._junctions: dict[int, set[Word]] = {}
 
     def is_prefix_legal(self, w: Word) -> bool:
         """True iff the cylinder of ``w`` is non-empty.  The walk of the first
@@ -127,6 +144,39 @@ class FollowerGraph:
             if state < 0:
                 return False
         return True
+
+    def junctions(self, v: Word) -> set[Word]:
+        """The junction memo of the id ``v`` reaches, walking ``v`` once: the
+        m-letter tails ``q`` known so far to make ``v.q`` legal.  A caller
+        tests each tail ``q`` of its words as
+        ``q in memo or g.walk_junction(memo, v, q)``.  An illegal ``v`` gets
+        an empty set of its own, since no tail makes ``v.q`` legal."""
+        # The walk of is_prefix_legal, inline so that a support costs one call.
+        i = self._ids.get(v[:self.m], -1)
+        for a in v[self.m:]:
+            if i < 0:
+                break
+            i = self._delta[i][a]
+        if i < 0:
+            return set()
+        memo = self._junctions.get(i)
+        if memo is None:
+            memo = self._junctions[i] = set()
+        return memo
+
+    def walk_junction(self, memo: set[Word], v: Word, q: Word) -> bool:
+        """Whether ``v.q`` is legal, by walking it: the miss path of
+        ``memo = junctions(v)``.  A legal m-letter tail is kept in ``memo``."""
+        legal = self.is_prefix_legal(v + q)
+        if legal and len(q) == self.m:
+            memo.add(q)
+        return legal
+
+    def followers(self, w: Word) -> list[Word]:
+        """The legal one-letter extensions of ``w``, which the caller knows
+        to be legal, in lexicographic order: one table row of the id ``w``
+        reaches, read without walking ``w`` again."""
+        return self._grow(w, self._ids[w[-self.m:]], 1)
 
     def legal_words(self, n: int) -> tuple[Word, ...]:
         """All prefix-legal words of length ``n``, lexicographically sorted:

@@ -107,7 +107,8 @@ class LaurentPoly:
 def _require_minimal_cycle(a: ClopenSet, c: Word):
     cc = classify_cycle(a, c)
     if cc.kind is not CycleKind.CYCLE_WITHOUT_EXIT or not cc.minimal:
-        raise NotMinimalCycle(f"({a.format()}, {c}) is not a minimal cycle without exit")
+        word = a.graph.spec.word_to_str(c)
+        raise NotMinimalCycle(f"({a.format()}, {word}) is not a minimal cycle without exit")
 
 
 def corner_project(x: AlgebraElement, a: ClopenSet) -> AlgebraElement:

@@ -1,16 +1,18 @@
 """Skew-ring arithmetic: generators, defining relations, grading, products."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from subshift_algebra.algebra import SubshiftAlgebra
+from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
 from subshift_algebra.clopen import (CoeffFn, c_set, cylinder, empty_set,
                                      full_set, relative_range)
 from subshift_algebra.errors import (BadArgument, InternalNonzeroViolation,
                                      RingMismatch)
 from subshift_algebra.rings import QQ, ZZ, Zmod
+from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
 
 from conftest import W, random_monomial_sum, words_up_to
@@ -243,6 +245,30 @@ def test_translate_rejects_illegal_result(g_gold):
     # ab -> bb leaves the golden mean shift.
     with pytest.raises(InternalNonzeroViolation):
         CoeffFn(g_gold, 2, {W("ab"): 1}).translate(W("a"), W("b"))
+
+
+def test_w_constraint_violations_raise():
+    # A component at (a, b) of the golden mean shift may hold a.p only where
+    # b.p is legal.  Each bad word follows a good one, and each is rejected
+    # with the memo of b's junctions cold and again once legal tails warm it.
+    g = build_follower_graph(SftSpec.make("ab", ["bb"]))
+    algebra = SubshiftAlgebra(g, ZZ)
+    pair = (W("a"), W("b"))
+    bad = [
+        (2, "ba"),   # not below the prefix a
+        (2, "ab"),   # the m-letter tail b: b.b is illegal
+        (3, "aba"),  # the longer tail ba: b.ba is illegal
+    ]
+    for _ in ("cold", "warm"):
+        for res, word in bad:
+            good = "a" * res
+            fn = CoeffFn(g, res, {W(good): 1, W(word): 1})
+            message = f"support word {W(word)} violates the W-constraint of {pair}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                AlgebraElement(algebra, {pair: fn})
+        warm = AlgebraElement(algebra, {pair: CoeffFn(g, 3, {W("aaa"): 1, W("aab"): 2})})
+        assert set(warm.components[pair].coeffs) == {W("aaa"), W("aab")}
+    assert g.junctions(W("b")) == {W("a")}
 
 
 def test_tail_set_rejects_non_positive_component(alg_gold):

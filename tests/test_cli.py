@@ -274,6 +274,14 @@ def test_corner_command_not_minimal_is_contract_error():
     assert code == 3
 
 
+def test_not_minimal_cycle_prints_the_word(capsys):
+    code, _ = run_cli(["corner", SHIFT_PATHS["y"], "--set", "Z(b)",
+                       "--word", "ab", "-e", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == \
+        "error: ({b}@1, ab) is not a minimal cycle without exit\n"
+
+
 NOT_UTF8 = "<shift file that is not UTF-8>"
 TOO_LARGE = "<shift file with 2^24 blocks>"
 EMPTY_WORD_SYMBOL = "<shift file with the symbol _>"

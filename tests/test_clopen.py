@@ -1,5 +1,6 @@
 """Clopen-set algebra: constructors, Boolean laws, relative ranges, cycles."""
 
+import re
 from itertools import product
 
 import pytest
@@ -51,6 +52,17 @@ def test_constructor_rejects_bad_supports(g_gold):
         ClopenSet(g_gold, 2, [W("aa"), W("a")])
     with pytest.raises(ValueError, match="not prefix-legal"):
         ClopenSet(g_gold, 2, [W("aa"), W("bb")])
+
+
+def test_illegal_stored_word_raises_cold_and_warm():
+    # a is followed by nothing and c only by a, so b is the one legal letter.
+    g = build_follower_graph(SftSpec.make("abc", ["aa", "ab", "ac", "cb", "cc"]))
+    for _ in ("cold", "warm"):
+        with pytest.raises(ValueError, match=re.escape("not prefix-legal: (0,)")):
+            ClopenSet(g, 1, [(1,), (0,)])
+        with pytest.raises(ValueError, match=re.escape("not prefix-legal: (1, 2)")):
+            ClopenSet(g, 2, [(1, 1), (1, 2)])
+    assert g.junctions(OMEGA) == {(1,)}
 
 
 def test_refine_examples(g_gold, g_full):

@@ -444,6 +444,19 @@ def test_scaling_reduction_stays_small(monkeypatch):
     assert produced[0] < 4_600
 
 
+def test_junction_memo_stays_bounded():
+    # The memo keeps legal m-letter tails only, per id of the table.
+    g = build_follower_graph(l_spec(8))
+    algebra = SubshiftAlgebra(g, ZZ)
+    x = algebra.elem_s(W("a")) + algebra.elem_s(W("bab")).scale(2) \
+        + algebra.elem_s_star(W("b"))
+    assert verify(reduce(x), x)
+    blocks = set(g.legal_words(g.m))
+    memos = g._junctions.values()
+    assert all(memo <= blocks for memo in memos)
+    assert 0 < sum(map(len, memos)) <= len(g._delta) * len(blocks)
+
+
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6)])
 def test_witness_does_not_depend_on_storage(all_graphs, ring):
     # A component that is not a scalar multiple of an indicator collapses

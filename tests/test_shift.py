@@ -9,7 +9,8 @@ from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge
 from subshift_algebra.shift import MAX_BLOCKS, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint
 
-from conftest import W, brute_follower_graph, brute_forced_point, brute_legal_words
+from conftest import (W, brute_follower_graph, brute_forced_point, brute_is_legal,
+                      brute_legal_words)
 
 
 def test_golden_mean_graph(g_gold):
@@ -126,6 +127,7 @@ def _random_specs(count, seed):
 
 
 def test_graph_matches_its_definition_on_random_shifts():
+    rng = random.Random(11)
     for spec in _random_specs(300, seed=7):
         states, edges = brute_follower_graph(spec)
         try:
@@ -153,6 +155,23 @@ def test_graph_matches_its_definition_on_random_shifts():
                 else:
                     with pytest.raises(ValueError):
                         g.unique_extension(w)
+        _check_junction_memo(g, spec, rng)
+
+
+def _check_junction_memo(g, spec, rng):
+    """The memo's answer for ``v.q`` (``|q| = m``) is legality, for random
+    prefixes ``v``, legal or not, and every tail ``q``: first with each
+    (id, tail) queried cold, then with the memo warm."""
+    letters = range(len(spec.alphabet))
+    prefixes = [OMEGA] + [tuple(rng.choice(letters) for _ in range(rng.randint(1, g.m + 2)))
+                          for _ in range(10)]
+    tails = list(product(letters, repeat=g.m))
+    legal = {v + q: brute_is_legal(spec, v + q) for v in prefixes for q in tails}
+    for _ in ("cold", "warm"):
+        for v in prefixes:
+            memo = g.junctions(v)
+            for q in tails:
+                assert (q in memo or g.walk_junction(memo, v, q)) == legal[v + q], (spec, v, q)
 
 
 def test_extensions(g_gold):
