@@ -112,10 +112,10 @@ class AlgebraElement:
                 coeffs = {w: c for w, c in coeffs.items() if not ring.is_zero(c)}
             if not coeffs:
                 continue
-            memo = g.junctions(v)
+            i, memo = g.junctions(v)
             for w in coeffs:
                 q = w[k:]
-                if w[:k] != u or not (q in memo or g.walk_junction(memo, v, q)):
+                if w[:k] != u or not (q in memo or g.walk_junction(memo, i, q)):
                     raise ValueError(
                         f"support word {w} violates the W-constraint of {(u, v)}")
             if coeffs is not fn.coeffs or type(fn) is not CoeffFn or fn.graph is not g:

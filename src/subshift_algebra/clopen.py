@@ -111,14 +111,14 @@ class CoeffFn:
         """Support translation ``old.p -> new.p`` (the partial action on words)."""
         g = self.graph
         k = len(old)
-        memo = g.junctions(new)
+        i, memo = g.junctions(new)
         out = {}
         for w, c in self.coeffs.items():
             if w[:k] != old:
                 raise InternalNonzeroViolation(
                     f"translation prefix {old} missing from support word {w}")
             q = w[k:]
-            if not (q in memo or g.walk_junction(memo, new, q)):
+            if not (q in memo or g.walk_junction(memo, i, q)):
                 raise InternalNonzeroViolation(f"translated word {new + q} is not legal")
             out[new + q] = c
         return type(self)(g, self.resolution - k + len(new), out)
@@ -136,11 +136,11 @@ class ClopenSet(CoeffFn):
         if resolution < graph.m:
             raise ValueError("resolution must be at least the shift memory")
         coeffs = dict.fromkeys(words, True)
-        memo = graph.junctions(OMEGA)
+        i, memo = graph.junctions(OMEGA)
         for w in coeffs:
             if len(w) != resolution:
                 raise ValueError("all stored words must have the resolution length")
-            if not (w in memo or graph.walk_junction(memo, OMEGA, w)):
+            if not (w in memo or graph.walk_junction(memo, i, w)):
                 raise ValueError(f"stored word is not prefix-legal: {w}")
         super().__init__(graph, resolution, coeffs)
 
@@ -241,7 +241,7 @@ def merge_siblings(g: FollowerGraph, res: int, values: dict[Word, object],
         for w in values:
             parents.setdefault(w[:-1], []).append(w)
         for p, kids in parents.items():
-            children = set(g.followers(p))
+            children = set(g.extensions(p, len(p) + 1))
             if set(kids) != children or len({values[k] for k in kids}) != 1:
                 return res, values
         res -= 1
@@ -270,21 +270,30 @@ def cylinder(g: FollowerGraph, beta: Word) -> ClopenSet:
 
 def c_set(g: FollowerGraph, alpha: Word, beta: Word) -> ClopenSet:
     """The generator ``C(alpha, beta) = {beta.x in X : alpha.x in X}``."""
-    ma, mb = g.junctions(alpha), g.junctions(beta)
+    (ia, ma), (ib, mb) = g.junctions(alpha), g.junctions(beta)
     return ClopenSet(g, len(beta) + g.m, (
         beta + p for p in g.legal_words(g.m)
-        if (p in ma or g.walk_junction(ma, alpha, p))
-        and (p in mb or g.walk_junction(mb, beta, p))))
+        if (p in ma or g.walk_junction(ma, ia, p))
+        and (p in mb or g.walk_junction(mb, ib, p))))
 
 
 def relative_range(a: ClopenSet, alpha: Word) -> ClopenSet:
-    """``r(A, alpha) = {x in X : alpha.x in A}``.  At resolution at least
-    ``len(alpha) + m`` the rule is word-wise: a stored word ``alpha.p``
-    contributes its tail ``p`` (then ``Z_p`` lies inside ``F_alpha``
-    automatically), any other word contributes nothing."""
-    k, g = len(alpha), a.graph
-    ref = a.refine(max(a.resolution, k + g.m))
-    return ClopenSet(g, ref.resolution - k, (w[k:] for w in ref.coeffs if w[:k] == alpha))
+    """``r(A, alpha) = {x in X : alpha.x in A}``, at resolution
+    ``max(m, n - len(alpha))`` for ``a`` at resolution ``n``, without
+    refining ``a``.  A stored word ``alpha.t`` contributes its tail ``t``
+    and a stored prefix of ``alpha`` the empty tail; a tail shorter than m
+    contributes its m-letter extensions ``q`` with ``alpha.q`` legal.  Any
+    other word contributes nothing."""
+    k, g, n = len(alpha), a.graph, a.resolution
+    if n < k:
+        tails = [OMEGA] if alpha[:n] in a.coeffs else []
+    else:
+        tails = [w[k:] for w in a.coeffs if w[:k] == alpha]
+    if n - k >= g.m:
+        return ClopenSet(g, n - k, tails)
+    i, memo = g.junctions(alpha)
+    return ClopenSet(g, g.m, (q for t in tails for q in g.extensions(t, g.m)
+                              if q in memo or g.walk_junction(memo, i, q)))
 
 
 def as_singleton(a: ClopenSet) -> EpPoint | None:

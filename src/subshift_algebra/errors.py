@@ -98,7 +98,8 @@ class ExprSyntaxError(SubshiftAlgebraError):
 
 class BadArgument(SubshiftAlgebraError):
     """An argument lies outside the domain of the function it was passed to
-    (an empty cycle word; a tail set of a component that is not positive)."""
+    (an empty cycle word; a tail set of a component that is not positive; a
+    self-test length bound that is negative or covers too many words)."""
 
 
 class UnknownLetter(SubshiftAlgebraError):

@@ -10,12 +10,11 @@ its walk from the start state never leaves the table (Lind & Marcus, *An
 Introduction to Symbolic Dynamics and Coding*, section 3.2).  The forbidden
 words themselves are scanned only while the graph is built.
 
-Whether ``v.q`` is legal depends only on the id that ``v`` reaches and on
-``q``, so the graph keeps, per id, a memo of the m-letter tails known to be
-walkable from it (:meth:`FollowerGraph.junctions`).  A support check walks
-its common prefix once and answers each m-letter junction tail by a set
-lookup; any other tail, and a tail not yet in the memo, is walked.  The
-memo is exact, and holds at most one entry per id and legal m-block.
+Every query takes its id from one walk, :meth:`FollowerGraph._reach`.
+Whether ``v.q`` is legal is whether ``q`` is walkable from the id ``v``
+reaches, so a support check walks its common prefix once and then only the
+tails, looking each m-letter tail up first in that id's memo of the tails
+found walkable from it (:meth:`FollowerGraph.junctions`).
 """
 
 from __future__ import annotations
@@ -101,14 +100,9 @@ class FollowerGraph:
     the id that letter ``a`` leads to from id ``i``, or -1.  A word reaches
     the id of its last (at most m) letters.  Built by :func:`build_follower_graph`.
 
-    ``_junctions[i]`` is the set of m-letter tails ``q`` found walkable from
-    id ``i``, filled lazily by :meth:`walk_junction` and never emptied.  It is
-    exact: the walk of ``v.q`` passes through the id ``v`` reaches, so the
-    answer for ``q`` is the same after every ``v`` reaching ``i``.  A tail
-    not in the set is decided by walking it.  Only walkable tails are kept,
-    and each is a legal m-block, so the memo holds at most ``len(_delta)``
-    times the number of legal m-blocks entries, and never more than the
-    (id, tail) pairs actually queried.
+    ``_junctions[i]`` holds the m-letter tails found walkable from id ``i``,
+    filled by :meth:`walk_junction` and never emptied; a tail not in it is
+    walked.
     """
 
     def __init__(self, spec: SftSpec, states: frozenset[Word],
@@ -132,51 +126,44 @@ class FollowerGraph:
         self._walks = [[1] * len(self._delta)]
         self._junctions: dict[int, set[Word]] = {}
 
-    def is_prefix_legal(self, w: Word) -> bool:
-        """True iff the cylinder of ``w`` is non-empty.  The walk of the first
-        m letters is one lookup; each further letter is one table step."""
-        state = self._ids.get(w[:self.m])
-        if state is None:
-            return False
+    def _reach(self, w: Word, state: int = 0) -> int:
+        """The id that ``w`` reaches from id ``state``, or -1 if its walk
+        leaves the table.  From the start state the first m letters are one
+        lookup; each further letter is one table step."""
+        if not state:
+            state = self._ids.get(w[:self.m], -1)
+            w = w[self.m:]
         delta = self._delta
-        for a in w[self.m:]:
-            state = delta[state][a]
+        for a in w:
             if state < 0:
-                return False
-        return True
+                return -1
+            state = delta[state][a]
+        return state
 
-    def junctions(self, v: Word) -> set[Word]:
-        """The junction memo of the id ``v`` reaches, walking ``v`` once: the
-        m-letter tails ``q`` known so far to make ``v.q`` legal.  A caller
-        tests each tail ``q`` of its words as
-        ``q in memo or g.walk_junction(memo, v, q)``.  An illegal ``v`` gets
-        an empty set of its own, since no tail makes ``v.q`` legal."""
-        # The walk of is_prefix_legal, inline so that a support costs one call.
-        i = self._ids.get(v[:self.m], -1)
-        for a in v[self.m:]:
-            if i < 0:
-                break
-            i = self._delta[i][a]
-        if i < 0:
-            return set()
+    def is_prefix_legal(self, w: Word, state: int = 0) -> bool:
+        """True iff the cylinder of ``w`` is non-empty, or with ``state``,
+        iff ``v.w`` is legal for the words ``v`` that reach that id."""
+        return self._reach(w, state) >= 0
+
+    def junctions(self, v: Word) -> tuple[int, set[Word]]:
+        """The id ``v`` reaches and that id's junction memo, walking ``v``
+        once.  A caller tests each tail ``q`` of its words as
+        ``q in memo or g.walk_junction(memo, i, q)``.  An illegal ``v``
+        gets id -1, from which no tail is walkable, so its memo stays empty."""
+        i = self._reach(v)
         memo = self._junctions.get(i)
         if memo is None:
             memo = self._junctions[i] = set()
-        return memo
+        return i, memo
 
-    def walk_junction(self, memo: set[Word], v: Word, q: Word) -> bool:
-        """Whether ``v.q`` is legal, by walking it: the miss path of
-        ``memo = junctions(v)``.  A legal m-letter tail is kept in ``memo``."""
-        legal = self.is_prefix_legal(v + q)
+    def walk_junction(self, memo: set[Word], i: int, q: Word) -> bool:
+        """Whether ``q`` is walkable from id ``i``, by walking it: the miss
+        path of ``i, memo = junctions(v)``.  A legal m-letter tail is kept
+        in ``memo``."""
+        legal = self.is_prefix_legal(q, i)
         if legal and len(q) == self.m:
             memo.add(q)
         return legal
-
-    def followers(self, w: Word) -> list[Word]:
-        """The legal one-letter extensions of ``w``, which the caller knows
-        to be legal, in lexicographic order: one table row of the id ``w``
-        reaches, read without walking ``w`` again."""
-        return self._grow(w, self._ids[w[-self.m:]], 1)
 
     def legal_words(self, n: int) -> tuple[Word, ...]:
         """All prefix-legal words of length ``n``, lexicographically sorted:
@@ -204,9 +191,8 @@ class FollowerGraph:
         lexicographically sorted."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
-        if not self.is_prefix_legal(w):
-            return []
-        return self._grow(w, self._ids[w[-self.m:]], n - len(w))
+        state = self._reach(w)
+        return self._grow(w, state, n - len(w)) if state >= 0 else []
 
     def count_extensions(self, w: Word, n: int) -> int:
         """The number of prefix-legal extensions of ``w`` to length ``n``,
@@ -215,13 +201,14 @@ class FollowerGraph:
         every id, and kept."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
-        if not self.is_prefix_legal(w):
+        state = self._reach(w)
+        if state < 0:
             return 0
         walks = self._walks
         while len(walks) <= n - len(w):
             last = walks[-1]
             walks.append([sum(last[t] for t in row if t >= 0) for row in self._delta])
-        return walks[n - len(w)][self._ids[w[-self.m:]]]
+        return walks[n - len(w)][state]
 
     def least_extension(self, w: Word, n: int, avoid: Word | None = None) -> Word | None:
         """The lexicographically least prefix-legal extension of ``w`` to
@@ -232,10 +219,11 @@ class FollowerGraph:
         last step that offers a larger letter, and takes least letters after."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
-        if not self.is_prefix_legal(w):
+        state = self._reach(w)
+        if state < 0:
             return None
         delta = self._delta
-        word, state = list(w), self._ids[w[-self.m:]]
+        word = list(w)
         fork = None  # (length, letter, id) of the last step with a larger letter
         while True:
             while len(word) < n:
@@ -259,11 +247,11 @@ class FollowerGraph:
         has out-degree exactly 1; the forced walk closes into a cycle within
         ``len(states)`` steps.
         """
-        if len(w) < self.m or not self.is_prefix_legal(w):
+        state = self._reach(w)
+        if len(w) < self.m or state < 0:
             raise ValueError("unique_extension needs a prefix-legal word of length >= memory")
         letters: list[int] = []
         pos: dict[int, int] = {}
-        state = self._ids[w[-self.m:]]
         while state not in pos:
             out = [(a, t) for a, t in enumerate(self._delta[state]) if t >= 0]
             if len(out) != 1:

@@ -8,13 +8,14 @@ spot checks backing semiprimeness over coefficient domains.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import (ClopenSet, CycleKind, accumulate, c_set, classify_cycle,
                      cylinder, empty_set, full_set)
-from .errors import (InternalNonzeroViolation, NotADomain, NotInCorner,
-                     NotMinimalCycle, ZeroInput)
+from .errors import (BadArgument, InternalNonzeroViolation, NotADomain,
+                     NotInCorner, NotMinimalCycle, ZeroInput)
 from .reduction import reduce as reduce_element
 from .rings import ZZ
 from .shift import FollowerGraph
@@ -186,6 +187,12 @@ class RelationReport:
         return "\n".join(lines)
 
 
+# The most legal words, the empty one included, that relations_selftest
+# checks; its checks grow with the square of their number, so a length bound
+# with more words is refused before any is listed.
+MAX_SELFTEST_WORDS = 32
+
+
 def relations_selftest(g: FollowerGraph, max_len: int,
                        ring=None) -> RelationReport:
     """Exhaustively check the defining relations up to the given word length.
@@ -193,8 +200,17 @@ def relations_selftest(g: FollowerGraph, max_len: int,
     Family (i): projection identities over cylinders, followers and their
     complements; family (ii): the partial-isometry identities per letter;
     family (iii): ``s_beta s_alpha^* s_alpha s_beta^* = p_{C(alpha,beta)}``
-    over all legal word pairs.
+    over all legal word pairs.  Raises :class:`BadArgument` for a negative
+    ``max_len`` and for one with more than :data:`MAX_SELFTEST_WORDS` legal
+    words up to it.
     """
+    if max_len < 0:
+        raise BadArgument(f"the word length bound must be >= 0, got {max_len}")
+    counts = itertools.accumulate(g.count_extensions(OMEGA, n) for n in range(max_len + 1))
+    # any() stops at the first length past the bound, so a huge max_len is cheap.
+    if any(count > MAX_SELFTEST_WORDS for count in counts):
+        raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
+                          f"have length at most {max_len}")
     algebra = SubshiftAlgebra(g, ring if ring is not None else ZZ)
     checks = 0
     failures: list[str] = []

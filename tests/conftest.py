@@ -70,6 +70,17 @@ def l_spec(m: int) -> SftSpec:
     return SftSpec.make("ab", ["a" * (m + 1), "b" * m + "a"])
 
 
+def random_specs(count, seed):
+    """Seeded random shifts over two or three letters, with one to four
+    forbidden words of one to four letters (memory at most 3)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        alphabet = rng.choice(["ab", "abc"])
+        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                     for _ in range(rng.randint(1, 4))]
+        yield SftSpec.make(alphabet, forbidden)
+
+
 def brute_extends(w, forbidden, k, depth):
     """True iff the forbidden-free word w has a forbidden-free extension by
     depth letters; depth-first, abandoning a branch at its first forbidden

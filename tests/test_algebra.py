@@ -268,7 +268,7 @@ def test_w_constraint_violations_raise():
                 AlgebraElement(algebra, {pair: fn})
         warm = AlgebraElement(algebra, {pair: CoeffFn(g, 3, {W("aaa"): 1, W("aab"): 2})})
         assert set(warm.components[pair].coeffs) == {W("aaa"), W("aab")}
-    assert g.junctions(W("b")) == {W("a")}
+    assert g.junctions(W("b"))[1] == {W("a")}
 
 
 def test_tail_set_rejects_non_positive_component(alg_gold):

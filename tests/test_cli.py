@@ -282,6 +282,18 @@ def test_not_minimal_cycle_prints_the_word(capsys):
         "error: ({b}@1, ab) is not a minimal cycle without exit\n"
 
 
+def test_corner_long_word_fails_fast():
+    # The cycle check takes r(A, alpha) without refining A to |alpha| + m,
+    # so a 6,000-letter word is decided at once (it took gigabytes before).
+    proc = subprocess.run(
+        [sys.executable, "-m", "subshift_algebra.cli", "corner", str(SHIFT_PATHS["full2"]),
+         "--set", "Z(b)", "--word", "ab" * 3000, "-e", "1"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 3
+    assert proc.stderr == \
+        "error: ({b}@1, %s) is not a minimal cycle without exit\n" % ("ab" * 3000)
+
+
 NOT_UTF8 = "<shift file that is not UTF-8>"
 TOO_LARGE = "<shift file with 2^24 blocks>"
 EMPTY_WORD_SYMBOL = "<shift file with the symbol _>"
@@ -312,10 +324,12 @@ BAD_SHIFT_FILES = {
      "s(a) + st(" + "a" * MAX_WORD_LETTERS + ")"],
     ["corner", SHIFT_PATHS["y"], "--set", "Z(" + "b" * (MAX_WORD_LETTERS + 1) + ")",
      "--word", "b", "-e", "1"],
+    ["selftest", SHIFT_PATHS["full2"], "--max-len", "-1"],
+    ["selftest", SHIFT_PATHS["full2"], "--max-len", "99"],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
         "shift-not-utf8", "word-empty", "shift-too-large", "symbol-underscore",
         "symbol-comma", "nested-300", "not-1000", "ring-zmod-bound", "letters-expr",
-        "letters-set"])
+        "letters-set", "selftest-negative", "selftest-too-many-words"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.

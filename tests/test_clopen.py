@@ -1,5 +1,6 @@
 """Clopen-set algebra: constructors, Boolean laws, relative ranges, cycles."""
 
+import random
 import re
 from itertools import product
 
@@ -10,11 +11,11 @@ from subshift_algebra import clopen
 from subshift_algebra.clopen import (ClopenSet, CycleKind, as_singleton,
                                      c_set, classify_cycle, cylinder,
                                      empty_set, full_set, relative_range)
-from subshift_algebra.errors import BadArgument, InternalNonzeroViolation
+from subshift_algebra.errors import BadArgument, EmptyShift, InternalNonzeroViolation
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint, ep_normalize
 
-from conftest import W, brute_legal_words, in_shift, l_spec, words_up_to
+from conftest import W, brute_legal_words, in_shift, l_spec, random_specs, words_up_to
 
 
 def member(point: EpPoint, a: ClopenSet) -> bool:
@@ -62,7 +63,7 @@ def test_illegal_stored_word_raises_cold_and_warm():
             ClopenSet(g, 1, [(1,), (0,)])
         with pytest.raises(ValueError, match=re.escape("not prefix-legal: (1, 2)")):
             ClopenSet(g, 2, [(1, 1), (1, 2)])
-    assert g.junctions(OMEGA) == {(1,)}
+    assert g.junctions(OMEGA)[1] == {(1,)}
 
 
 def test_refine_examples(g_gold, g_full):
@@ -187,6 +188,40 @@ def test_coarse_subset_refines_nothing(g_gold, monkeypatch):
 def test_relative_range_examples(g_gold):
     assert relative_range(full_set(g_gold), W("a")) == c_set(g_gold, W("a"), OMEGA)
     assert relative_range(cylinder(g_gold, W("a")), W("b")).is_empty()
+
+
+def _refining_range(a_set, alpha):
+    """``r(A, alpha)`` by its refining definition: at resolution at least
+    ``len(alpha) + m``, a stored word ``alpha.p`` contributes its tail ``p``
+    and any other word nothing."""
+    k, g = len(alpha), a_set.graph
+    ref = a_set.refine(max(a_set.resolution, k + g.m))
+    return ClopenSet(g, ref.resolution - k, (w[k:] for w in ref.coeffs if w[:k] == alpha))
+
+
+def test_relative_range_matches_its_refining_definition():
+    # Random sets at resolutions m..m+2 and words alpha that are mostly
+    # prefixes of legal words, sometimes extended past the resolution or
+    # out of the shift: same resolution, same words in the same order.
+    rng = random.Random(23)
+    pairs = 0
+    for spec in random_specs(300, seed=7):
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            continue
+        letters = range(len(spec.alphabet))
+        for _ in range(12):
+            n = rng.randint(g.m, g.m + 2)
+            words = g.legal_words(n)
+            a_set = ClopenSet(g, n, rng.sample(words, rng.randint(0, len(words))))
+            alpha = rng.choice(words)[:rng.randint(0, n)] + tuple(
+                rng.choice(letters) for _ in range(rng.randint(0, 2)))
+            got, want = relative_range(a_set, alpha), _refining_range(a_set, alpha)
+            assert (got.resolution, list(got.coeffs)) == \
+                (want.resolution, list(want.coeffs)), (spec, a_set, alpha)
+            pairs += 1
+    assert pairs > 2_000
 
 
 def test_follower_composition(all_graphs):

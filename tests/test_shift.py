@@ -10,7 +10,7 @@ from subshift_algebra.shift import MAX_BLOCKS, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint
 
 from conftest import (W, brute_follower_graph, brute_forced_point, brute_is_legal,
-                      brute_legal_words)
+                      brute_legal_words, random_specs)
 
 
 def test_golden_mean_graph(g_gold):
@@ -117,18 +117,9 @@ def test_legality_and_extensions_match_brute_force(name):
                     [e for e in language[n2] if e[:n] == w], (name, w, n2)
 
 
-def _random_specs(count, seed):
-    rng = random.Random(seed)
-    for _ in range(count):
-        alphabet = rng.choice(["ab", "abc"])
-        forbidden = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
-                     for _ in range(rng.randint(1, 4))]
-        yield SftSpec.make(alphabet, forbidden)
-
-
 def test_graph_matches_its_definition_on_random_shifts():
     rng = random.Random(11)
-    for spec in _random_specs(300, seed=7):
+    for spec in random_specs(300, seed=7):
         states, edges = brute_follower_graph(spec)
         try:
             g = build_follower_graph(spec)
@@ -159,19 +150,27 @@ def test_graph_matches_its_definition_on_random_shifts():
 
 
 def _check_junction_memo(g, spec, rng):
-    """The memo's answer for ``v.q`` (``|q| = m``) is legality, for random
-    prefixes ``v``, legal or not, and every tail ``q``: first with each
-    (id, tail) queried cold, then with the memo warm."""
+    """For random prefixes ``v``, legal or not, ``junctions(v)`` gives an id
+    from which a tail ``q`` (every m-letter one, and random ones of m+1 and
+    m+2 letters) is walkable iff ``v.q`` is legal: by
+    ``is_prefix_legal(q, i)``, and through the memo first with each (id,
+    tail) queried cold, then with the memo warm.  The memo keeps only
+    m-letter tails."""
     letters = range(len(spec.alphabet))
     prefixes = [OMEGA] + [tuple(rng.choice(letters) for _ in range(rng.randint(1, g.m + 2)))
                           for _ in range(10)]
     tails = list(product(letters, repeat=g.m))
+    for n in (g.m + 1, g.m + 2):  # as many longer tails of each length
+        tails += rng.sample(list(product(letters, repeat=n)), len(letters) ** g.m)
     legal = {v + q: brute_is_legal(spec, v + q) for v in prefixes for q in tails}
     for _ in ("cold", "warm"):
         for v in prefixes:
-            memo = g.junctions(v)
+            i, memo = g.junctions(v)
+            assert (i >= 0) == g.is_prefix_legal(v), (spec, v)
             for q in tails:
-                assert (q in memo or g.walk_junction(memo, v, q)) == legal[v + q], (spec, v, q)
+                assert g.is_prefix_legal(q, i) == legal[v + q], (spec, v, q)
+                assert (q in memo or g.walk_junction(memo, i, q)) == legal[v + q], (spec, v, q)
+            assert all(len(q) == g.m for q in memo), (spec, v)
 
 
 def test_extensions(g_gold):

@@ -8,7 +8,7 @@ from subshift_algebra import structure
 from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.clopen import (CycleClass, CycleKind, classify_cycle,
                                      cylinder, full_set)
-from subshift_algebra.errors import (InternalNonzeroViolation, NotADomain,
+from subshift_algebra.errors import (BadArgument, InternalNonzeroViolation, NotADomain,
                                      NotInCorner, NotMinimalCycle, ZeroInput)
 from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.shift import SftSpec, build_follower_graph
@@ -227,6 +227,16 @@ def test_square_nonzero_random(all_graphs):
 
 
 # -- relation suite --------------------------------------------------------------------
+
+
+def test_relations_selftest_bound(g_full, g_y):
+    # Refused before any word is listed: a negative bound, and a bound with
+    # more than MAX_SELFTEST_WORDS legal words up to it (2^6 - 1 on full2).
+    assert structure.MAX_SELFTEST_WORDS == 32
+    for g, max_len in ((g_full, -1), (g_full, 5), (g_y, 10 ** 9)):
+        with pytest.raises(BadArgument):
+            relations_selftest(g, max_len)
+    assert relations_selftest(g_y, 0).format() == "25 checks, 0 failures"
 
 
 def test_relations_selftest_clean(all_graphs):
