@@ -21,7 +21,8 @@ def show(title, algebra, x):
     for line in x.format().splitlines():
         print(f"  {line}")
     w = reduce(x, record_trace=True)
-    assert verify(w, x)
+    if not verify(w, x):
+        sys.exit(f"demo_reduction: the witness of {title!r} failed verification")
     print(f"mu:   {' ;; '.join(w.mu.format().splitlines())}")
     print(f"nu:   {' ;; '.join(w.nu.format().splitlines())}")
     print(f"form: {w.form}")

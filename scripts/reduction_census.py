@@ -58,7 +58,8 @@ def main():
         for _ in range(count):
             x = random_element(algebra, rng)
             w = reduce(x, record_trace=True)
-            assert verify(w, x)
+            if not verify(w, x):
+                sys.exit(f"reduction_census: a witness on {name} failed verification")
             longest_trace = max(longest_trace, len(w.trace))
             if isinstance(w.form, CycleForm):
                 cycles += 1

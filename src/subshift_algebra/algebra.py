@@ -3,19 +3,22 @@
 Elements are stored in the skew-ring normal form: a finitely supported map
 from reduced free-group word pairs ``(u, v)`` (meaning the group element
 ``u v^{-1}``) to coefficient functions supported on clopen sets.  The
-component at ``(u, v)`` must be supported inside ``C(v, u)``, i.e. on legal
-words ``u.p`` such that ``v.p`` is also legal.
+component at ``(u, v)`` must be supported inside ``C(v, u)``: it is stored
+as the canonical prefix code of words ``u.q`` (none shorter than ``u``), and
+each satisfies ``F(u.q) <= F(v.q)``, which for ``|q| >= m`` says that
+``v.q`` is legal.
 
 Multiplication follows the partial-action formula: to multiply a component
 ``f`` at ``s = (u, v)`` with ``g`` at ``t = (u', v')``, translate the support
-of ``f`` by ``u.p -> v.p``, multiply pointwise with ``g`` at a common
-resolution, translate back by ``v.q -> u.q``, and place the result at the
-reduced product ``s t``.  If the reduced product is not of the shape
-(positive word)(negative word)^{-1} the contribution is zero.
+of ``f`` by ``u.p -> v.p``, multiply pointwise with ``g`` on the common
+refinement of the two codes, translate back by ``v.q -> u.q``, and place the
+result at the reduced product ``s t``.  If the reduced product is not of the
+shape (positive word)(negative word)^{-1} the contribution is zero.
 
 Zero is the empty component map; because zero coefficients are purged
-eagerly, ``is_zero`` and ``equals`` are exact for every coefficient ring,
-including ones with zero divisors.
+eagerly and every component is stored canonically, ``is_zero`` and
+``equals`` are exact for every coefficient ring, including ones with zero
+divisors.
 
 This module keeps the arithmetic of the index pairs; the coefficient
 functions (``clopen.CoeffFn``) and their operations live in ``clopen``.
@@ -66,16 +69,15 @@ class SubshiftAlgebra:
     def gen_p(self, a: ClopenSet) -> "AlgebraElement":
         if a.graph is not self.graph:
             raise RingMismatch("clopen set belongs to a different shift")
-        fn = CoeffFn(a.graph, a.resolution, dict.fromkeys(a.coeffs, self.ring.one()))
+        fn = CoeffFn(a.graph, dict.fromkeys(a.coeffs, self.ring.one()))
         return AlgebraElement(self, {(OMEGA, OMEGA): fn})
 
     def elem_s(self, alpha: Word) -> "AlgebraElement":
-        """The monomial ``s_alpha`` (``s_omega`` is the unit)."""
-        if alpha == OMEGA:
-            return self.one()
-        g = self.graph
-        n = len(alpha) + g.m
-        fn = CoeffFn(g, n, dict.fromkeys(g.extensions(alpha, n), self.ring.one()))
+        """The monomial ``s_alpha``, one entry ``alpha`` (``s_omega`` is the
+        unit); zero if ``alpha`` is not legal."""
+        if not self.graph.is_prefix_legal(alpha):
+            return self.zero()
+        fn = CoeffFn(self.graph, {alpha: self.ring.one()})
         return AlgebraElement(self, {(alpha, OMEGA): fn})
 
     def elem_s_star(self, beta: Word) -> "AlgebraElement":
@@ -94,32 +96,46 @@ class SubshiftAlgebra:
 
 
 class AlgebraElement:
-    """An element in canonical skew-ring form.  Immutable by convention."""
+    """An element in canonical skew-ring form: each component is stored as
+    its canonical prefix code, with ``u`` as the floor of the component at
+    ``(u, v)``.  Immutable by convention."""
 
     def __init__(self, algebra: SubshiftAlgebra, components: dict[Pair, CoeffFn]):
         self.algebra = algebra
-        g = algebra.graph
+        g, m = algebra.graph, algebra.graph.m
         ring = algebra.ring
         clean: dict[Pair, CoeffFn] = {}
         for (u, v), fn in components.items():
             if u and v and u[-1] == v[-1]:
                 raise ValueError(f"component pair not reduced: {(u, v)}")
-            k = len(u)
-            if fn.resolution < k + g.m:
-                fn = fn.refine(k + g.m)
             coeffs = fn.coeffs
             if any(map(ring.is_zero, coeffs.values())):
                 coeffs = {w: c for w, c in coeffs.items() if not ring.is_zero(c)}
             if not coeffs:
                 continue
+            k = len(u)
             i, memo = g.junctions(v)
+            tails = None
             for w in coeffs:
                 q = w[k:]
-                if w[:k] != u or not (q in memo or g.walk_junction(memo, i, q)):
+                if w[:k] != u:
+                    ok = False
+                elif len(q) >= m:
+                    ok = q in memo or g.walk_junction(memo, i, q)
+                else:
+                    if tails is None:
+                        i_u, tails = g.tails(u, i)
+                    code = tails.get(q)
+                    ok = code if code is not None else g.tail_code(tails, i_u, i, q)
+                if not ok:
                     raise ValueError(
                         f"support word {w} violates the W-constraint of {(u, v)}")
+            # A merge needs a full family of stored words: several words, or
+            # one below u that is the only legal child of its parent.
+            if len(coeffs) > 1 or len(w) > k and g.out_degree[w[:-1][-m:]] == 1:
+                coeffs = merge_siblings(g, coeffs, k)
             if coeffs is not fn.coeffs or type(fn) is not CoeffFn or fn.graph is not g:
-                fn = CoeffFn(g, fn.resolution, coeffs)
+                fn = CoeffFn(g, coeffs)
             clean[(u, v)] = fn
         self.components = clean
 
@@ -171,7 +187,7 @@ class AlgebraElement:
     def _map_values(self, f) -> "AlgebraElement":
         """``f`` applied to every coefficient value; zero values are dropped."""
         return AlgebraElement(self.algebra, {
-            t: CoeffFn(fn.graph, fn.resolution, {w: f(c) for w, c in fn.coeffs.items()})
+            t: CoeffFn(fn.graph, {w: f(c) for w, c in fn.coeffs.items()})
             for t, fn in self.components.items()})
 
     def negate(self) -> "AlgebraElement":
@@ -185,12 +201,15 @@ class AlgebraElement:
         component pairs of ``self * other``, in the order of the pairs."""
         ring = self.algebra.ring
         for (u, v), f in self.components.items():
+            moved = None  # f translated by u.p -> v.p, made once
             for (u2, v2), h in other.components.items():
                 k = _common_prefix_len(v, u2)
                 v1, u21 = v[k:], u2[k:]
                 if v1 and u21:
                     continue  # product index leaves the (pos)(neg)^-1 family
-                prod = f.translate(u, v).times(h, ring)
+                if moved is None:
+                    moved = f.translate(u, v)
+                prod = moved.times(h, ring)
                 if prod.is_zero():
                     continue
                 if not v1:
@@ -238,7 +257,7 @@ class AlgebraElement:
         lines = []
         for (u, v) in sorted(self.components):
             fn = self.components[(u, v)]
-            _, coeffs = merge_siblings(g, fn.resolution, fn.coeffs, len(u) + g.m)
+            coeffs = fn.at_length(max(len(u) + g.m, fn.longest()))
             body = " ; ".join(
                 f"{ring.format(coeffs[w])} {spec.word_to_str(w)}"
                 for w in sorted(coeffs))

@@ -1,25 +1,31 @@
 """Coefficient functions and clopen sets of a shift of finite type: the one
 home of the support representation.
 
-A support is a :class:`CoeffFn`: prefix-legal words of one length, the
-resolution, each standing for its cylinder, mapped to values.  A clopen set
-is the Boolean-valued coefficient function (:class:`ClopenSet`, its one
-value ``True``): union is the sum, intersection the product, and difference
-the product's prefix-lookup join keeping what the other set misses.  So
-refinement, the common resolution and the join exist once, in ``CoeffFn``.
+A support is a :class:`CoeffFn`: a prefix code of legal words, each standing
+for its cylinder, mapped to nonzero values.  It is kept canonical: the
+shortest words on whose cylinders the function is constant, so that no full
+family of legal siblings shares one value above a floor (the word ``u`` of a
+component at ``(u, v)``; a set has none).  :func:`merge_siblings` is the one
+normaliser, and equal functions have equal dicts.  A clopen set is the
+Boolean-valued coefficient function (:class:`ClopenSet`, its one value
+``True``): union is the sum, intersection the product, and difference the
+part of the common refinement that the other set misses.  So the common
+refinement of two codes (:meth:`CoeffFn._overlay`) exists once, in
+``CoeffFn``, and refines no operand past the finer of its words.
 
-The cornerstone identity making this complete for memory-m shifts: with
-``|p| = m``, the set ``C(alpha, beta) = {beta.x in X : alpha.x in X}`` equals
-the union of the cylinders ``Z_{beta.p}`` over all junctions ``p`` such that
-``alpha.p`` and ``beta.p`` are prefix-legal.  (Windows of length m+1 in
-``alpha.x`` either sit inside ``alpha.p`` or inside ``x``, so legality of the
-junction word plus membership of the tail decides everything.)
+Follower sets decide how coarse a word may be (Lind & Marcus, *An
+Introduction to Symbolic Dynamics and Coding*, section 3.2).  A word
+``alpha.t`` with ``|t| >= m`` has the follower set of its last m letters, so
+``{x : alpha.x in Z_{alpha.t}}`` is the cylinder ``Z_t``; a shorter ``t``
+gives only ``t.F(alpha.t)``, the words ``t.s`` for ``s`` in the code of
+``F(alpha.t) & F(t)`` (:meth:`FollowerGraph.follower_code`).  In the same
+way ``C(alpha, beta) = {beta.x in X : alpha.x in X}`` is ``beta`` followed
+by the code of ``F(alpha) & F(beta)``.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -31,14 +37,16 @@ from .words import OMEGA, EpPoint, Word, ep_normalize, is_minimal_cycle_word
 
 @dataclass(slots=True)
 class CoeffFn:
-    """A locally constant function: resolution-N prefix-legal words mapped
-    to nonzero values, constant on each word's cylinder and zero off the
-    stored words.  Immutable by convention: a frozen dataclass is built
-    several times slower, on ``mul``'s hot path.  Results are built by
-    ``type(self)``, so a set's are sets (a map iterates as its words)."""
+    """A locally constant function: a prefix code of legal words mapped to
+    nonzero values, constant on each word's cylinder and zero off the
+    stored words.  Sets and the components of algebra elements hold it in
+    canonical form (:func:`merge_siblings`); the operations below return
+    prefix codes that those holders normalise.  Immutable by convention: a
+    frozen dataclass is built several times slower, on ``mul``'s hot path.
+    Results are built by ``type(self)``, so a set's are sets (a map iterates
+    as its words)."""
 
     graph: FollowerGraph
-    resolution: int
     coeffs: dict[Word, object]
 
     def is_zero(self) -> bool:
@@ -49,79 +57,165 @@ class CoeffFn:
         vals = set(self.coeffs.values())
         return vals.pop() if len(vals) == 1 else None
 
+    def longest(self) -> int:
+        """The length of the longest stored word (0 for none)."""
+        return max(map(len, self.coeffs), default=0)
+
     def support(self) -> "ClopenSet":
-        return ClopenSet(self.graph, self.resolution, self.coeffs)
+        return ClopenSet(self.graph, self.coeffs)
 
     def tail_set(self, k: int) -> "ClopenSet":
-        """The tails ``p`` of the support words ``u.p`` whose common prefix
-        ``u`` has length ``k``, i.e. ``r(support, u)``."""
-        return ClopenSet(self.graph, self.resolution - k, (w[k:] for w in self.coeffs))
-
-    def refine(self, n: int) -> "CoeffFn":
-        """The same function stored at resolution ``n``, never a lower one."""
-        if n == self.resolution:
-            return self
-        if n < self.resolution:
-            raise ValueError("refinement cannot lower the resolution")
+        """The tails ``x`` of the points ``u.x`` of the support, whose words
+        share the prefix ``u`` of length ``k``: ``r(support, u)``.  A word
+        ``u.p`` gives ``p`` when ``|p| >= m`` and ``p`` followed by the code
+        of ``F(u.p) & F(p)`` otherwise."""
         g = self.graph
-        return type(self)(g, n, {e: c for w, c in self.coeffs.items()
-                                 for e in g.extensions(w, n)})
+        words = []
+        u = None
+        for w in self.coeffs:
+            p = w[k:]
+            if len(p) >= g.m:
+                words.append(p)
+                continue
+            if w[:k] != u:
+                u = w[:k]
+                i, tails = g.tails(u, 0)
+            code = tails.get(p)
+            if code is None:
+                code = g.tail_code(tails, i, 0, p)
+            words.extend(p + t for t in code)
+        return ClopenSet(g, words)
 
-    def common(self, other: "CoeffFn") -> tuple["CoeffFn", "CoeffFn"]:
-        """Both functions at the larger of their resolutions."""
-        if other.graph is not self.graph:
-            raise ValueError("operands live over different shifts")
-        n = max(self.resolution, other.resolution)
-        return self.refine(n), other.refine(n)
+    def at_length(self, n: int) -> dict[Word, object]:
+        """The function on the legal words of length ``n``, at least the
+        longest stored word: the printed form."""
+        g = self.graph
+        return {e: c for w, c in self.coeffs.items() for e in g.extensions(w, n)}
 
     def equals(self, other: "CoeffFn") -> bool:
-        a, b = self.common(other)
-        return a.coeffs == b.coeffs
-
-    def _join(self, other: "CoeffFn"):
-        """``self``, refined only where ``other`` is finer, and the values of
-        ``other`` on its words' cylinders in order (``None`` off the support),
-        each looked up by the word's prefix, so ``other`` is never refined."""
         if other.graph is not self.graph:
             raise ValueError("operands live over different shifts")
-        k = other.resolution
-        fine = self.refine(max(self.resolution, k))
-        return fine, map(other.coeffs.get, map(operator.itemgetter(slice(k)), fine.coeffs))
+        return self.coeffs == other.coeffs
+
+    def _overlay(self, other: "CoeffFn", left: bool = False, right: bool = False):
+        """The common refinement of two codes as a list of ``(word, value,
+        other value)``.  Where two words are comparable the finer one is
+        listed, with both values.  With ``left`` (``right``) the words
+        covering what only ``self`` (``other``) covers follow, with ``None``
+        for the missing value: a word with none of the other's words below
+        it as it is, and one with finer words below it carved around them
+        (:func:`_carve`).  Nothing is refined further."""
+        g, a, b = self.graph, self.coeffs, other.coeffs
+        if other.graph is not g:
+            raise ValueError("operands live over different shifts")
+        if len(a) == 1 and len(b) == 1 and not (left or right):  # the common case
+            (wa, x), = a.items()
+            (wb, y), = b.items()
+            if wb[:len(wa)] == wa:
+                return [(wb, x, y)]
+            return [(wa, x, y)] if wa[:len(wb)] == wb else []
+        # The word of the other code that is a prefix of w, or w itself, is
+        # w[:k] for one of its lengths k (w[:k] is w for k >= len(w)).
+        a_lengths = sorted(set(map(len, a)))
+        b_lengths = sorted(set(map(len, b)))
+        below_a: dict[Word, list[Word]] = {}  # an a-word -> the b-words below it
+        below_b: dict[Word, list[Word]] = {}
+        out, b_only = [], []
+        for w, y in b.items():
+            for k in a_lengths:
+                c = w[:k]
+                if c in a:
+                    break
+            else:
+                b_only.append(w)
+                continue
+            out.append((w, a[c], y))
+            if c != w:
+                below_a.setdefault(c, []).append(w)
+        for w, x in a.items():
+            for k in b_lengths:
+                c = w[:k]
+                if c in b:
+                    break
+            else:
+                c = None
+            if c is None:
+                if left:
+                    if w in below_a:
+                        out.extend((r, x, None) for r in _carve(g, w, below_a[w]))
+                    else:
+                        out.append((w, x, None))
+            elif c != w:
+                out.append((w, x, b[c]))
+                below_b.setdefault(c, []).append(w)
+        if right:
+            for w in b_only:
+                y = b[w]
+                if w in below_b:
+                    out.extend((r, None, y) for r in _carve(g, w, below_b[w]))
+                else:
+                    out.append((w, None, y))
+        return out
 
     def add(self, other: "CoeffFn", ring) -> "CoeffFn":
         """The sum, without its zero values."""
-        a, b = self.common(other)
-        return type(self)(self.graph, a.resolution, accumulate(
-            dict(a.coeffs), b.coeffs.items(), ring.add, ring.is_zero))
+        out = {}
+        for w, x, y in self._overlay(other, left=True, right=True):
+            s = y if x is None else x if y is None else ring.add(x, y)
+            if not ring.is_zero(s):
+                out[w] = s
+        return type(self)(self.graph, out)
 
     def times(self, other: "CoeffFn", ring) -> "CoeffFn":
-        """The pointwise product, without its zero values: the finer operand
-        joined with the coarser one, which is never refined."""
-        fine, coarse = (self, other) if self.resolution >= other.resolution else (other, self)
-        fine, values = fine._join(coarse)
+        """The pointwise product, without its zero values."""
         prod = {}
-        for (w, c), d in zip(fine.coeffs.items(), values):
-            if d is not None:
-                p = ring.mul(c, d)
-                if not ring.is_zero(p):
-                    prod[w] = p
-        return type(self)(self.graph, fine.resolution, prod)
+        for w, x, y in self._overlay(other):
+            p = ring.mul(x, y)
+            if not ring.is_zero(p):
+                prod[w] = p
+        return type(self)(self.graph, prod)
 
     def translate(self, old: Word, new: Word) -> "CoeffFn":
-        """Support translation ``old.p -> new.p`` (the partial action on words)."""
+        """Support translation ``old.p -> new.p`` (the partial action on
+        words) of a function supported in ``C(new, old)``.  A word
+        ``old.q`` with ``|q| >= m`` goes to ``new.q``; a shorter ``q`` to
+        ``new.q`` followed by the code of ``F(old.q) & F(new.q)``, which is
+        all of ``F(old.q)``."""
         g = self.graph
         k = len(old)
         i, memo = g.junctions(new)
+        tails = None
         out = {}
         for w, c in self.coeffs.items():
             if w[:k] != old:
                 raise InternalNonzeroViolation(
                     f"translation prefix {old} missing from support word {w}")
             q = w[k:]
-            if not (q in memo or g.walk_junction(memo, i, q)):
-                raise InternalNonzeroViolation(f"translated word {new + q} is not legal")
-            out[new + q] = c
-        return type(self)(g, self.resolution - k + len(new), out)
+            if len(q) >= g.m:
+                if not (q in memo or g.walk_junction(memo, i, q)):
+                    raise InternalNonzeroViolation(f"translated word {new + q} is not legal")
+                out[new + q] = c
+                continue
+            if tails is None:
+                i_old, tails = g.tails(old, i)
+            code = tails.get(q)
+            if code is None:
+                code = g.tail_code(tails, i_old, i, q)
+            if code is False:
+                raise InternalNonzeroViolation(
+                    f"translated word {new + q} does not follow all that {w} does")
+            for t in code:
+                out[new + q + t] = c
+        return type(self)(g, out)
+
+
+def _carve(g: FollowerGraph, w: Word, below: list[Word]) -> list[Word]:
+    """The words covering ``Z_w`` minus the cylinders of ``below``, proper
+    extensions of ``w`` that form a prefix code: at each word on the way from
+    ``w`` to them, the legal letters off their paths."""
+    path = {s[:n] for s in below for n in range(len(w), len(s))}
+    inside = path.union(below)
+    return [p + (a,) for p in path for a in g.letters(p) if p + (a,) not in inside]
 
 
 # An indicator's values: "or" adds, "and" multiplies, only True is stored.
@@ -129,28 +223,24 @@ _BOOLEANS = SimpleNamespace(add=operator.or_, mul=operator.and_, is_zero=operato
 
 
 class ClopenSet(CoeffFn):
-    """A clopen set: its indicator, ``True`` on the stored words.  Equality
-    is semantic, so sets are not hashable."""
+    """A clopen set: its indicator, ``True`` on the stored words, built from
+    any prefix code of legal words and stored canonically.  Equality is
+    semantic, so sets are not hashable."""
 
-    def __init__(self, graph: FollowerGraph, resolution: int, words):
-        if resolution < graph.m:
-            raise ValueError("resolution must be at least the shift memory")
+    def __init__(self, graph: FollowerGraph, words):
         coeffs = dict.fromkeys(words, True)
         i, memo = graph.junctions(OMEGA)
+        lengths = sorted(set(map(len, coeffs)))
         for w in coeffs:
-            if len(w) != resolution:
-                raise ValueError("all stored words must have the resolution length")
             if not (w in memo or graph.walk_junction(memo, i, w)):
                 raise ValueError(f"stored word is not prefix-legal: {w}")
-        super().__init__(graph, resolution, coeffs)
+            if len(lengths) > 1 and any(w[:k] in coeffs for k in lengths if k < len(w)):
+                raise ValueError(f"stored words are not a prefix code: {w}")
+        super().__init__(graph, merge_siblings(graph, coeffs, 0))
 
     @property
     def words(self):  # a read-only set view
         return self.coeffs.keys()
-
-    def refine(self, n: int) -> "ClopenSet":
-        # Its own entry: perfbench's tracer counts set refinements by name.
-        return super().refine(n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClopenSet):
@@ -168,28 +258,16 @@ class ClopenSet(CoeffFn):
         return self.times(other, _BOOLEANS)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        fine, values = self._join(other)
-        return ClopenSet(self.graph, fine.resolution,
-                         [w for w, d in zip(fine.coeffs, values) if d is None])
+        return ClopenSet(self.graph, [w for w, _x, y in self._overlay(other, left=True)
+                                      if y is None])
 
     def complement(self) -> "ClopenSet":
-        g, n = self.graph, self.resolution
-        return ClopenSet(g, n, (w for w in g.legal_words(n) if w not in self.coeffs))
+        g = self.graph
+        return ClopenSet(g, _carve(g, OMEGA, list(self.coeffs)) if self.coeffs else [OMEGA])
 
     def is_subset(self, other: "ClopenSet") -> bool:
-        """Whether the difference is empty, decided without building it and
-        without refining either set.  At least as fine as ``other``, each
-        word looks up its prefix in ``other``; coarser, each word ``w`` needs
-        all of its legal extensions to ``other``'s resolution in ``other``,
-        which holds when it has as many words below ``w`` as ``w`` has
-        extensions."""
-        if self.resolution >= other.resolution:
-            return None not in self._join(other)[1]
-        if other.graph is not self.graph:
-            raise ValueError("operands live over different shifts")
-        g, k, n = self.graph, self.resolution, other.resolution
-        below = Counter(w[:k] for w in other.coeffs)
-        return all(below[w] == g.count_extensions(w, n) for w in self.coeffs)
+        """Whether the difference is empty, decided without building it."""
+        return all(y is not None for _w, _x, y in self._overlay(other, left=True))
 
     is_empty = CoeffFn.is_zero
     __or__ = union
@@ -198,19 +276,13 @@ class ClopenSet(CoeffFn):
 
     # -- presentation ---------------------------------------------------------
 
-    def compact(self, floor: int | None = None) -> "ClopenSet":
-        """The same set with full sibling families merged while every word's
-        family is full, at one resolution of at least ``floor`` (default m)."""
-        g = self.graph
-        floor = g.m if floor is None else max(floor, g.m)
-        res, words = merge_siblings(g, self.resolution, self.coeffs, floor)
-        return ClopenSet(g, res if words else floor, words)
-
     def format(self) -> str:
-        c = self.compact()
+        """The words at one length, the memory or the longest stored word,
+        and that length."""
         spec = self.graph.spec
-        body = " ".join(spec.word_to_str(w) for w in sorted(c.words))
-        return "{%s}@%d" % (body, c.resolution)
+        n = max(self.graph.m, self.longest())
+        body = " ".join(spec.word_to_str(w) for w in sorted(self.at_length(n)))
+        return "{%s}@%d" % (body, n)
 
     def __repr__(self):
         return f"ClopenSet({self.format()})"
@@ -229,71 +301,91 @@ def accumulate(out: dict, items, add, is_zero) -> dict:
     return out
 
 
-def merge_siblings(g: FollowerGraph, res: int, values: dict[Word, object],
-                   floor: int) -> tuple[int, dict[Word, object]]:
-    """Coarsen a function given on the resolution-``res`` words one level at
-    a time, as long as every word's sibling family (its parent's legal
-    one-letter extensions) is fully present with one common value; never
-    below ``floor``.  A set is the constant map.  Returns the new resolution
-    and the map at it."""
-    while res > floor and values:
-        parents: dict[Word, list[Word]] = {}
-        for w in values:
-            parents.setdefault(w[:-1], []).append(w)
-        for p, kids in parents.items():
-            children = set(g.extensions(p, len(p) + 1))
-            if set(kids) != children or len({values[k] for k in kids}) != 1:
-                return res, values
-        res -= 1
-        values = {p: values[kids[0]] for p, kids in parents.items()}
-    return res, values
+def merge_siblings(g: FollowerGraph, values: dict[Word, object],
+                   floor: int) -> dict[Word, object]:
+    """The canonical form of a function given on a prefix code: every full
+    family of legal siblings (a word's legal one-letter extensions, all
+    stored) with one common value is replaced by the word, at any depth and
+    again for the families that this completes, but never by a word shorter
+    than ``floor``.  A set is the constant map.  Returns ``values`` itself
+    when nothing merges."""
+    degree, m = g.out_degree, g.m
+    if len(values) == 1:  # the common case: a word merges while it is an only child
+        (w, c), = values.items()
+        n = len(w)
+        while n > floor and degree[w[:n - 1][-m:]] == 1:
+            n -= 1
+        return values if n == len(w) else {w[:n]: c}
+    family: dict[Word, int] = {}  # a word -> the number of its stored children
+    for w in values:
+        if len(w) > floor:
+            p = w[:-1]
+            family[p] = family.get(p, 0) + 1
+    full = [p for p, n in family.items() if n == degree[p[-m:]]]
+    if not full:
+        return values
+    out = dict(values)
+    while full:
+        p = full.pop()
+        kids = [p + (a,) for a in range(g.n_letters) if p + (a,) in out]
+        c = out[kids[0]]
+        if any(out[w] != c for w in kids):
+            continue
+        for w in kids:
+            del out[w]
+        out[p] = c
+        if len(p) > floor:
+            q = p[:-1]
+            family[q] = family.get(q, 0) + 1
+            if family[q] == degree[q[-m:]]:
+                full.append(q)
+    return out
 
 
 # -- constructors -------------------------------------------------------------
 
 
 def full_set(g: FollowerGraph) -> ClopenSet:
-    return ClopenSet(g, g.m, g.legal_words(g.m))
+    return ClopenSet(g, [OMEGA])
 
 
 def empty_set(g: FollowerGraph) -> ClopenSet:
-    return ClopenSet(g, g.m, ())
+    return ClopenSet(g, ())
 
 
 def cylinder(g: FollowerGraph, beta: Word) -> ClopenSet:
-    """The cylinder ``Z_beta``: the extensions of ``beta`` to length
-    ``max(m, |beta|)``, whose union it is exactly; empty if ``beta`` is not
-    prefix-legal."""
-    n = max(g.m, len(beta))
-    return ClopenSet(g, n, g.extensions(beta, n))
+    """The cylinder ``Z_beta``; empty if ``beta`` is not prefix-legal."""
+    return ClopenSet(g, [beta] if g.is_prefix_legal(beta) else ())
 
 
 def c_set(g: FollowerGraph, alpha: Word, beta: Word) -> ClopenSet:
     """The generator ``C(alpha, beta) = {beta.x in X : alpha.x in X}``."""
-    (ia, ma), (ib, mb) = g.junctions(alpha), g.junctions(beta)
-    return ClopenSet(g, len(beta) + g.m, (
-        beta + p for p in g.legal_words(g.m)
-        if (p in ma or g.walk_junction(ma, ia, p))
-        and (p in mb or g.walk_junction(mb, ib, p))))
+    return ClopenSet(g, [beta + t for t in g.follower_code(g.reach(alpha), g.reach(beta))])
 
 
 def relative_range(a: ClopenSet, alpha: Word) -> ClopenSet:
-    """``r(A, alpha) = {x in X : alpha.x in A}``, at resolution
-    ``max(m, n - len(alpha))`` for ``a`` at resolution ``n``, without
-    refining ``a``.  A stored word ``alpha.t`` contributes its tail ``t``
-    and a stored prefix of ``alpha`` the empty tail; a tail shorter than m
-    contributes its m-letter extensions ``q`` with ``alpha.q`` legal.  Any
-    other word contributes nothing."""
-    k, g, n = len(alpha), a.graph, a.resolution
-    if n < k:
-        tails = [OMEGA] if alpha[:n] in a.coeffs else []
-    else:
-        tails = [w[k:] for w in a.coeffs if w[:k] == alpha]
-    if n - k >= g.m:
-        return ClopenSet(g, n - k, tails)
-    i, memo = g.junctions(alpha)
-    return ClopenSet(g, g.m, (q for t in tails for q in g.extensions(t, g.m)
-                              if q in memo or g.walk_junction(memo, i, q)))
+    """``r(A, alpha) = {x in X : alpha.x in A}``, without refining ``A``.
+    A stored word ``alpha.t`` contributes ``t`` followed by the code of
+    ``F(alpha.t) & F(t)`` (``t`` itself when ``|t| >= m``), and a stored
+    proper prefix of ``alpha`` the code of ``F(alpha)``.  Any other word
+    contributes nothing."""
+    g, k = a.graph, len(alpha)
+    i, tails = g.tails(alpha, 0)
+    words = []
+    for w in a.coeffs:
+        if len(w) < k:
+            if alpha[:len(w)] == w:
+                words.extend(g.follower_code(i, 0))
+        elif w[:k] == alpha:
+            t = w[k:]
+            if len(t) >= g.m:
+                words.append(t)
+            else:
+                code = tails.get(t)
+                if code is None:
+                    code = g.tail_code(tails, i, 0, t)
+                words.extend(t + s for s in code)
+    return ClopenSet(g, words)
 
 
 def as_singleton(a: ClopenSet) -> EpPoint | None:

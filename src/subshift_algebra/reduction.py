@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import (ClopenSet, CoeffFn, CycleKind, as_singleton,
-                     classify_cycle, cylinder, merge_siblings, relative_range)
+                     classify_cycle, cylinder, relative_range)
 from .errors import InternalNonzeroViolation, ZeroInput
 from .words import OMEGA, Word, ep_normalize, primitive_root
 
@@ -173,8 +173,8 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
     # First pass: per-component set factors, in chain order.  Components whose
     # coefficient function is not a scalar multiple of an indicator get
     # collapsed onto one of their cylinders (the lexicographically least
-    # support word at the coarsest resolution the function allows, so that
-    # equal elements collapse alike however they are stored); the rest
+    # word of the printed form: the least extension of the least stored word
+    # to the longer of |u| + m and the longest stored word); the rest
     # contribute their own tail set.  The targeted component always survives
     # its own factor, so the element stays nonzero.
     for key in _sorted_keys(p.x):
@@ -182,14 +182,13 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
             continue
         fn = p.x.components[key]
         if fn.scalar() is None:
-            res, coeffs = merge_siblings(fn.graph, fn.resolution, fn.coeffs,
-                                         len(key[0]) + fn.graph.m)
-            w = min(coeffs)
-            fn = CoeffFn(fn.graph, res, {w: coeffs[w]})
+            g, least = fn.graph, min(fn.coeffs)
+            w = g.least_extension(least, max(len(key[0]) + g.m, fn.longest()))
+            fn = CoeffFn(g, {w: fn.coeffs[least]})
         p.right(p.alg.gen_p(fn.tail_set(len(key[0]))), "p(common)")
-    # Follower projections are subsumed: a tail cylinder of resolution >= m
-    # automatically sits inside the follower set of its word, so the common
-    # set already lands inside every surviving F_{alpha_i}.
+    # Follower projections are subsumed: a tail set r(support, alpha) sits
+    # inside the follower set of alpha by definition, so the common set
+    # already lands inside every surviving F_{alpha_i}.
     keys = _sorted_keys(p.x)
     tails = [p.x.tail_set(k) for k in keys]
     common = tails[0]
@@ -331,7 +330,7 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
     # Starting at block 0 also covers inputs whose set is not yet inside
     # Z_{c^{max exp}}: the kill argument only needs the minimality of j.
     j = 0
-    cap = (b_set.resolution + (len(g.states) + 2) * len(c)) // len(c) + 2
+    cap = (b_set.longest() + (len(g.states) + 2) * len(c)) // len(c) + 2
     while b_set.is_subset(cylinder(g, c * (j + 1))):
         j += 1
         if j > cap:

@@ -10,16 +10,26 @@ its walk from the start state never leaves the table (Lind & Marcus, *An
 Introduction to Symbolic Dynamics and Coding*, section 3.2).  The forbidden
 words themselves are scanned only while the graph is built.
 
-Every query takes its id from one walk, :meth:`FollowerGraph._reach`.
+Every query takes its id from one walk, :meth:`FollowerGraph.reach`.
 Whether ``v.q`` is legal is whether ``q`` is walkable from the id ``v``
 reaches, so a support check walks its common prefix once and then only the
-tails, looking each m-letter tail up first in that id's memo of the tails
-found walkable from it (:meth:`FollowerGraph.junctions`).
+tails, looking each m-letter tail (or the first m letters of a longer one)
+up first in that id's memo of the tails found walkable from it
+(:meth:`FollowerGraph.junctions`).
+
+An id ``i`` also names a follower set ``F(i)``, the sequences ``x`` whose
+walk from ``i`` never leaves the table: ``F(v) = {x : v.x in X}`` for the id
+``v`` reaches.  :meth:`FollowerGraph.follower_subset` decides
+``F(i) <= F(j)`` and :meth:`FollowerGraph.follower_code` gives the shortest
+words covering ``F(i) & F(j)``; both walk the pair of ids letter by letter,
+end within m letters (both ids then name the same m-block) and are memoised
+per pair as they are asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EmptyShift, ShiftTooLarge, UnknownLetter
 from .words import OMEGA, EpPoint, Word, ep_normalize
@@ -102,7 +112,9 @@ class FollowerGraph:
 
     ``_junctions[i]`` holds the m-letter tails found walkable from id ``i``,
     filled by :meth:`walk_junction` and never emptied; a tail not in it is
-    walked.
+    walked.  ``_subsets`` and ``_codes`` hold the answers of
+    :meth:`follower_subset` and :meth:`follower_code` per pair of ids, and
+    ``_tails`` the tail memo of each pair (:meth:`tails`).
     """
 
     def __init__(self, spec: SftSpec, states: frozenset[Word],
@@ -125,14 +137,20 @@ class FollowerGraph:
         # _walks[s][i]: the number of walks of s steps from id i.
         self._walks = [[1] * len(self._delta)]
         self._junctions: dict[int, set[Word]] = {}
+        self._subsets: dict[tuple[int, int], bool] = {}
+        self._codes: dict[tuple[int, int], tuple[Word, ...]] = {}
+        self._tails: dict[tuple[int, int], dict] = {}
 
-    def _reach(self, w: Word, state: int = 0) -> int:
+    def reach(self, w: Word, state: int = 0) -> int:
         """The id that ``w`` reaches from id ``state``, or -1 if its walk
         leaves the table.  From the start state the first m letters are one
         lookup; each further letter is one table step."""
         if not state:
-            state = self._ids.get(w[:self.m], -1)
-            w = w[self.m:]
+            m = self.m
+            if len(w) <= m:
+                return self._ids.get(w, -1)
+            state = self._ids.get(w[:m], -1)
+            w = w[m:]
         delta = self._delta
         for a in w:
             if state < 0:
@@ -143,27 +161,117 @@ class FollowerGraph:
     def is_prefix_legal(self, w: Word, state: int = 0) -> bool:
         """True iff the cylinder of ``w`` is non-empty, or with ``state``,
         iff ``v.w`` is legal for the words ``v`` that reach that id."""
-        return self._reach(w, state) >= 0
+        return self.reach(w, state) >= 0
 
     def junctions(self, v: Word) -> tuple[int, set[Word]]:
         """The id ``v`` reaches and that id's junction memo, walking ``v``
         once.  A caller tests each tail ``q`` of its words as
         ``q in memo or g.walk_junction(memo, i, q)``.  An illegal ``v``
         gets id -1, from which no tail is walkable, so its memo stays empty."""
-        i = self._reach(v)
+        i = self.reach(v)
         memo = self._junctions.get(i)
         if memo is None:
             memo = self._junctions[i] = set()
         return i, memo
 
     def walk_junction(self, memo: set[Word], i: int, q: Word) -> bool:
-        """Whether ``q`` is walkable from id ``i``, by walking it: the miss
-        path of ``i, memo = junctions(v)``.  A legal m-letter tail is kept
-        in ``memo``."""
+        """Whether ``q`` is walkable from id ``i``: the miss path of
+        ``i, memo = junctions(v)``.  A legal m-letter tail is walked and kept
+        in ``memo``.  A longer tail is walkable iff its first m letters are,
+        which the memo answers, and the rest is walkable from the m-block
+        they name, so only the rest is walked."""
+        m = self.m
+        if len(q) > m:
+            head = q[:m]
+            return (head in memo or self.walk_junction(memo, i, head)) \
+                and self.is_prefix_legal(q[m:], self._ids[head])
         legal = self.is_prefix_legal(q, i)
-        if legal and len(q) == self.m:
+        if legal and len(q) == m:
             memo.add(q)
         return legal
+
+    @cached_property
+    def out_degree(self) -> dict[Word, int]:
+        """The number of letters ``a`` with ``w.a`` legal, for each legal
+        word ``w`` of at most m letters; a longer legal word has the count of
+        its last m letters.  Made on first use."""
+        return {w: self.n_letters - self._delta[i].count(-1) for w, i in self._ids.items()}
+
+    def letters(self, w: Word) -> list[int]:
+        """The letters ``a`` with ``w.a`` legal, in ascending order."""
+        i = self.reach(w)
+        return [a for a, t in enumerate(self._delta[i]) if t >= 0] if i >= 0 else []
+
+    def follower_subset(self, i: int, j: int) -> bool:
+        """Whether ``F(i) <= F(j)`` for ids ``i`` and ``j`` (-1 names the
+        empty set): every letter walkable from ``i`` is walkable from ``j``
+        and the successors are again in that relation.  Asked pairs are
+        memoised; equal ids and -1 are answered without the memo."""
+        if i == j or i < 0:
+            return True
+        if j < 0:
+            return False
+        key = (i, j)
+        known = self._subsets.get(key)
+        if known is None:
+            row, known = self._delta[j], True
+            for a, t in enumerate(self._delta[i]):
+                if t >= 0 and t != row[a] and (row[a] < 0 or not self.follower_subset(t, row[a])):
+                    known = False
+                    break
+            self._subsets[key] = known
+        return known
+
+    def tails(self, u: Word, j: int) -> tuple[int, dict[Word, tuple[Word, ...] | bool]]:
+        """The id ``i`` that ``u`` reaches and the tail memo of the pair of
+        ids ``(i, j)``: the answers of :meth:`tail_code` found so far, by
+        tail, walking ``u`` once.  A caller looks a tail up as
+        ``memo.get(q)`` and, when that is ``None``, asks
+        ``g.tail_code(memo, i, j, q)``."""
+        i = self.reach(u)
+        key = (i, j)
+        memo = self._tails.get(key)
+        if memo is None:
+            memo = self._tails[key] = {}
+        return i, memo
+
+    def tail_code(self, memo: dict, i: int, j: int, q: Word) -> tuple[Word, ...] | bool:
+        """For words ``a`` and ``b`` that reach ids ``i`` and ``j``:
+        ``False`` unless ``F(a.q) <= F(b.q)``, and otherwise the code of
+        ``F(a.q) & F(b.q)`` below ``b.q``, which covers all of ``F(a.q)``
+        (empty when ``a.q`` is not legal).  ``q`` is walked from both ids at
+        once, and the answer kept in ``memo``, the pair's :meth:`tails`."""
+        delta, a, b = self._delta, i, j
+        for c in q:
+            if a < 0:
+                break
+            a = delta[a][c]
+            if b >= 0:
+                b = delta[b][c]
+        code = memo[q] = self.follower_code(a, b) if self.follower_subset(a, b) else False
+        return code
+
+    def follower_code(self, i: int, j: int) -> tuple[Word, ...]:
+        """The shortest words ``t`` whose sets ``t.F(j.t)`` partition
+        ``F(i) & F(j)``, in ascending order, where ``j.t`` is the id ``t``
+        reaches from ``j``: the empty word alone when ``F(j) <= F(i)``, and
+        otherwise each letter walkable from both ids followed by the code of
+        the pair it leads to.  At every word ``t`` of the code
+        ``F(j.t) <= F(i.t)``.  Memoised per asked pair."""
+        if i < 0 or j < 0:
+            return ()
+        key = (i, j)
+        code = self._codes.get(key)
+        if code is None:
+            if self.follower_subset(j, i):
+                code = (OMEGA,)
+            else:
+                row = self._delta[j]
+                code = tuple((a,) + t for a, s in enumerate(self._delta[i])
+                             if s >= 0 and row[a] >= 0
+                             for t in self.follower_code(s, row[a]))
+            self._codes[key] = code
+        return code
 
     def legal_words(self, n: int) -> tuple[Word, ...]:
         """All prefix-legal words of length ``n``, lexicographically sorted:
@@ -191,7 +299,7 @@ class FollowerGraph:
         lexicographically sorted."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
-        state = self._reach(w)
+        state = self.reach(w)
         return self._grow(w, state, n - len(w)) if state >= 0 else []
 
     def count_extensions(self, w: Word, n: int) -> int:
@@ -201,7 +309,7 @@ class FollowerGraph:
         every id, and kept."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
-        state = self._reach(w)
+        state = self.reach(w)
         if state < 0:
             return 0
         walks = self._walks
@@ -219,7 +327,7 @@ class FollowerGraph:
         last step that offers a larger letter, and takes least letters after."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
-        state = self._reach(w)
+        state = self.reach(w)
         if state < 0:
             return None
         delta = self._delta
@@ -243,13 +351,13 @@ class FollowerGraph:
     def unique_extension(self, w: Word) -> EpPoint | None:
         """The single point of ``Z_w`` when the continuation is forced.
 
-        Present iff every state on the walk from the suffix state of ``w``
-        has out-degree exactly 1; the forced walk closes into a cycle within
-        ``len(states)`` steps.
+        Present iff every id on the walk from the id ``w`` reaches has
+        out-degree exactly 1; the forced walk reaches the states within m
+        steps and closes into a cycle within ``len(states)`` more.
         """
-        state = self._reach(w)
-        if len(w) < self.m or state < 0:
-            raise ValueError("unique_extension needs a prefix-legal word of length >= memory")
+        state = self.reach(w)
+        if state < 0:
+            raise ValueError("unique_extension needs a prefix-legal word")
         letters: list[int] = []
         pos: dict[int, int] = {}
         while state not in pos:

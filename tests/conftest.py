@@ -124,8 +124,8 @@ def brute_follower_graph(spec):
 
 def brute_forced_point(spec, w):
     """The single point of ``Z_w`` when every letter after ``w`` is the only
-    legal one, else None; ``w`` is legal and at least m long.  The point
-    closes up once its last m-block repeats."""
+    legal one, else None; ``w`` is legal.  The point closes up once its last
+    m-block repeats (a word shorter than m cannot repeat)."""
     m = spec.memory
     seen = {}
     while w[-m:] not in seen:
@@ -136,6 +136,53 @@ def brute_forced_point(spec, w):
         w += (nexts[0],)
     j = seen[w[-m:]]
     return ep_normalize(w[:j], w[j:])
+
+
+def random_code(graph, rng: random.Random, max_len: int, keep: float = 0.6, root=OMEGA):
+    """A random prefix code of legal words of at most ``max_len`` letters
+    below the legal word ``root``: ``root``, split at random words into its
+    legal one-letter extensions, and a random share of the result kept.
+    Often not canonical (a split family may be kept whole)."""
+    code = [root]
+    for _ in range(rng.randint(0, 4 * max_len)):
+        w = rng.choice(code)
+        if len(w) < max_len:
+            code.remove(w)
+            code.extend(w + (a,) for a in range(graph.n_letters)
+                        if graph.is_prefix_legal(w + (a,)))
+    return [w for w in code if rng.random() < keep]
+
+
+def covering_points(spec, n: int) -> list:
+    """One eventually periodic point of X in every cylinder of a legal word
+    of length ``n``, found by a forbidden-factor scan, so that functions
+    stored in words of at most ``n`` letters are equal exactly when the
+    points cannot tell them apart."""
+    letters = range(len(spec.alphabet))
+    tails = [w for k in range(4) for w in product(letters, repeat=k)]
+    return [next(p for t in tails for per in tails[1:]
+                 if in_shift(p := ep_normalize(w + t, per), spec.forbidden))
+            for w in brute_legal_words(spec, n)]
+
+
+def is_canonical(spec, coeffs: dict, floor: int) -> bool:
+    """No word of at least ``floor`` letters has all of its legal one-letter
+    extensions stored with one value, legality by :func:`brute_is_legal`."""
+    k = len(spec.alphabet)
+    for p in {w[:-1] for w in coeffs if len(w) > floor}:
+        kids = [p + (a,) for a in range(k) if brute_is_legal(spec, p + (a,))]
+        if all(w in coeffs for w in kids) and len({coeffs[w] for w in kids}) == 1:
+            return False
+    return True
+
+
+def value_at(coeffs: dict, point):
+    """The value a prefix code gives the point: that of the one stored word
+    that is a prefix of it, or ``None``."""
+    for n in sorted({len(w) for w in coeffs}):
+        if point.prefix(n) in coeffs:
+            return coeffs[point.prefix(n)]
+    return None
 
 
 def words_up_to(graph, n, include_empty=True):

@@ -11,11 +11,12 @@ from subshift_algebra.clopen import (CoeffFn, c_set, cylinder, empty_set,
                                      full_set, relative_range)
 from subshift_algebra.errors import (BadArgument, InternalNonzeroViolation,
                                      RingMismatch)
+from subshift_algebra.parsing import evaluate
 from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
 
-from conftest import W, random_monomial_sum, words_up_to
+from conftest import W, l_spec, random_monomial_sum, words_up_to
 
 
 def test_generator_examples(alg_gold, g_gold):
@@ -238,13 +239,13 @@ def test_letter_extension_search(all_graphs):
 
 def test_translate_rejects_word_without_the_prefix(g_gold):
     with pytest.raises(InternalNonzeroViolation):
-        CoeffFn(g_gold, 2, {W("ab"): 1}).translate(W("b"), W("a"))
+        CoeffFn(g_gold, {W("ab"): 1}).translate(W("b"), W("a"))
 
 
 def test_translate_rejects_illegal_result(g_gold):
     # ab -> bb leaves the golden mean shift.
     with pytest.raises(InternalNonzeroViolation):
-        CoeffFn(g_gold, 2, {W("ab"): 1}).translate(W("a"), W("b"))
+        CoeffFn(g_gold, {W("ab"): 1}).translate(W("a"), W("b"))
 
 
 def test_w_constraint_violations_raise():
@@ -262,13 +263,29 @@ def test_w_constraint_violations_raise():
     for _ in ("cold", "warm"):
         for res, word in bad:
             good = "a" * res
-            fn = CoeffFn(g, res, {W(good): 1, W(word): 1})
+            fn = CoeffFn(g, {W(good): 1, W(word): 1})
             message = f"support word {W(word)} violates the W-constraint of {pair}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 AlgebraElement(algebra, {pair: fn})
-        warm = AlgebraElement(algebra, {pair: CoeffFn(g, 3, {W("aaa"): 1, W("aab"): 2})})
+        warm = AlgebraElement(algebra, {pair: CoeffFn(g, {W("aaa"): 1, W("aab"): 2})})
         assert set(warm.components[pair].coeffs) == {W("aaa"), W("aab")}
     assert g.junctions(W("b"))[1] == {W("a")}
+
+
+def test_w_constraint_on_short_tails():
+    # Memory 2 (bba forbidden): a tail q shorter than m is allowed at (u, v)
+    # iff F(u.q) <= F(v.q), and u.q must be legal.  F(a) holds "ba..." and
+    # F(b) does not; F(ab) holds "a..." and F(bb) does not; F(aa) = F(ba).
+    g = build_follower_graph(SftSpec.make("ab", ["bba"]))
+    algebra = SubshiftAlgebra(g, ZZ)
+    for _ in ("cold", "warm"):
+        for pair, word in [((W("a"), W("b")), "a"), ((W("a"), W("b")), "ab"),
+                           ((W("bb"), W("a")), "bba")]:
+            message = f"support word {W(word)} violates the W-constraint of {pair}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                AlgebraElement(algebra, {pair: CoeffFn(g, {W(word): 1})})
+        ok = AlgebraElement(algebra, {(W("a"), W("b")): CoeffFn(g, {W("aa"): 3})})
+        assert ok.components[(W("a"), W("b"))].coeffs == {W("aa"): 3}
 
 
 def test_tail_set_rejects_non_positive_component(alg_gold):
@@ -277,3 +294,29 @@ def test_tail_set_rejects_non_positive_component(alg_gold):
     assert t == (OMEGA, W("a"))
     with pytest.raises(BadArgument):
         x.tail_set(t)
+
+
+def test_zmod6_results_are_stored_canonically(g_full):
+    # Sums and products over Z/6 can make sibling values equal or zero; the
+    # element is stored, compared and printed as its canonical code.
+    algebra = SubshiftAlgebra(g_full, Zmod(6))
+    x = evaluate("2.p(Z(aa)) + 8.p(Z(ab))", algebra)
+    y = evaluate("2.p(Z(a))", algebra)
+    assert x == y and x.components == y.components
+    assert x.components[(OMEGA, OMEGA)].coeffs == {W("a"): 2}
+    assert x.format() == y.format()
+    assert evaluate("3.(2.p(Z(aa)) + 4.p(Z(ab)))", algebra).is_zero()
+    assert evaluate("(p(Z(aa)) + 4.p(Z(ab))) * 2.p(X)", algebra).components == y.components
+    assert (-x).components == evaluate("4.p(Z(a))", algebra).components
+
+
+def test_unit_and_scaling_element_stay_small():
+    # The unit is the single entry of the empty word at every memory, and
+    # s(a) + 2.s(bab) + st(b) is stored in {a}, {bab} and the follower code
+    # of b: m + 2 words on L_m.
+    for m in range(2, 13):
+        algebra = SubshiftAlgebra(build_follower_graph(l_spec(m)), ZZ)
+        assert algebra.one().components == {(OMEGA, OMEGA): CoeffFn(algebra.graph, {OMEGA: 1})}
+        if m in (8, 12):
+            x = evaluate("s(a) + 2.s(bab) + st(b)", algebra)
+            assert sum(len(fn.coeffs) for fn in x.components.values()) <= m + 2

@@ -8,19 +8,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from subshift_algebra import clopen
-from subshift_algebra.clopen import (ClopenSet, CycleKind, as_singleton,
+from subshift_algebra.clopen import (ClopenSet, CoeffFn, CycleKind, as_singleton,
                                      c_set, classify_cycle, cylinder,
                                      empty_set, full_set, relative_range)
 from subshift_algebra.errors import BadArgument, EmptyShift, InternalNonzeroViolation
-from subshift_algebra.shift import SftSpec, build_follower_graph
+from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint, ep_normalize
 
-from conftest import W, brute_legal_words, in_shift, l_spec, random_specs, words_up_to
+from subshift_algebra.rings import ZZ
+
+from conftest import (W, covering_points, in_shift, is_canonical, l_spec, random_code,
+                      random_specs, value_at, words_up_to)
 
 
 def member(point: EpPoint, a: ClopenSet) -> bool:
-    """Membership oracle: compare the point's prefix at resolution length."""
-    return point.prefix(a.resolution) in a.words
+    """Membership oracle: the point has a stored word as a prefix."""
+    return value_at(a.coeffs, point) is not None
 
 
 # -- constructors ---------------------------------------------------------------
@@ -28,7 +31,9 @@ def member(point: EpPoint, a: ClopenSet) -> bool:
 
 def test_cylinder_examples(g_gold):
     assert cylinder(g_gold, W("b")).words == {W("b")}
-    assert cylinder(g_gold, W("b")).resolution == 1
+    assert cylinder(g_gold, W("b")).format() == "{b}@1"
+    # a is forced after b, so Z(ba) is Z(b) and stored as its shorter word.
+    assert cylinder(g_gold, W("ba")).words == {W("b")}
     assert cylinder(g_gold, OMEGA) == full_set(g_gold)
     assert cylinder(g_gold, W("bb")).is_empty()
 
@@ -47,12 +52,12 @@ def test_c_set_examples(g_gold, g_full):
 
 
 def test_constructor_rejects_bad_supports(g_gold):
-    with pytest.raises(ValueError, match="shift memory"):
-        ClopenSet(g_gold, 0, ())
-    with pytest.raises(ValueError, match="resolution length"):
-        ClopenSet(g_gold, 2, [W("aa"), W("a")])
+    with pytest.raises(ValueError, match="not a prefix code"):
+        ClopenSet(g_gold, [W("aa"), W("a")])
+    with pytest.raises(ValueError, match="not a prefix code"):
+        ClopenSet(g_gold, [OMEGA, W("b")])
     with pytest.raises(ValueError, match="not prefix-legal"):
-        ClopenSet(g_gold, 2, [W("aa"), W("bb")])
+        ClopenSet(g_gold, [W("aa"), W("bb")])
 
 
 def test_illegal_stored_word_raises_cold_and_warm():
@@ -60,23 +65,25 @@ def test_illegal_stored_word_raises_cold_and_warm():
     g = build_follower_graph(SftSpec.make("abc", ["aa", "ab", "ac", "cb", "cc"]))
     for _ in ("cold", "warm"):
         with pytest.raises(ValueError, match=re.escape("not prefix-legal: (0,)")):
-            ClopenSet(g, 1, [(1,), (0,)])
+            ClopenSet(g, [(1,), (0,)])
         with pytest.raises(ValueError, match=re.escape("not prefix-legal: (1, 2)")):
-            ClopenSet(g, 2, [(1, 1), (1, 2)])
+            ClopenSet(g, [(1, 1), (1, 2)])
     assert g.junctions(OMEGA)[1] == {(1,)}
 
 
 def test_refine_examples(g_gold, g_full):
+    # The printed form refines the code to one length.
     z = cylinder(g_gold, W("b"))
-    assert z.refine(3).words == {W("baa"), W("bab")}
-    assert empty_set(g_gold).refine(4).is_empty()
-    assert cylinder(g_full, W("a")).compact().refine(2).words == {W("aa"), W("ab")}
+    assert set(z.at_length(3)) == {W("baa"), W("bab")}
+    assert empty_set(g_gold).at_length(4) == {}
+    assert set(cylinder(g_full, W("a")).at_length(2)) == {W("aa"), W("ab")}
 
 
 def test_equality_is_canonical(g_gold):
     a = cylinder(g_gold, W("b"))
-    assert a == a.refine(5)
-    assert a.compact() == a
+    assert a == ClopenSet(g_gold, a.at_length(5))
+    assert ClopenSet(g_gold, a.at_length(5)).coeffs == a.coeffs == {W("b"): True}
+    assert ClopenSet(g_gold, [W("aa"), W("ab"), W("b")]).words == {OMEGA}
     assert not a == full_set(g_gold)
 
 
@@ -91,12 +98,13 @@ def test_boolean_examples(g_full, g_gold):
 
 
 @st.composite
-def clopen_sets(draw, graph, n=None):
-    if n is None:
-        n = draw(st.integers(graph.m, 5))
-    pool = graph.legal_words(n)
-    words = draw(st.sets(st.sampled_from(pool), max_size=len(pool)))
-    return ClopenSet(graph, n, frozenset(words))
+def clopen_sets(draw, graph, max_len=None):
+    """A set built from a random prefix code of mixed lengths, canonical or
+    not, of at most ``max_len`` letters (default 1 to 5)."""
+    if max_len is None:
+        max_len = draw(st.integers(1, 5))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    return ClopenSet(graph, random_code(graph, rng, max_len))
 
 
 @settings(max_examples=60, deadline=None)
@@ -118,24 +126,13 @@ def test_boolean_laws(g_gold, data):
 
 MEMBERSHIP_SHIFTS = {"golden_mean": SftSpec.make("ab", ["bb"]),
                      "y": SftSpec.make("ab", ["ba"]), "L_3": l_spec(3)}
-MAX_EXTRA = 3  # operands are drawn at resolutions m .. m + MAX_EXTRA
-
-
-def covering_points(graph, n: int) -> list[EpPoint]:
-    """One eventually periodic point of X in every cylinder of length
-    ``n``, found by a forbidden-factor scan, so that sets of resolution at
-    most ``n`` are equal exactly when the points cannot tell them apart."""
-    forbidden = graph.spec.forbidden
-    tails = [w for k in range(4) for w in product(range(2), repeat=k)]
-    return [next(p for t in tails for per in tails[1:]
-                 if in_shift(p := ep_normalize(w + t, per), forbidden))
-            for w in brute_legal_words(graph.spec, n)]
+MAX_EXTRA = 3  # operands are drawn in words of at most m + MAX_EXTRA letters
 
 
 @pytest.fixture(scope="module")
 def membership_setups():
     graphs = {name: build_follower_graph(spec) for name, spec in MEMBERSHIP_SHIFTS.items()}
-    return {name: (g, covering_points(g, g.m + MAX_EXTRA)) for name, g in graphs.items()}
+    return {name: (g, covering_points(g.spec, g.m + MAX_EXTRA)) for name, g in graphs.items()}
 
 
 @pytest.mark.parametrize("left", ["finer", "coarser"])
@@ -144,8 +141,8 @@ def membership_setups():
 @given(data=st.data())
 def test_operations_match_point_membership(membership_setups, name, left, data):
     """Each operation against the membership rule, with the left operand
-    finer than the right one or coarser, so both sides of the prefix join
-    and of the refinement are exercised."""
+    drawn finer than the right one or coarser, so both sides of the common
+    refinement and of its carving are exercised."""
     g, points = membership_setups[name]
     fine, coarse = sorted(data.draw(st.lists(st.integers(0, MAX_EXTRA), min_size=2,
                                              max_size=2, unique=True)), reverse=True)
@@ -160,26 +157,27 @@ def test_operations_match_point_membership(membership_setups, name, left, data):
     assert [member(p, a.complement()) for p in points] == [not x for x in in_a]
     assert a.is_subset(b) == all(y for x, y in zip(in_a, in_b) if x)
     assert (a == b) == (in_a == in_b)
-    assert (a == a.refine(g.m + MAX_EXTRA)) and (a - a).is_empty()
+    assert (a == ClopenSet(g, a.at_length(g.m + MAX_EXTRA))) and (a - a).is_empty()
 
 
 def test_cross_graph_operands_rejected(g_gold, g_y):
     with pytest.raises(ValueError):
         full_set(g_gold).union(full_set(g_y))
     with pytest.raises(ValueError):
-        full_set(g_gold).is_subset(full_set(g_y).refine(3))
+        full_set(g_gold).is_subset(cylinder(g_y, W("b")))
 
 
 def test_coarse_subset_refines_nothing(g_gold, monkeypatch):
-    # A coarser left operand is decided by counting each word's extensions
-    # in the finer set, not by refining it.
+    # A coarser left operand is decided on the common refinement of the two
+    # codes, carved around the finer words: nothing enumerates extensions.
     za = cylinder(g_gold, W("a"))
-    fines = [za.refine(n) for n in range(2, 8)]
-    monkeypatch.setattr(clopen.CoeffFn, "refine", None)
-    for fine in fines:
-        short = ClopenSet(g_gold, fine.resolution, list(fine.words)[1:])
+    fines = [ClopenSet(g_gold, za.at_length(n)) for n in range(2, 8)]
+    shorts = [ClopenSet(g_gold, list(za.at_length(n))[1:]) for n in range(2, 8)]
+    monkeypatch.setattr(FollowerGraph, "extensions", None)
+    monkeypatch.setattr(FollowerGraph, "legal_words", None)
+    for fine, short in zip(fines, shorts):
         assert za.is_subset(fine) and not za.is_subset(short)
-        assert not full_set(g_gold).is_subset(fine)
+        assert short.is_subset(za) and not full_set(g_gold).is_subset(fine)
 
 
 # -- relative range -------------------------------------------------------------------
@@ -191,18 +189,18 @@ def test_relative_range_examples(g_gold):
 
 
 def _refining_range(a_set, alpha):
-    """``r(A, alpha)`` by its refining definition: at resolution at least
-    ``len(alpha) + m``, a stored word ``alpha.p`` contributes its tail ``p``
-    and any other word nothing."""
+    """``r(A, alpha)`` by its refining definition: with ``A`` refined to
+    words of one length, at least ``len(alpha) + m``, a stored word
+    ``alpha.p`` contributes its tail ``p`` and any other word nothing."""
     k, g = len(alpha), a_set.graph
-    ref = a_set.refine(max(a_set.resolution, k + g.m))
-    return ClopenSet(g, ref.resolution - k, (w[k:] for w in ref.coeffs if w[:k] == alpha))
+    words = a_set.at_length(max(a_set.longest(), k + g.m))
+    return ClopenSet(g, (w[k:] for w in words if w[:k] == alpha))
 
 
 def test_relative_range_matches_its_refining_definition():
-    # Random sets at resolutions m..m+2 and words alpha that are mostly
-    # prefixes of legal words, sometimes extended past the resolution or
-    # out of the shift: same resolution, same words in the same order.
+    # Random codes of at most m + 2 letters and words alpha that are mostly
+    # prefixes of legal words, sometimes extended past the stored words or
+    # out of the shift: the same canonical code.
     rng = random.Random(23)
     pairs = 0
     for spec in random_specs(300, seed=7):
@@ -213,13 +211,11 @@ def test_relative_range_matches_its_refining_definition():
         letters = range(len(spec.alphabet))
         for _ in range(12):
             n = rng.randint(g.m, g.m + 2)
-            words = g.legal_words(n)
-            a_set = ClopenSet(g, n, rng.sample(words, rng.randint(0, len(words))))
-            alpha = rng.choice(words)[:rng.randint(0, n)] + tuple(
+            a_set = ClopenSet(g, random_code(g, rng, n))
+            alpha = rng.choice(g.legal_words(n))[:rng.randint(0, n)] + tuple(
                 rng.choice(letters) for _ in range(rng.randint(0, 2)))
             got, want = relative_range(a_set, alpha), _refining_range(a_set, alpha)
-            assert (got.resolution, list(got.coeffs)) == \
-                (want.resolution, list(want.coeffs)), (spec, a_set, alpha)
+            assert got.coeffs == want.coeffs, (spec, a_set, alpha)
             pairs += 1
     assert pairs > 2_000
 
@@ -309,3 +305,125 @@ def test_classify_rejects_singleton_off_its_periodic_point(g_y, monkeypatch):
     monkeypatch.setattr(clopen, "as_singleton", lambda a: EpPoint(OMEGA, W("a")))
     with pytest.raises(InternalNonzeroViolation):
         classify_cycle(cylinder(g_y, W("b")), W("b"))
+
+
+# -- every operation against brute-force point membership ---------------------------
+
+
+def _drop(point, k: int):
+    """The point with its first ``k`` letters removed."""
+    pre, per = point.preperiod, point.period
+    if k <= len(pre):
+        return ep_normalize(pre[k:], per)
+    r = (k - len(pre)) % len(per)
+    return ep_normalize(OMEGA, per[r:] + per[:r])
+
+
+def _follows(spec, prefix, point) -> bool:
+    """``prefix.point`` is a point of X (forbidden-factor scan)."""
+    return in_shift(ep_normalize(prefix + point.preperiod, point.period), spec.forbidden)
+
+
+def _values(coeffs, points):
+    return [value_at(coeffs, x) for x in points]
+
+
+def test_operations_match_brute_force_on_random_shifts():
+    # Random shifts, random mixed-length codes of at most m + 1 letters
+    # (canonical or not) and words of at most 2 letters; every result is read
+    # at one point of each cylinder of length m + 2, the longest word any of
+    # them can store (a follower code ends within m letters of the start of
+    # its walk), and every set must come out canonical.
+    rng = random.Random(5)
+    checked = 0
+    for spec in random_specs(150, seed=3):
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            continue
+        k, depth = len(spec.alphabet), g.m + 2
+        if k ** depth > 250:
+            continue
+        points = covering_points(spec, depth)
+        short = [w for n in range(3) for w in product(range(k), repeat=n)]
+        for _ in range(4):
+            ra, rb = (dict.fromkeys(random_code(g, rng, g.m + 1), True) for _ in range(2))
+            a, b = ClopenSet(g, ra), ClopenSet(g, rb)
+            in_a, in_b = _values(ra, points), _values(rb, points)
+            results = {
+                "union": (a | b, [x or y for x, y in zip(in_a, in_b)]),
+                "intersect": (a & b, [x and y for x, y in zip(in_a, in_b)]),
+                "difference": (a - b, [x and not y for x, y in zip(in_a, in_b)]),
+                "complement": (a.complement(), [not x for x in in_a]),
+            }
+            for alpha in rng.sample(short, 3):
+                results[f"r({alpha})"] = (relative_range(a, alpha), [
+                    _follows(spec, alpha, x) and value_at(ra, ep_normalize(
+                        alpha + x.preperiod, x.period)) is not None for x in points])
+                beta = rng.choice(short)
+                results[f"C({alpha},{beta})"] = (c_set(g, alpha, beta), [
+                    x.prefix(len(beta)) == beta and _follows(spec, alpha, _drop(x, len(beta)))
+                    for x in points])
+                results[f"Z({alpha})"] = (cylinder(g, alpha),
+                                          [x.prefix(len(alpha)) == alpha for x in points])
+            for name, (got, want) in results.items():
+                assert got.longest() <= depth, (spec, ra, name, got)
+                assert [v is not None for v in _values(got.coeffs, points)] == \
+                    [bool(v) for v in want], (spec, ra, rb, name)
+                assert is_canonical(spec, got.coeffs, 0), (spec, ra, rb, name, got)
+            assert a.is_subset(b) == all(y for x, y in zip(in_a, in_b) if x), (spec, ra, rb)
+            assert (a == b) == ([x is not None for x in in_a] == [y is not None for y in in_b])
+
+            # Coefficient functions over Z: sums, products, tail sets, translations.
+            f = CoeffFn(g, {w: rng.choice([-1, 1, 2]) for w in ra})
+            h = CoeffFn(g, {w: rng.choice([-1, 1, 2]) for w in rb})
+            fx, hx = _values(f.coeffs, points), _values(h.coeffs, points)
+            total = [(x or 0) + (y or 0) for x, y in zip(fx, hx)]
+            assert [v or 0 for v in _values(f.add(h, ZZ).coeffs, points)] == total
+            prod = [(x or 0) * (y or 0) for x, y in zip(fx, hx)]
+            assert [v or 0 for v in _values(f.times(h, ZZ).coeffs, points)] == prod
+            u = rng.choice([w for w in short if g.is_prefix_legal(w)])
+            below = CoeffFn(g, dict.fromkeys(random_code(g, rng, len(u) + g.m, root=u), 1))
+            assert [v is not None for v in _values(below.tail_set(len(u)).coeffs, points)] == \
+                [_follows(spec, u, x) and value_at(below.coeffs, ep_normalize(
+                    u + x.preperiod, x.period)) is not None for x in points], (spec, u, below)
+            new = rng.choice([w for w in short if g.is_prefix_legal(w)])
+            domain = CoeffFn(g, dict.fromkeys(c_set(g, new, u).coeffs, 1))
+            moved_from = below.times(domain, ZZ)
+            moved = moved_from.translate(u, new)
+            assert moved.longest() <= depth, (spec, u, new, moved)
+            want = [value_at(moved_from.coeffs, ep_normalize(u + _drop(y, len(new)).preperiod,
+                                                             _drop(y, len(new)).period))
+                    if y.prefix(len(new)) == new and _follows(spec, u, _drop(y, len(new)))
+                    else None for y in points]
+            assert _values(moved.coeffs, points) == want, (spec, u, new, moved_from.coeffs)
+            checked += 1
+    assert checked > 150
+
+
+def test_canonical_form_is_unique():
+    # A random code with values in {1, 2} and a random refinement of it (a
+    # word split into its legal one-letter extensions, with its value) are
+    # stored alike, in the canonical form, above a floor of 0 or of a root.
+    rng = random.Random(17)
+    merged = 0
+    for spec in random_specs(200, seed=11):
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            continue
+        for _ in range(6):
+            root = rng.choice(words_up_to(g, 2))
+            code = {w: rng.choice([1, 2]) for w in random_code(g, rng, len(root) + g.m, root=root)}
+            fine = dict(code)
+            for _ in range(rng.randint(1, 6)):
+                if fine:
+                    w = rng.choice(list(fine))
+                    c = fine.pop(w)
+                    fine.update((w + (a,), c) for a in g.letters(w))
+            for floor in {0, len(root)}:
+                canon = clopen.merge_siblings(g, code, floor)
+                assert clopen.merge_siblings(g, fine, floor) == canon, (spec, code, fine)
+                assert is_canonical(spec, canon, floor) and min(map(len, canon), default=floor) >= floor
+                merged += len(canon) < len(fine)
+    assert merged > 100

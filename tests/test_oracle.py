@@ -1,8 +1,9 @@
 """Differential oracle: the algebra acting on point masses of the shift.
 
-A normal-form component ``(u, v)`` with coefficient function ``f`` of
-resolution ``N`` sends the point mass at ``v.x`` to ``f((u.x)[:N])`` times
-the point mass at ``u.x`` when ``u.x`` is a point of X, and kills the point
+A normal-form component ``(u, v)`` with coefficient function ``f`` sends the
+point mass at ``v.x`` to ``f(u.x)`` times the point mass at ``u.x`` when
+``u.x`` is a point of X, where ``f(u.x)`` is the value of the one stored word
+that is a prefix of ``u.x`` (zero if there is none), and kills the point
 masses at points that do not start with ``v``.  Read off the stored
 components, this is a representation of the algebra on finitely supported
 functions of the eventually periodic points.  It is computed here with a
@@ -67,7 +68,8 @@ def act(x, vec: dict) -> dict:
             image = ep_normalize(u + tail.preperiod, tail.period)
             if not in_shift(image, forbidden):
                 continue
-            f = fn.coeffs.get(image.prefix(fn.resolution))
+            f = next((fn.coeffs[image.prefix(n)] for n in sorted({len(w) for w in fn.coeffs})
+                      if image.prefix(n) in fn.coeffs), None)
             if f is not None:
                 out[image] = ring.add(out.get(image, ring.zero()), ring.mul(f, c))
     return {p: c for p, c in out.items() if not ring.is_zero(c)}

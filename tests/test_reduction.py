@@ -5,7 +5,7 @@ import random
 import pytest
 
 from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
-from subshift_algebra.clopen import (CycleKind, c_set, classify_cycle,
+from subshift_algebra.clopen import (CoeffFn, CycleKind, c_set, classify_cycle,
                                      cylinder, full_set, relative_range)
 from subshift_algebra.errors import InternalNonzeroViolation, ZeroInput
 from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
@@ -386,8 +386,8 @@ def test_verify_rejects_tampering(alg_y, g_y):
 
 def test_verify_products_refine_no_coarse_factor(alg_gold, monkeypatch):
     # The verification product mu * x * nu multiplies coefficient functions
-    # whose resolutions lie far apart (up to 35).  Refining the coarser one
-    # to the finer resolution enumerates Fibonacci-many words that the
+    # whose words differ in length by up to 35.  Refining the coarser one to
+    # the length of the finer enumerates Fibonacci-many words that the
     # product then discards: reducing s(abababab) + st(aabababab) took minutes.
     extensions = FollowerGraph.extensions
     produced = 0
@@ -459,17 +459,17 @@ def test_junction_memo_stays_bounded():
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6)])
 def test_witness_does_not_depend_on_storage(all_graphs, ring):
-    # A component that is not a scalar multiple of an indicator collapses
-    # onto its least word at the coarsest resolution it allows, so the same
-    # element stored finer reduces to the same witness.
+    # An element given in words finer than its canonical code is stored as
+    # that code, so it reduces to the same witness.
     rng = random.Random(41)
     for g in all_graphs.values():
         algebra = SubshiftAlgebra(g, ring)
         for _ in range(40):
             x = random_nonzero_element(algebra, rng, max_word=2, max_terms=4)
             y = AlgebraElement(algebra, {
-                t: fn.refine(fn.resolution + rng.randint(1, 3))
+                t: CoeffFn(g, fn.at_length(fn.longest() + rng.randint(1, 3)))
                 for t, fn in x.components.items()})
+            assert y.components == x.components
             wx, wy = reduce(x, record_trace=True), reduce(y, record_trace=True)
             assert (wx.mu, wx.nu, wx.form, wx.trace) == (wy.mu, wy.nu, wy.form, wy.trace)
 

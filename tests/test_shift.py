@@ -141,7 +141,7 @@ def test_graph_matches_its_definition_on_random_shifts():
                         rest = [e for e in exts if e != avoid]
                         assert g.least_extension(w, n2, avoid) == \
                             (rest[0] if rest else None), (spec, w, n2, avoid)
-                if n >= g.m and w in language[n]:
+                if w in language[n]:
                     assert g.unique_extension(w) == brute_forced_point(spec, w), (spec, w)
                 else:
                     with pytest.raises(ValueError):
@@ -201,3 +201,85 @@ def test_too_many_blocks_fail_fast():
     with pytest.raises(ShiftTooLarge):
         build_follower_graph(SftSpec.make("abcde", ["a" * 8]))
     assert not issubclass(ShiftTooLarge, ContractViolation)
+
+
+def _extensions_by_brute_force(spec, w):
+    """The m-letter words ``r`` with ``w.r`` legal: ``F(w) <= F(w')`` iff
+    this set of ``w`` is inside that of ``w'`` (memory m)."""
+    return frozenset(r for r in product(range(len(spec.alphabet)), repeat=spec.memory)
+                     if brute_is_legal(spec, w + r))
+
+
+def test_follower_subset_and_code_match_brute_force():
+    # Every id is reached by a legal word of at most m letters; an illegal
+    # word gives -1, the empty follower set.  A code must be a prefix code
+    # in ascending order whose words t have F(b.t) <= F(a.t), none of whose
+    # proper prefixes has that, and which covers the common extensions.
+    rng = random.Random(29)
+    pairs = 0
+    for spec in random_specs(60, seed=21):
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            continue
+        m, k = g.m, len(spec.alphabet)
+        words = [w for n in range(m + 1) for w in brute_legal_words(spec, n)]
+        words.append(next(w for w in product(range(k), repeat=m + 1)
+                          if not brute_is_legal(spec, w)))
+        ext, legal = {}, {}
+
+        def extensions(w):
+            if w not in ext:
+                ext[w] = _extensions_by_brute_force(spec, w)
+            return ext[w]
+
+        def is_legal(w):
+            if w not in legal:
+                legal[w] = brute_is_legal(spec, w)
+            return legal[w]
+
+        for a in words:
+            for b in rng.sample(words, min(len(words), 4)):
+                i, j = g.reach(a), g.reach(b)
+                assert g.follower_subset(i, j) == (extensions(a) <= extensions(b)), (spec, a, b)
+                code = g.follower_code(i, j)
+                assert list(code) == sorted(set(code)), (spec, a, b, code)
+                assert not any(s != t and t[:len(s)] == s for s in code for t in code)
+                for t in code:
+                    assert extensions(b + t) and extensions(b + t) <= extensions(a + t)
+                    assert not any(extensions(b + t[:n]) <= extensions(a + t[:n])
+                                   for n in range(len(t))), (spec, a, b, t)
+                depth = max(map(len, code), default=0) + m
+                if k ** depth <= 81:
+                    tails = list(product(range(k), repeat=depth))
+                    common = {r for r in tails if is_legal(a + r) and is_legal(b + r)}
+                    covered = {r for r in tails
+                               if any(r[:len(t)] == t for t in code) and is_legal(b + r)}
+                    assert covered == common, (spec, a, b, code)
+                pairs += 1
+    assert pairs > 800
+
+
+def test_pair_memos_hold_only_asked_pairs():
+    # The memos start empty; after some questions every key is an asked
+    # pair or one that a letter walked from both ids leads to, and every
+    # asked pair of distinct legal ids is kept.
+    g = build_follower_graph(SftSpec.make("ab", ["aaa", "bba"]))
+    assert g._subsets == {} and g._codes == {} and g._tails == {}
+    asked = [(g.reach(a), g.reach(b)) for a, b in
+             [(W("a"), W("b")), (W("ab"), W("b")), (OMEGA, W("bb")), (W("b"), W("aa"))]]
+    for i, j in asked:
+        g.follower_code(i, j)
+    i, memo = g.tails(W("a"), asked[0][1])
+    assert i == asked[0][0]
+    g.tail_code(memo, *asked[0], W("a"))
+    assert set(memo) == {W("a")} and set(g._tails) == {asked[0]}
+    reachable, frontier = set(), set(asked)
+    while frontier:
+        reachable |= frontier
+        frontier = {(g._delta[i][a], g._delta[j][a]) for i, j in frontier
+                    for a in range(g.n_letters)
+                    if i >= 0 and j >= 0 and g._delta[i][a] >= 0} - reachable
+    for key in (*g._subsets, *g._codes):
+        assert key in reachable or key[::-1] in reachable, key
+    assert {p for p in asked if p[0] != p[1]} <= set(g._codes)
