@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .clopen import ClopenSet, CoeffFn, accumulate, full_set, merge_siblings
+from .clopen import ClopenSet, CoeffFn, accumulate, full_set, merge_siblings, relative_range
 from .errors import BadArgument, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
@@ -114,19 +114,12 @@ class AlgebraElement:
             if not coeffs:
                 continue
             k = len(u)
-            i, memo = g.junctions(v)
-            tails = None
+            i, j, memo = g.tails(u, v)
             for w in coeffs:
                 q = w[k:]
-                if w[:k] != u:
-                    ok = False
-                elif len(q) >= m:
-                    ok = q in memo or g.walk_junction(memo, i, q)
-                else:
-                    if tails is None:
-                        i_u, tails = g.tails(u, i)
-                    code = tails.get(q)
-                    ok = code if code is not None else g.tail_code(tails, i_u, i, q)
+                ok = w[:k] == u and memo.get(q)
+                if ok is None:
+                    ok = g.tail_code(memo, i, j, q)
                 if not ok:
                     raise ValueError(
                         f"support word {w} violates the W-constraint of {(u, v)}")
@@ -164,7 +157,7 @@ class AlgebraElement:
         u, v = t
         if v != OMEGA:
             raise BadArgument(f"tail sets are defined for positive components, not {t}")
-        return self.components[t].tail_set(len(u))
+        return relative_range(self.components[t], u)
 
     # -- ring operations --------------------------------------------------------
 

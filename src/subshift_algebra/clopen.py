@@ -64,28 +64,6 @@ class CoeffFn:
     def support(self) -> "ClopenSet":
         return ClopenSet(self.graph, self.coeffs)
 
-    def tail_set(self, k: int) -> "ClopenSet":
-        """The tails ``x`` of the points ``u.x`` of the support, whose words
-        share the prefix ``u`` of length ``k``: ``r(support, u)``.  A word
-        ``u.p`` gives ``p`` when ``|p| >= m`` and ``p`` followed by the code
-        of ``F(u.p) & F(p)`` otherwise."""
-        g = self.graph
-        words = []
-        u = None
-        for w in self.coeffs:
-            p = w[k:]
-            if len(p) >= g.m:
-                words.append(p)
-                continue
-            if w[:k] != u:
-                u = w[:k]
-                i, tails = g.tails(u, 0)
-            code = tails.get(p)
-            if code is None:
-                code = g.tail_code(tails, i, 0, p)
-            words.extend(p + t for t in code)
-        return ClopenSet(g, words)
-
     def at_length(self, n: int) -> dict[Word, object]:
         """The function on the legal words of length ``n``, at least the
         longest stored word: the printed form."""
@@ -178,29 +156,21 @@ class CoeffFn:
     def translate(self, old: Word, new: Word) -> "CoeffFn":
         """Support translation ``old.p -> new.p`` (the partial action on
         words) of a function supported in ``C(new, old)``.  A word
-        ``old.q`` with ``|q| >= m`` goes to ``new.q``; a shorter ``q`` to
-        ``new.q`` followed by the code of ``F(old.q) & F(new.q)``, which is
-        all of ``F(old.q)``."""
+        ``old.q`` goes to ``new.q`` followed by the code of
+        ``F(old.q) & F(new.q)``, which is all of ``F(old.q)`` (``new.q``
+        itself when ``|q| >= m``)."""
         g = self.graph
         k = len(old)
-        i, memo = g.junctions(new)
-        tails = None
+        i, j, memo = g.tails(old, new)
         out = {}
         for w, c in self.coeffs.items():
             if w[:k] != old:
                 raise InternalNonzeroViolation(
                     f"translation prefix {old} missing from support word {w}")
             q = w[k:]
-            if len(q) >= g.m:
-                if not (q in memo or g.walk_junction(memo, i, q)):
-                    raise InternalNonzeroViolation(f"translated word {new + q} is not legal")
-                out[new + q] = c
-                continue
-            if tails is None:
-                i_old, tails = g.tails(old, i)
-            code = tails.get(q)
+            code = memo.get(q)
             if code is None:
-                code = g.tail_code(tails, i_old, i, q)
+                code = g.tail_code(memo, i, j, q)
             if code is False:
                 raise InternalNonzeroViolation(
                     f"translated word {new + q} does not follow all that {w} does")
@@ -229,10 +199,9 @@ class ClopenSet(CoeffFn):
 
     def __init__(self, graph: FollowerGraph, words):
         coeffs = dict.fromkeys(words, True)
-        i, memo = graph.junctions(OMEGA)
         lengths = sorted(set(map(len, coeffs)))
         for w in coeffs:
-            if not (w in memo or graph.walk_junction(memo, i, w)):
+            if not graph.is_prefix_legal(w):
                 raise ValueError(f"stored word is not prefix-legal: {w}")
             if len(lengths) > 1 and any(w[:k] in coeffs for k in lengths if k < len(w)):
                 raise ValueError(f"stored words are not a prefix code: {w}")
@@ -363,28 +332,26 @@ def c_set(g: FollowerGraph, alpha: Word, beta: Word) -> ClopenSet:
     return ClopenSet(g, [beta + t for t in g.follower_code(g.reach(alpha), g.reach(beta))])
 
 
-def relative_range(a: ClopenSet, alpha: Word) -> ClopenSet:
-    """``r(A, alpha) = {x in X : alpha.x in A}``, without refining ``A``.
-    A stored word ``alpha.t`` contributes ``t`` followed by the code of
-    ``F(alpha.t) & F(t)`` (``t`` itself when ``|t| >= m``), and a stored
-    proper prefix of ``alpha`` the code of ``F(alpha)``.  Any other word
-    contributes nothing."""
+def relative_range(a: CoeffFn, alpha: Word) -> ClopenSet:
+    """``r(A, alpha) = {x in X : alpha.x in A}`` for the support ``A`` of
+    ``a``, without refining it; for a component at ``(u, omega)`` and
+    ``alpha = u`` this is its tail set.  A stored word ``alpha.t``
+    contributes ``t`` followed by the code of ``F(alpha.t) & F(t)`` (``t``
+    itself when ``|t| >= m``), and a stored proper prefix of ``alpha`` the
+    code of ``F(alpha)``.  Any other word contributes nothing."""
     g, k = a.graph, len(alpha)
-    i, tails = g.tails(alpha, 0)
+    i, j, memo = g.tails(alpha, OMEGA)
     words = []
     for w in a.coeffs:
         if len(w) < k:
             if alpha[:len(w)] == w:
-                words.extend(g.follower_code(i, 0))
+                words.extend(g.follower_code(i, j))
         elif w[:k] == alpha:
             t = w[k:]
-            if len(t) >= g.m:
-                words.append(t)
-            else:
-                code = tails.get(t)
-                if code is None:
-                    code = g.tail_code(tails, i, 0, t)
-                words.extend(t + s for s in code)
+            code = memo.get(t)
+            if code is None:
+                code = g.tail_code(memo, i, j, t)
+            words.extend(t + s for s in code)
     return ClopenSet(g, words)
 
 

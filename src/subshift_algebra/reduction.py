@@ -185,7 +185,7 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
             g, least = fn.graph, min(fn.coeffs)
             w = g.least_extension(least, max(len(key[0]) + g.m, fn.longest()))
             fn = CoeffFn(g, {w: fn.coeffs[least]})
-        p.right(p.alg.gen_p(fn.tail_set(len(key[0]))), "p(common)")
+        p.right(p.alg.gen_p(relative_range(fn, key[0])), "p(common)")
     # Follower projections are subsumed: a tail set r(support, alpha) sits
     # inside the follower set of alpha by definition, so the common set
     # already lands inside every surviving F_{alpha_i}.

@@ -11,11 +11,11 @@ Introduction to Symbolic Dynamics and Coding*, section 3.2).  The forbidden
 words themselves are scanned only while the graph is built.
 
 Every query takes its id from one walk, :meth:`FollowerGraph.reach`.
-Whether ``v.q`` is legal is whether ``q`` is walkable from the id ``v``
-reaches, so a support check walks its common prefix once and then only the
-tails, looking each m-letter tail (or the first m letters of a longer one)
-up first in that id's memo of the tails found walkable from it
-(:meth:`FollowerGraph.junctions`).
+A support check on words ``u.q`` against a word ``v`` walks ``u`` and ``v``
+once and then only the tails ``q``, from both ids at once
+(:meth:`FollowerGraph.tail_code`); the answer for each tail of at most m
+letters is kept in one memo per pair of ids (:meth:`FollowerGraph.tails`),
+and a longer tail takes its first m letters from it.
 
 An id ``i`` also names a follower set ``F(i)``, the sequences ``x`` whose
 walk from ``i`` never leaves the table: ``F(v) = {x : v.x in X}`` for the id
@@ -110,11 +110,10 @@ class FollowerGraph:
     the id that letter ``a`` leads to from id ``i``, or -1.  A word reaches
     the id of its last (at most m) letters.  Built by :func:`build_follower_graph`.
 
-    ``_junctions[i]`` holds the m-letter tails found walkable from id ``i``,
-    filled by :meth:`walk_junction` and never emptied; a tail not in it is
-    walked.  ``_subsets`` and ``_codes`` hold the answers of
-    :meth:`follower_subset` and :meth:`follower_code` per pair of ids, and
-    ``_tails`` the tail memo of each pair (:meth:`tails`).
+    ``_subsets`` and ``_codes`` hold the answers of :meth:`follower_subset`
+    and :meth:`follower_code` per pair of ids, and ``_tails`` the tail memo
+    of each pair (:meth:`tails`), whose keys have at most m letters.  They
+    are filled as they are asked and never emptied.
     """
 
     def __init__(self, spec: SftSpec, states: frozenset[Word],
@@ -136,7 +135,6 @@ class FollowerGraph:
         self._legal_cache: dict[int, tuple[Word, ...]] = {}
         # _walks[s][i]: the number of walks of s steps from id i.
         self._walks = [[1] * len(self._delta)]
-        self._junctions: dict[int, set[Word]] = {}
         self._subsets: dict[tuple[int, int], bool] = {}
         self._codes: dict[tuple[int, int], tuple[Word, ...]] = {}
         self._tails: dict[tuple[int, int], dict] = {}
@@ -158,37 +156,9 @@ class FollowerGraph:
             state = delta[state][a]
         return state
 
-    def is_prefix_legal(self, w: Word, state: int = 0) -> bool:
-        """True iff the cylinder of ``w`` is non-empty, or with ``state``,
-        iff ``v.w`` is legal for the words ``v`` that reach that id."""
-        return self.reach(w, state) >= 0
-
-    def junctions(self, v: Word) -> tuple[int, set[Word]]:
-        """The id ``v`` reaches and that id's junction memo, walking ``v``
-        once.  A caller tests each tail ``q`` of its words as
-        ``q in memo or g.walk_junction(memo, i, q)``.  An illegal ``v``
-        gets id -1, from which no tail is walkable, so its memo stays empty."""
-        i = self.reach(v)
-        memo = self._junctions.get(i)
-        if memo is None:
-            memo = self._junctions[i] = set()
-        return i, memo
-
-    def walk_junction(self, memo: set[Word], i: int, q: Word) -> bool:
-        """Whether ``q`` is walkable from id ``i``: the miss path of
-        ``i, memo = junctions(v)``.  A legal m-letter tail is walked and kept
-        in ``memo``.  A longer tail is walkable iff its first m letters are,
-        which the memo answers, and the rest is walkable from the m-block
-        they name, so only the rest is walked."""
-        m = self.m
-        if len(q) > m:
-            head = q[:m]
-            return (head in memo or self.walk_junction(memo, i, head)) \
-                and self.is_prefix_legal(q[m:], self._ids[head])
-        legal = self.is_prefix_legal(q, i)
-        if legal and len(q) == m:
-            memo.add(q)
-        return legal
+    def is_prefix_legal(self, w: Word) -> bool:
+        """True iff the cylinder of ``w`` is non-empty."""
+        return self.reach(w) >= 0
 
     @cached_property
     def out_degree(self) -> dict[Word, int]:
@@ -222,25 +192,36 @@ class FollowerGraph:
             self._subsets[key] = known
         return known
 
-    def tails(self, u: Word, j: int) -> tuple[int, dict[Word, tuple[Word, ...] | bool]]:
-        """The id ``i`` that ``u`` reaches and the tail memo of the pair of
-        ids ``(i, j)``: the answers of :meth:`tail_code` found so far, by
-        tail, walking ``u`` once.  A caller looks a tail up as
-        ``memo.get(q)`` and, when that is ``None``, asks
+    def tails(self, u: Word, v: Word) -> tuple[int, int, dict[Word, tuple[Word, ...] | bool]]:
+        """The ids ``i`` and ``j`` that ``u`` and ``v`` reach and the tail
+        memo of the pair ``(i, j)``: the answers of :meth:`tail_code` found
+        so far, by tail, walking ``u`` and ``v`` once.  A caller looks a tail
+        up as ``memo.get(q)`` and, when that is ``None``, asks
         ``g.tail_code(memo, i, j, q)``."""
-        i = self.reach(u)
-        key = (i, j)
-        memo = self._tails.get(key)
+        i, j = self.reach(u), self.reach(v)
+        memo = self._tails.get((i, j))
         if memo is None:
-            memo = self._tails[key] = {}
-        return i, memo
+            memo = self._tails[(i, j)] = {}
+        return i, j, memo
 
     def tail_code(self, memo: dict, i: int, j: int, q: Word) -> tuple[Word, ...] | bool:
         """For words ``a`` and ``b`` that reach ids ``i`` and ``j``:
         ``False`` unless ``F(a.q) <= F(b.q)``, and otherwise the code of
         ``F(a.q) & F(b.q)`` below ``b.q``, which covers all of ``F(a.q)``
-        (empty when ``a.q`` is not legal).  ``q`` is walked from both ids at
-        once, and the answer kept in ``memo``, the pair's :meth:`tails`."""
+        (empty when ``a.q`` is not legal).  A tail of at most m letters is
+        walked from both ids at once, and the answer kept in ``memo``, the
+        pair's :meth:`tails`.  A longer one walks only the rest from the
+        m-block its first m letters name: the answer is theirs while ``a.q``
+        stays legal, and empty otherwise."""
+        m = self.m
+        if len(q) > m:
+            head = q[:m]
+            code = memo.get(head)
+            if code is None:
+                code = self.tail_code(memo, i, j, head)
+            if code == () or self.reach(q[m:], self._ids[head]) >= 0:
+                return code
+            return ()
         delta, a, b = self._delta, i, j
         for c in q:
             if a < 0:

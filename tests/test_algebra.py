@@ -250,26 +250,29 @@ def test_translate_rejects_illegal_result(g_gold):
 
 def test_w_constraint_violations_raise():
     # A component at (a, b) of the golden mean shift may hold a.p only where
-    # b.p is legal.  Each bad word follows a good one, and each is rejected
-    # with the memo of b's junctions cold and again once legal tails warm it.
+    # b.p is legal, and at (b, a) only where b.p is.  Each bad word follows a
+    # good one, and each is rejected with the pair's tail memo cold and again
+    # once legal tails warm it.
     g = build_follower_graph(SftSpec.make("ab", ["bb"]))
     algebra = SubshiftAlgebra(g, ZZ)
     pair = (W("a"), W("b"))
     bad = [
-        (2, "ba"),   # not below the prefix a
-        (2, "ab"),   # the m-letter tail b: b.b is illegal
-        (3, "aba"),  # the longer tail ba: b.ba is illegal
+        (pair, "aa", "ba"),   # not below the prefix a
+        (pair, "aa", "ab"),   # the m-letter tail b: b.b is illegal
+        (pair, "aaa", "aba"),  # the longer tail ba: b.ba is illegal
+        ((W("b"), W("a")), None, "bb"),  # the tail b: b.b itself is illegal
     ]
     for _ in ("cold", "warm"):
-        for res, word in bad:
-            good = "a" * res
-            fn = CoeffFn(g, {W(good): 1, W(word): 1})
-            message = f"support word {W(word)} violates the W-constraint of {pair}"
+        for at, good, word in bad:
+            fn = CoeffFn(g, {W(word): 1, **({W(good): 1} if good else {})})
+            message = f"support word {W(word)} violates the W-constraint of {at}"
             with pytest.raises(ValueError, match=re.escape(message)):
-                AlgebraElement(algebra, {pair: fn})
+                AlgebraElement(algebra, {at: fn})
         warm = AlgebraElement(algebra, {pair: CoeffFn(g, {W("aaa"): 1, W("aab"): 2})})
         assert set(warm.components[pair].coeffs) == {W("aaa"), W("aab")}
-    assert g.junctions(W("b"))[1] == {W("a")}
+    # Only tails of at most m letters are kept: the longer tails aa, ab and
+    # ba were answered from their first letter.
+    assert g.tails(*pair)[2] == {W("a"): (OMEGA,), W("b"): False}
 
 
 def test_w_constraint_on_short_tails():

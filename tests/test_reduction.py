@@ -444,17 +444,19 @@ def test_scaling_reduction_stays_small(monkeypatch):
     assert produced[0] < 4_600
 
 
-def test_junction_memo_stays_bounded():
-    # The memo keeps legal m-letter tails only, per id of the table.
+def test_tail_memo_stays_bounded():
+    # The tail memo keeps tails of at most m letters only, per pair of ids
+    # of the table (-1 included).
     g = build_follower_graph(l_spec(8))
     algebra = SubshiftAlgebra(g, ZZ)
     x = algebra.elem_s(W("a")) + algebra.elem_s(W("bab")).scale(2) \
         + algebra.elem_s_star(W("b"))
     assert verify(reduce(x), x)
-    blocks = set(g.legal_words(g.m))
-    memos = g._junctions.values()
-    assert all(memo <= blocks for memo in memos)
-    assert 0 < sum(map(len, memos)) <= len(g._delta) * len(blocks)
+    ids = range(-1, len(g._delta))
+    assert all(i in ids and j in ids for i, j in g._tails)
+    assert all(len(q) <= g.m for memo in g._tails.values() for q in memo)
+    tails = sum(g.n_letters ** n for n in range(1, g.m + 1))
+    assert 0 < sum(map(len, g._tails.values())) <= len(g._tails) * tails
 
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, Zmod(6)])

@@ -9,8 +9,8 @@ from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge
 from subshift_algebra.shift import MAX_BLOCKS, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint
 
-from conftest import (W, brute_follower_graph, brute_forced_point, brute_is_legal,
-                      brute_legal_words, random_specs)
+from conftest import (W, brute_follower_graph, brute_forbidden_free, brute_forced_point,
+                      brute_is_legal, brute_legal_words, random_specs)
 
 
 def test_golden_mean_graph(g_gold):
@@ -146,31 +146,52 @@ def test_graph_matches_its_definition_on_random_shifts():
                 else:
                     with pytest.raises(ValueError):
                         g.unique_extension(w)
-        _check_junction_memo(g, spec, rng)
+        _check_tail_memo(g, spec, rng)
 
 
-def _check_junction_memo(g, spec, rng):
-    """For random prefixes ``v``, legal or not, ``junctions(v)`` gives an id
-    from which a tail ``q`` (every m-letter one, and random ones of m+1 and
-    m+2 letters) is walkable iff ``v.q`` is legal: by
-    ``is_prefix_legal(q, i)``, and through the memo first with each (id,
-    tail) queried cold, then with the memo warm.  The memo keeps only
-    m-letter tails."""
+def _check_tail_memo(g, spec, rng):
+    """For random pairs of prefixes ``a`` and ``b``, legal or not, and
+    tails ``q`` of 1..m+2 letters (every one of at most m, and random longer
+    ones), ``tail_code`` is ``False`` iff ``F(a.q) <= F(b.q)`` fails by
+    brute force, and otherwise the code of the ids that ``a.q`` and ``b.q``
+    reach, empty iff ``a.q`` is not legal: asked through the memo cold,
+    then warm.  No memo key has more than m letters."""
     letters = range(len(spec.alphabet))
     prefixes = [OMEGA] + [tuple(rng.choice(letters) for _ in range(rng.randint(1, g.m + 2)))
-                          for _ in range(10)]
-    tails = list(product(letters, repeat=g.m))
-    for n in (g.m + 1, g.m + 2):  # as many longer tails of each length
-        tails += rng.sample(list(product(letters, repeat=n)), len(letters) ** g.m)
-    legal = {v + q: brute_is_legal(spec, v + q) for v in prefixes for q in tails}
+                          for _ in range(5)]
+    pairs = [(a, rng.choice(prefixes)) for a in prefixes]
+    tails = [q for n in range(1, g.m + 1) for q in product(letters, repeat=n)]
+    for n in (g.m + 1, g.m + 2):
+        tails += rng.sample(list(product(letters, repeat=n)), min(8, len(letters) ** n))
+    blocks, legal, ext = set(brute_legal_words(spec, g.m)), {}, {}
+
+    def is_legal(w):  # a forbidden-free word whose last m letters are legal is legal
+        if w not in legal:
+            legal[w] = brute_forbidden_free(w, spec.forbidden) and w[-g.m:] in blocks \
+                if len(w) >= g.m else brute_is_legal(spec, w)
+        return legal[w]
+
+    def extensions(w):  # as _extensions_by_brute_force, sharing the words' oracle calls
+        if w not in ext:
+            ext[w] = frozenset(r for r in product(letters, repeat=g.m) if is_legal(w + r)) \
+                if is_legal(w) else frozenset()
+        return ext[w]
+
     for _ in ("cold", "warm"):
-        for v in prefixes:
-            i, memo = g.junctions(v)
-            assert (i >= 0) == g.is_prefix_legal(v), (spec, v)
+        for a, b in pairs:
+            i, j, memo = g.tails(a, b)
+            assert (i, j) == (g.reach(a), g.reach(b)), (spec, a, b)
             for q in tails:
-                assert g.is_prefix_legal(q, i) == legal[v + q], (spec, v, q)
-                assert (q in memo or g.walk_junction(memo, i, q)) == legal[v + q], (spec, v, q)
-            assert all(len(q) == g.m for q in memo), (spec, v)
+                code = memo.get(q)
+                if code is None:
+                    code = g.tail_code(memo, i, j, q)
+                if extensions(a + q) <= extensions(b + q):
+                    assert code == g.follower_code(g.reach(a + q), g.reach(b + q)), \
+                        (spec, a, b, q)
+                    assert bool(code) == bool(extensions(a + q)), (spec, a, b, q)
+                else:
+                    assert code is False, (spec, a, b, q)
+    assert all(len(q) <= g.m for memo in g._tails.values() for q in memo), spec
 
 
 def test_extensions(g_gold):
@@ -270,8 +291,8 @@ def test_pair_memos_hold_only_asked_pairs():
              [(W("a"), W("b")), (W("ab"), W("b")), (OMEGA, W("bb")), (W("b"), W("aa"))]]
     for i, j in asked:
         g.follower_code(i, j)
-    i, memo = g.tails(W("a"), asked[0][1])
-    assert i == asked[0][0]
+    i, j, memo = g.tails(W("a"), W("b"))
+    assert (i, j) == asked[0]
     g.tail_code(memo, *asked[0], W("a"))
     assert set(memo) == {W("a")} and set(g._tails) == {asked[0]}
     reachable, frontier = set(), set(asked)
