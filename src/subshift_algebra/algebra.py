@@ -4,9 +4,10 @@ Elements are stored in the skew-ring normal form: a finitely supported map
 from reduced free-group word pairs ``(u, v)`` (meaning the group element
 ``u v^{-1}``) to coefficient functions supported on clopen sets.  The
 component at ``(u, v)`` must be supported inside ``C(v, u)``: it is stored
-as the canonical prefix code of words ``u.q`` (none shorter than ``u``), and
-each satisfies ``F(u.q) <= F(v.q)``, which for ``|q| >= m`` says that
-``v.q`` is legal.
+as the canonical prefix code of legal words ``u.q`` (none shorter than
+``u``), and each satisfies ``F(u.q) <= F(v.q)``, which for ``|q| >= m``
+says that ``v.q`` is legal.  The constructor checks the pair and drops zero
+values; ``clopen.canonical``, the check that sets share, does the rest.
 
 Multiplication follows the partial-action formula: to multiply a component
 ``f`` at ``s = (u, v)`` with ``g`` at ``t = (u', v')``, translate the support
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from .clopen import ClopenSet, CoeffFn, accumulate, full_set, merge_siblings, relative_range
+from .clopen import ClopenSet, CoeffFn, accumulate, canonical, full_set, relative_range
 from .errors import BadArgument, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
@@ -98,12 +99,11 @@ class SubshiftAlgebra:
 class AlgebraElement:
     """An element in canonical skew-ring form: each component is stored as
     its canonical prefix code, with ``u`` as the floor of the component at
-    ``(u, v)``.  Immutable by convention."""
+    ``(u, v)`` (:func:`~.clopen.canonical`).  Immutable by convention."""
 
     def __init__(self, algebra: SubshiftAlgebra, components: dict[Pair, CoeffFn]):
         self.algebra = algebra
-        g, m = algebra.graph, algebra.graph.m
-        ring = algebra.ring
+        g, ring = algebra.graph, algebra.ring
         clean: dict[Pair, CoeffFn] = {}
         for (u, v), fn in components.items():
             if u and v and u[-1] == v[-1]:
@@ -113,20 +113,7 @@ class AlgebraElement:
                 coeffs = {w: c for w, c in coeffs.items() if not ring.is_zero(c)}
             if not coeffs:
                 continue
-            k = len(u)
-            i, j, memo = g.tails(u, v)
-            for w in coeffs:
-                q = w[k:]
-                ok = w[:k] == u and memo.get(q)
-                if ok is None:
-                    ok = g.tail_code(memo, i, j, q)
-                if not ok:
-                    raise ValueError(
-                        f"support word {w} violates the W-constraint of {(u, v)}")
-            # A merge needs a full family of stored words: several words, or
-            # one below u that is the only legal child of its parent.
-            if len(coeffs) > 1 or len(w) > k and g.out_degree[w[:-1][-m:]] == 1:
-                coeffs = merge_siblings(g, coeffs, k)
+            coeffs = canonical(g, coeffs, u, v)
             if coeffs is not fn.coeffs or type(fn) is not CoeffFn or fn.graph is not g:
                 fn = CoeffFn(g, coeffs)
             clean[(u, v)] = fn

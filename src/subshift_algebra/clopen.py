@@ -5,10 +5,12 @@ A support is a :class:`CoeffFn`: a prefix code of legal words, each standing
 for its cylinder, mapped to nonzero values.  It is kept canonical: the
 shortest words on whose cylinders the function is constant, so that no full
 family of legal siblings shares one value above a floor (the word ``u`` of a
-component at ``(u, v)``; a set has none).  :func:`merge_siblings` is the one
-normaliser, and equal functions have equal dicts.  A clopen set is the
-Boolean-valued coefficient function (:class:`ClopenSet`, its one value
-``True``): union is the sum, intersection the product, and difference the
+component at ``(u, v)``; a set has none).  :func:`canonical` is the one
+place that checks a stored support (legal words in a prefix code, each
+``u.q`` with ``F(u.q) <= F(v.q)``) and makes it canonical, for sets and
+element components alike, and equal functions have equal dicts.  A clopen
+set is the Boolean-valued coefficient function (:class:`ClopenSet`, its one
+value ``True``): union is the sum, intersection the product, and difference the
 part of the common refinement that the other set misses.  So the common
 refinement of two codes (:meth:`CoeffFn._overlay`) exists once, in
 ``CoeffFn``, and refines no operand past the finer of its words.
@@ -158,22 +160,22 @@ class CoeffFn:
         words) of a function supported in ``C(new, old)``.  A word
         ``old.q`` goes to ``new.q`` followed by the code of
         ``F(old.q) & F(new.q)``, which is all of ``F(old.q)`` (``new.q``
-        itself when ``|q| >= m``)."""
+        itself when ``|q| >= m``).  A word outside ``C(new, old)``, or
+        not legal, raises :class:`InternalNonzeroViolation`."""
         g = self.graph
         k = len(old)
-        i, j, memo = g.tails(old, new)
+        memo = g.tails(old, new)
         out = {}
         for w, c in self.coeffs.items():
             if w[:k] != old:
                 raise InternalNonzeroViolation(
                     f"translation prefix {old} missing from support word {w}")
             q = w[k:]
-            code = memo.get(q)
-            if code is None:
-                code = g.tail_code(memo, i, j, q)
-            if code is False:
+            code = memo[q]
+            if not code:  # False, or the empty code of an illegal word
                 raise InternalNonzeroViolation(
-                    f"translated word {new + q} does not follow all that {w} does")
+                    f"translated word {new + q} does not follow all that {w} does"
+                    if code is False else f"support word {w} is not legal")
             for t in code:
                 out[new + q + t] = c
         return type(self)(g, out)
@@ -194,18 +196,11 @@ _BOOLEANS = SimpleNamespace(add=operator.or_, mul=operator.and_, is_zero=operato
 
 class ClopenSet(CoeffFn):
     """A clopen set: its indicator, ``True`` on the stored words, built from
-    any prefix code of legal words and stored canonically.  Equality is
-    semantic, so sets are not hashable."""
+    any prefix code of legal words and stored canonically (:func:`canonical`
+    at ``(omega, omega)``).  Equality is semantic, so sets are not hashable."""
 
     def __init__(self, graph: FollowerGraph, words):
-        coeffs = dict.fromkeys(words, True)
-        lengths = sorted(set(map(len, coeffs)))
-        for w in coeffs:
-            if not graph.is_prefix_legal(w):
-                raise ValueError(f"stored word is not prefix-legal: {w}")
-            if len(lengths) > 1 and any(w[:k] in coeffs for k in lengths if k < len(w)):
-                raise ValueError(f"stored words are not a prefix code: {w}")
-        super().__init__(graph, merge_siblings(graph, coeffs, 0))
+        super().__init__(graph, canonical(graph, dict.fromkeys(words, True)))
 
     @property
     def words(self):  # a read-only set view
@@ -268,6 +263,33 @@ def accumulate(out: dict, items, add, is_zero) -> dict:
                 continue
         out[key] = value
     return out
+
+
+def canonical(g: FollowerGraph, coeffs: dict[Word, object],
+              u: Word = OMEGA, v: Word = OMEGA) -> dict[Word, object]:
+    """The canonical form of the support ``coeffs`` (words to nonzero
+    values) of a component at ``(u, v)``; a set is one at ``(omega,
+    omega)``.  Raises ``ValueError`` unless every word is ``u.q`` with
+    ``u.q`` legal and ``F(u.q) <= F(v.q)`` (the W-constraint; for a set,
+    legality) and the words form a prefix code.  Then merges with
+    :func:`merge_siblings` above ``|u|``, if a merge is possible at all.
+    Returns ``coeffs`` itself when nothing merges."""
+    k, memo = len(u), g.tails(u, v)
+    for w in coeffs:
+        if w[:k] != u or not memo[w[k:]]:
+            raise ValueError(f"support word {w} violates the W-constraint of {(u, v)}")
+    if len(coeffs) > 1:
+        if len(set(map(len, coeffs))) > 1:
+            # In sorted order a word's extensions follow it directly.
+            words = sorted(coeffs)
+            for a, b in zip(words, words[1:]):
+                if b[:len(a)] == a:
+                    raise ValueError(f"support words are not a prefix code: {b}")
+        return merge_siblings(g, coeffs, k)
+    # One word merges only while it is the only legal child of its parent.
+    if coeffs and len(w) > k and g.out_degree[w[:-1][-g.m:]] == 1:
+        return merge_siblings(g, coeffs, k)
+    return coeffs
 
 
 def merge_siblings(g: FollowerGraph, values: dict[Word, object],
@@ -338,19 +360,20 @@ def relative_range(a: CoeffFn, alpha: Word) -> ClopenSet:
     ``alpha = u`` this is its tail set.  A stored word ``alpha.t``
     contributes ``t`` followed by the code of ``F(alpha.t) & F(t)`` (``t``
     itself when ``|t| >= m``), and a stored proper prefix of ``alpha`` the
-    code of ``F(alpha)``.  Any other word contributes nothing."""
+    code of ``F(alpha)``.  Any other word contributes nothing, and a stored
+    ``alpha.t`` that is not legal raises :class:`InternalNonzeroViolation`."""
     g, k = a.graph, len(alpha)
-    i, j, memo = g.tails(alpha, OMEGA)
+    memo = g.tails(alpha, OMEGA)
     words = []
     for w in a.coeffs:
         if len(w) < k:
             if alpha[:len(w)] == w:
-                words.extend(g.follower_code(i, j))
+                words.extend(memo[OMEGA])
         elif w[:k] == alpha:
             t = w[k:]
-            code = memo.get(t)
-            if code is None:
-                code = g.tail_code(memo, i, j, t)
+            code = memo[t]
+            if not code:
+                raise InternalNonzeroViolation(f"support word {w} is not legal")
             words.extend(t + s for s in code)
     return ClopenSet(g, words)
 

@@ -12,10 +12,10 @@ words themselves are scanned only while the graph is built.
 
 Every query takes its id from one walk, :meth:`FollowerGraph.reach`.
 A support check on words ``u.q`` against a word ``v`` walks ``u`` and ``v``
-once and then only the tails ``q``, from both ids at once
-(:meth:`FollowerGraph.tail_code`); the answer for each tail of at most m
-letters is kept in one memo per pair of ids (:meth:`FollowerGraph.tails`),
-and a longer tail takes its first m letters from it.
+once (:meth:`FollowerGraph.tails`) and then only the tails ``q``, from both
+ids at once: the memo of the pair answers ``memo[q]`` and fills itself, with
+one key per tail of at most m letters, and a longer tail takes its first m
+letters from it.
 
 An id ``i`` also names a follower set ``F(i)``, the sequences ``x`` whose
 walk from ``i`` never leaves the table: ``F(v) = {x : v.x in X}`` for the id
@@ -103,12 +103,14 @@ class SftSpec:
 class FollowerGraph:
     """Pruned memory-m transition automaton of an SFT.
 
-    States are the legal m-blocks that admit an infinite continuation;
-    ``edges[(state, letter)]`` gives the successor m-block.  Every query walks
-    one table from its start state: ``_ids`` numbers the empty word (id 0),
-    the proper prefixes of the states and the states, and ``_delta[i][a]`` is
-    the id that letter ``a`` leads to from id ``i``, or -1.  A word reaches
-    the id of its last (at most m) letters.  Built by :func:`build_follower_graph`.
+    States are the legal m-blocks that admit an infinite continuation
+    (``legal_words(m)``); letter ``a`` leads from state ``s`` to the last m
+    letters of ``s.a`` when that word is legal (``letters(s)``).  Every query
+    walks one table from its start state: ``_ids`` numbers the empty word (id
+    0), the proper prefixes of the states and the states, and ``_delta[i][a]``
+    is the id that letter ``a`` leads to from id ``i``, or -1.  A word
+    reaches the id of its last (at most m) letters.  Built by
+    :func:`build_follower_graph`.
 
     ``_subsets`` and ``_codes`` hold the answers of :meth:`follower_subset`
     and :meth:`follower_code` per pair of ids, and ``_tails`` the tail memo
@@ -119,8 +121,6 @@ class FollowerGraph:
     def __init__(self, spec: SftSpec, states: frozenset[Word],
                  edges: dict[tuple[Word, int], Word]):
         self.spec = spec
-        self.states = states
-        self.edges = edges
         self.m = spec.memory
         self.n_letters = len(spec.alphabet)
         self._ids = {OMEGA: 0}
@@ -132,12 +132,9 @@ class FollowerGraph:
                 self._delta.append([-1] * self.n_letters)
         for (u, a), v in edges.items():
             self._delta[self._ids[u]][a] = self._ids[v]
-        self._legal_cache: dict[int, tuple[Word, ...]] = {}
-        # _walks[s][i]: the number of walks of s steps from id i.
-        self._walks = [[1] * len(self._delta)]
         self._subsets: dict[tuple[int, int], bool] = {}
         self._codes: dict[tuple[int, int], tuple[Word, ...]] = {}
-        self._tails: dict[tuple[int, int], dict] = {}
+        self._tails: dict[tuple[int, int], _TailMemo] = {}
 
     def reach(self, w: Word, state: int = 0) -> int:
         """The id that ``w`` reaches from id ``state``, or -1 if its walk
@@ -192,45 +189,17 @@ class FollowerGraph:
             self._subsets[key] = known
         return known
 
-    def tails(self, u: Word, v: Word) -> tuple[int, int, dict[Word, tuple[Word, ...] | bool]]:
-        """The ids ``i`` and ``j`` that ``u`` and ``v`` reach and the tail
-        memo of the pair ``(i, j)``: the answers of :meth:`tail_code` found
-        so far, by tail, walking ``u`` and ``v`` once.  A caller looks a tail
-        up as ``memo.get(q)`` and, when that is ``None``, asks
-        ``g.tail_code(memo, i, j, q)``."""
-        i, j = self.reach(u), self.reach(v)
-        memo = self._tails.get((i, j))
+    def tails(self, u: Word, v: Word) -> _TailMemo:
+        """The tail memo of the pair of ids that ``u`` and ``v`` reach,
+        walking each word once: ``memo[q]`` answers a tail ``q``
+        (:class:`_TailMemo`)."""
+        ids, m = self._ids, self.m  # reach's one lookup for a short word, inlined
+        key = (ids.get(u, -1) if len(u) <= m else self.reach(u),
+               ids.get(v, -1) if len(v) <= m else self.reach(v))
+        memo = self._tails.get(key)
         if memo is None:
-            memo = self._tails[(i, j)] = {}
-        return i, j, memo
-
-    def tail_code(self, memo: dict, i: int, j: int, q: Word) -> tuple[Word, ...] | bool:
-        """For words ``a`` and ``b`` that reach ids ``i`` and ``j``:
-        ``False`` unless ``F(a.q) <= F(b.q)``, and otherwise the code of
-        ``F(a.q) & F(b.q)`` below ``b.q``, which covers all of ``F(a.q)``
-        (empty when ``a.q`` is not legal).  A tail of at most m letters is
-        walked from both ids at once, and the answer kept in ``memo``, the
-        pair's :meth:`tails`.  A longer one walks only the rest from the
-        m-block its first m letters name: the answer is theirs while ``a.q``
-        stays legal, and empty otherwise."""
-        m = self.m
-        if len(q) > m:
-            head = q[:m]
-            code = memo.get(head)
-            if code is None:
-                code = self.tail_code(memo, i, j, head)
-            if code == () or self.reach(q[m:], self._ids[head]) >= 0:
-                return code
-            return ()
-        delta, a, b = self._delta, i, j
-        for c in q:
-            if a < 0:
-                break
-            a = delta[a][c]
-            if b >= 0:
-                b = delta[b][c]
-        code = memo[q] = self.follower_code(a, b) if self.follower_subset(a, b) else False
-        return code
+            memo = self._tails[key] = _TailMemo(self, *key)
+        return memo
 
     def follower_code(self, i: int, j: int) -> tuple[Word, ...]:
         """The shortest words ``t`` whose sets ``t.F(j.t)`` partition
@@ -259,9 +228,7 @@ class FollowerGraph:
         the extensions of the empty word."""
         if n < 0:
             raise ValueError("length must be >= 0")
-        if n not in self._legal_cache:
-            self._legal_cache[n] = tuple(self._grow(OMEGA, 0, n))
-        return self._legal_cache[n]
+        return tuple(self._grow(OMEGA, 0, n))
 
     def _grow(self, w: Word, state: int, steps: int) -> list[Word]:
         """Extend ``w``, which reaches id ``state``, by ``steps`` letters
@@ -282,22 +249,6 @@ class FollowerGraph:
             raise ValueError("cannot extend to a shorter length")
         state = self.reach(w)
         return self._grow(w, state, n - len(w)) if state >= 0 else []
-
-    def count_extensions(self, w: Word, n: int) -> int:
-        """The number of prefix-legal extensions of ``w`` to length ``n``,
-        without listing them: the walks of ``n - len(w)`` steps from the id
-        ``w`` reaches.  The counts for a number of steps are made once, for
-        every id, and kept."""
-        if n < len(w):
-            raise ValueError("cannot extend to a shorter length")
-        state = self.reach(w)
-        if state < 0:
-            return 0
-        walks = self._walks
-        while len(walks) <= n - len(w):
-            last = walks[-1]
-            walks.append([sum(last[t] for t in row if t >= 0) for row in self._delta])
-        return walks[n - len(w)][state]
 
     def least_extension(self, w: Word, n: int, avoid: Word | None = None) -> Word | None:
         """The lexicographically least prefix-legal extension of ``w`` to
@@ -334,7 +285,7 @@ class FollowerGraph:
 
         Present iff every id on the walk from the id ``w`` reaches has
         out-degree exactly 1; the forced walk reaches the states within m
-        steps and closes into a cycle within ``len(states)`` more.
+        steps and closes into a cycle within one step per state more.
         """
         state = self.reach(w)
         if state < 0:
@@ -350,6 +301,41 @@ class FollowerGraph:
             letters.append(a)
         j = pos[state]
         return ep_normalize(w + tuple(letters[:j]), tuple(letters[j:]))
+
+
+class _TailMemo(dict):
+    """The tail memo of a pair of ids ``i`` and ``j``, reached by words
+    ``a`` and ``b``: ``memo[q]`` is ``False`` unless ``F(a.q) <= F(b.q)``,
+    and otherwise the code of ``F(a.q) & F(b.q)`` below ``b.q``, which
+    covers all of ``F(a.q)`` (empty when ``a.q`` is not legal).  A missing
+    tail of at most m letters is walked from both ids at once and its answer
+    kept.  A longer one walks only the rest from the m-block its first m
+    letters name: the answer is theirs while ``a.q`` stays legal, and empty
+    otherwise.  So no key has more than m letters."""
+
+    __slots__ = ("graph", "i", "j")
+
+    def __init__(self, graph: FollowerGraph, i: int, j: int):
+        self.graph, self.i, self.j = graph, i, j
+
+    def __missing__(self, q: Word) -> tuple[Word, ...] | bool:
+        g = self.graph
+        m = g.m
+        if len(q) > m:
+            head = q[:m]
+            code = self[head]
+            if code == () or g.reach(q[m:], g._ids[head]) >= 0:
+                return code
+            return ()
+        delta, a, b = g._delta, self.i, self.j
+        for c in q:
+            if a < 0:
+                break
+            a = delta[a][c]
+            if b >= 0:
+                b = delta[b][c]
+        code = self[q] = g.follower_code(a, b) if g.follower_subset(a, b) else False
+        return code
 
 
 # The most m-blocks (alphabet size to the power of the memory) that

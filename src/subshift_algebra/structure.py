@@ -33,7 +33,7 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
     as its period; each cycle is reported at its least state.
     """
     results = []
-    for s in sorted(g.states):
+    for s in g.legal_words(g.m):
         point = g.unique_extension(s)
         if point is None or point.preperiod:
             continue
@@ -189,7 +189,7 @@ class RelationReport:
 
 # The most legal words, the empty one included, that relations_selftest
 # checks; its checks grow with the square of their number, so a length bound
-# with more words is refused before any is listed.
+# with more words is refused before they are checked.
 MAX_SELFTEST_WORDS = 32
 
 
@@ -206,7 +206,7 @@ def relations_selftest(g: FollowerGraph, max_len: int,
     """
     if max_len < 0:
         raise BadArgument(f"the word length bound must be >= 0, got {max_len}")
-    counts = itertools.accumulate(g.count_extensions(OMEGA, n) for n in range(max_len + 1))
+    counts = itertools.accumulate(len(g.legal_words(n)) for n in range(max_len + 1))
     # any() stops at the first length past the bound, so a huge max_len is cheap.
     if any(count > MAX_SELFTEST_WORDS for count in counts):
         raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "

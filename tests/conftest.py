@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -170,8 +171,38 @@ def is_canonical(spec, coeffs: dict, floor: int) -> bool:
     extensions stored with one value, legality by :func:`brute_is_legal`."""
     k = len(spec.alphabet)
     for p in {w[:-1] for w in coeffs if len(w) > floor}:
-        kids = [p + (a,) for a in range(k) if brute_is_legal(spec, p + (a,))]
+        kids = [p + (a,) for a in range(k) if _cached_is_legal(spec, p + (a,))]
         if all(w in coeffs for w in kids) and len({coeffs[w] for w in kids}) == 1:
+            return False
+    return True
+
+
+@functools.cache
+def _cached_is_legal(spec, w) -> bool:
+    return brute_is_legal(spec, w)
+
+
+def stores_canonically(x) -> bool:
+    """Every component of the element ``x`` at ``(u, v)`` is a prefix code
+    of legal words ``u.q`` with nonzero values and ``F(u.q) <= F(v.q)``,
+    and :func:`is_canonical` above ``|u|``; legality by
+    :func:`brute_is_legal`, and ``F(a) <= F(b)`` as every m-letter ``r``
+    with ``a.r`` legal having ``b.r`` legal."""
+    spec, ring = x.algebra.graph.spec, x.algebra.ring
+    blocks = list(product(range(len(spec.alphabet)), repeat=spec.memory))
+    legal = functools.partial(_cached_is_legal, spec)
+    for (u, v), fn in x.components.items():
+        words = list(fn.coeffs)
+        if not words or any(map(ring.is_zero, fn.coeffs.values())):
+            return False
+        if any(s != t and t[:len(s)] == s for s in words for t in words):
+            return False
+        for w in words:
+            q = w[len(u):]
+            if w[:len(u)] != u or not legal(w) or not all(
+                    legal(v + q + r) for r in blocks if legal(w + r)):
+                return False
+        if not is_canonical(spec, fn.coeffs, len(u)):
             return False
     return True
 

@@ -246,6 +246,13 @@ def test_translate_rejects_illegal_result(g_gold):
     # ab -> bb leaves the golden mean shift.
     with pytest.raises(InternalNonzeroViolation):
         CoeffFn(g_gold, {W("ab"): 1}).translate(W("a"), W("b"))
+    # A stored illegal word is not dropped silently, by either operation.
+    illegal = CoeffFn(g_gold, {W("bb"): 1})
+    message = re.escape("support word (1, 1) is not legal")
+    with pytest.raises(InternalNonzeroViolation, match=message):
+        illegal.translate(W("b"), W("a"))
+    with pytest.raises(InternalNonzeroViolation, match=message):
+        relative_range(illegal, W("b"))
 
 
 def test_w_constraint_violations_raise():
@@ -268,11 +275,16 @@ def test_w_constraint_violations_raise():
             message = f"support word {W(word)} violates the W-constraint of {at}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 AlgebraElement(algebra, {at: fn})
+        # Legal words, but ab lies inside the cylinder of a: not a prefix code.
+        fn = CoeffFn(g, {W("a"): 1, W("ab"): 2})
+        with pytest.raises(ValueError, match=re.escape(
+                "support words are not a prefix code: (0, 1)")):
+            AlgebraElement(algebra, {(OMEGA, OMEGA): fn})
         warm = AlgebraElement(algebra, {pair: CoeffFn(g, {W("aaa"): 1, W("aab"): 2})})
         assert set(warm.components[pair].coeffs) == {W("aaa"), W("aab")}
     # Only tails of at most m letters are kept: the longer tails aa, ab and
     # ba were answered from their first letter.
-    assert g.tails(*pair)[2] == {W("a"): (OMEGA,), W("b"): False}
+    assert g.tails(*pair) == {W("a"): (OMEGA,), W("b"): False}
 
 
 def test_w_constraint_on_short_tails():

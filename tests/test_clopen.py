@@ -15,10 +15,12 @@ from subshift_algebra.errors import BadArgument, EmptyShift, InternalNonzeroViol
 from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint, ep_normalize
 
-from subshift_algebra.rings import ZZ
+from subshift_algebra.algebra import SubshiftAlgebra
+from subshift_algebra.rings import ZZ, Zmod
 
 from conftest import (W, covering_points, in_shift, is_canonical, l_spec, random_code,
-                      random_specs, value_at, words_up_to)
+                      random_monomial_sum, random_specs, stores_canonically, value_at,
+                      words_up_to)
 
 
 def member(point: EpPoint, a: ClopenSet) -> bool:
@@ -52,11 +54,13 @@ def test_c_set_examples(g_gold, g_full):
 
 
 def test_constructor_rejects_bad_supports(g_gold):
-    with pytest.raises(ValueError, match="not a prefix code"):
+    with pytest.raises(ValueError, match=re.escape(
+            "support words are not a prefix code: (0, 0)")):
         ClopenSet(g_gold, [W("aa"), W("a")])
-    with pytest.raises(ValueError, match="not a prefix code"):
+    with pytest.raises(ValueError, match=re.escape("support words are not a prefix code: (1,)")):
         ClopenSet(g_gold, [OMEGA, W("b")])
-    with pytest.raises(ValueError, match="not prefix-legal"):
+    with pytest.raises(ValueError, match=re.escape(
+            "support word (1, 1) violates the W-constraint of ((), ())")):
         ClopenSet(g_gold, [W("aa"), W("bb")])
 
 
@@ -64,11 +68,17 @@ def test_illegal_stored_word_raises_cold_and_warm():
     # a is followed by nothing and c only by a, so b is the one legal letter.
     g = build_follower_graph(SftSpec.make("abc", ["aa", "ab", "ac", "cb", "cc"]))
     for _ in ("cold", "warm"):
-        with pytest.raises(ValueError, match=re.escape("not prefix-legal: (0,)")):
+        with pytest.raises(ValueError, match=re.escape(
+                "support word (0,) violates the W-constraint of ((), ())")):
             ClopenSet(g, [(1,), (0,)])
-        with pytest.raises(ValueError, match=re.escape("not prefix-legal: (1, 2)")):
+        with pytest.raises(ValueError, match=re.escape(
+                "support word (1, 2) violates the W-constraint of ((), ())")):
             ClopenSet(g, [(1, 1), (1, 2)])
-    assert g._tails == {}  # a set's words are checked by walk, not through a memo
+    # A set's words are checked through the one memo of the empty word with
+    # itself, which keeps tails of at most m letters: c after b is answered
+    # from b and a walk of c.
+    assert set(g._tails) == {(0, 0)}
+    assert g.tails(OMEGA, OMEGA) == {(1,): (OMEGA,), (0,): ()}
 
 
 def test_refine_examples(g_gold, g_full):
@@ -397,6 +407,14 @@ def test_operations_match_brute_force_on_random_shifts():
                     if y.prefix(len(new)) == new and _follows(spec, u, _drop(y, len(new)))
                     else None for y in points]
             assert _values(moved.coeffs, points) == want, (spec, u, new, moved_from.coeffs)
+
+            # Elements over Z/6 (zero divisors: a scaled family may merge or
+            # vanish): what +, *, star and scale build is stored canonically.
+            algebra = SubshiftAlgebra(g, Zmod(6))
+            x, y = (random_monomial_sum(algebra, rng, max_word=2, max_terms=2) for _ in "xy")
+            for name, e in {"x + y": x + y, "x * y": x * y, "star": (x * y).star(),
+                            "scale": (x + y).scale(3), "star * y": x.star() * y}.items():
+                assert stores_canonically(e), (spec, name, e.format())
             checked += 1
     assert checked > 150
 

@@ -13,19 +13,25 @@ from conftest import (W, brute_follower_graph, brute_forbidden_free, brute_force
                       brute_is_legal, brute_legal_words, random_specs)
 
 
+def _edges(g):
+    """The edges of the graph, read off its states (the m-blocks) and the
+    letters that may follow each: ``(state, letter) -> last m letters``."""
+    return {(s, a): (s + (a,))[1:] for s in g.legal_words(g.m) for a in g.letters(s)}
+
+
 def test_golden_mean_graph(g_gold):
-    assert sorted(g_gold.states) == [W("a"), W("b")]
-    assert dict(g_gold.edges) == {
+    assert g_gold.legal_words(g_gold.m) == (W("a"), W("b"))
+    assert _edges(g_gold) == {
         (W("a"), 0): W("a"), (W("a"), 1): W("b"), (W("b"), 0): W("a")}
 
 
 def test_full_shift_graph(g_full):
-    assert sorted(g_full.states) == [W("a"), W("b")]
-    assert len(g_full.edges) == 4
+    assert g_full.legal_words(g_full.m) == (W("a"), W("b"))
+    assert len(_edges(g_full)) == 4
 
 
 def test_y_graph(g_y):
-    assert dict(g_y.edges) == {
+    assert _edges(g_y) == {
         (W("a"), 0): W("a"), (W("a"), 1): W("b"), (W("b"), 1): W("b")}
 
 
@@ -84,7 +90,7 @@ def test_deep_pruning_cascade():
     # second pruning round, so one-block lookahead would over-approximate.
     g = build_follower_graph(SftSpec.make(
         "abc", ["aa", "ab", "ac", "cb", "cc"]))
-    assert sorted(g.states) == [(1,)]
+    assert g.legal_words(g.m) == ((1,),)
     assert g.is_prefix_legal((1,))          # b survives
     assert not g.is_prefix_legal((2,))      # c is pruned transitively
     assert not g.is_prefix_legal((0,))      # a dies in round one
@@ -126,7 +132,7 @@ def test_graph_matches_its_definition_on_random_shifts():
         except EmptyShift:
             assert not states, spec
             continue
-        assert (g.states, g.edges) == (states, edges), spec
+        assert (set(g.legal_words(g.m)), _edges(g)) == (states, edges), spec
         top = g.m + 2
         language = {n: brute_legal_words(spec, n) for n in range(top + 1)}
         assert [list(g.legal_words(n)) for n in language] == list(language.values()), spec
@@ -136,7 +142,6 @@ def test_graph_matches_its_definition_on_random_shifts():
                 for n2 in range(n, top + 1):
                     exts = [e for e in language[n2] if e[:n] == w]
                     assert g.extensions(w, n2) == exts, (spec, w, n2)
-                    assert g.count_extensions(w, n2) == len(exts), (spec, w, n2)
                     for avoid in (None, *exts[:1]):
                         rest = [e for e in exts if e != avoid]
                         assert g.least_extension(w, n2, avoid) == \
@@ -152,10 +157,10 @@ def test_graph_matches_its_definition_on_random_shifts():
 def _check_tail_memo(g, spec, rng):
     """For random pairs of prefixes ``a`` and ``b``, legal or not, and
     tails ``q`` of 1..m+2 letters (every one of at most m, and random longer
-    ones), ``tail_code`` is ``False`` iff ``F(a.q) <= F(b.q)`` fails by
+    ones), ``memo[q]`` is ``False`` iff ``F(a.q) <= F(b.q)`` fails by
     brute force, and otherwise the code of the ids that ``a.q`` and ``b.q``
-    reach, empty iff ``a.q`` is not legal: asked through the memo cold,
-    then warm.  No memo key has more than m letters."""
+    reach, empty iff ``a.q`` is not legal: asked cold, then warm.  No memo
+    key has more than m letters."""
     letters = range(len(spec.alphabet))
     prefixes = [OMEGA] + [tuple(rng.choice(letters) for _ in range(rng.randint(1, g.m + 2)))
                           for _ in range(5)]
@@ -179,12 +184,10 @@ def _check_tail_memo(g, spec, rng):
 
     for _ in ("cold", "warm"):
         for a, b in pairs:
-            i, j, memo = g.tails(a, b)
-            assert (i, j) == (g.reach(a), g.reach(b)), (spec, a, b)
+            memo = g.tails(a, b)
+            assert (memo.i, memo.j) == (g.reach(a), g.reach(b)), (spec, a, b)
             for q in tails:
-                code = memo.get(q)
-                if code is None:
-                    code = g.tail_code(memo, i, j, q)
+                code = memo[q]
                 if extensions(a + q) <= extensions(b + q):
                     assert code == g.follower_code(g.reach(a + q), g.reach(b + q)), \
                         (spec, a, b, q)
@@ -291,9 +294,9 @@ def test_pair_memos_hold_only_asked_pairs():
              [(W("a"), W("b")), (W("ab"), W("b")), (OMEGA, W("bb")), (W("b"), W("aa"))]]
     for i, j in asked:
         g.follower_code(i, j)
-    i, j, memo = g.tails(W("a"), W("b"))
-    assert (i, j) == asked[0]
-    g.tail_code(memo, *asked[0], W("a"))
+    memo = g.tails(W("a"), W("b"))
+    assert (memo.i, memo.j) == asked[0]
+    memo[W("a")]
     assert set(memo) == {W("a")} and set(g._tails) == {asked[0]}
     reachable, frontier = set(), set(asked)
     while frontier:

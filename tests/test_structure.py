@@ -79,7 +79,7 @@ def test_cycle_scan_cross_check(all_graphs):
     for g in all_graphs.values():
         pairs = find_cycles_without_exit(g)
         periodic_found = False
-        for n in range(g.m, g.m + len(g.states) + 1):
+        for n in range(g.m, g.m + len(g.legal_words(g.m)) + 1):
             for w in g.legal_words(n):
                 point = g.unique_extension(w)
                 if point is not None and point.preperiod == OMEGA:
