@@ -25,6 +25,14 @@ Expression grammar (LL(1), whitespace-insensitive)::
 
 Scalars are ring-dependent: ``k.`` everywhere, ``k/m.`` only over the
 rationals.
+
+The parser hash-conses the AST (Filliâtre & Conchon, *Type-safe modular
+hash-consing*, 2006): equal subexpressions of one text are one node, keyed
+by its tag, its words or scalar text and the identities of its children, so
+that building a node costs O(1) beyond its own text.  The AST still compares
+``==`` to the tree it stands for.  One evaluation builds each node that it
+reaches more than once a single time and keeps no value past its return, so
+``evaluate`` builds every repeated subexpression once per call.
 """
 
 from __future__ import annotations
@@ -122,6 +130,9 @@ class _Scanner:
         self.letters = 0  # letters in the words read so far
         self.spec = spec
         self.symbol_index = {s: i for i, s in enumerate(spec.alphabet)}
+        # The parse's nodes by key: the tag, then each word or scalar text,
+        # and the id of each child node, already the parse's own one.
+        self.nodes: dict[tuple, ExprAst] = {}
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -174,7 +185,8 @@ def _binary(operand, ops: dict[str, str], sc: _Scanner) -> ExprAst:
     node = operand(sc)
     while (tag := ops.get(sc.peek())) is not None:
         sc.pos += 1
-        node = (tag, node, operand(sc))
+        right = operand(sc)
+        node = sc.nodes.setdefault((tag, id(node), id(right)), (tag, node, right))
     return node
 
 
@@ -196,7 +208,12 @@ def _form(forms: dict, expected: str, sc: _Scanner) -> ExprAst:
             if opener[-1] == "(":
                 sc.take(")")
             sc.depth -= 1
-            return node[1] if tag is None else tuple(node)
+            if tag is None:
+                return node[1]
+            # The arguments of a form are words, or else one child node.
+            node = tuple(node)
+            key = node if not args or args[0] is _word else (tag, id(node[1]))
+            return sc.nodes.setdefault(key, node)
     raise ExprSyntaxError(expected, sc.pos)
 
 
@@ -213,7 +230,9 @@ def _factor(sc: _Scanner) -> ExprAst:
     if scalar:
         sc.pos = scalar.end()
     node = _form(_PRIMARY_FORMS, "expected s(..), st(..), p(..), 1, 0 or '('", sc)
-    return ("scale", scalar[1], node) if scalar else node
+    if not scalar:
+        return node
+    return sc.nodes.setdefault(("scale", scalar[1], id(node)), ("scale", scalar[1], node))
 
 
 # The other rules are partials with positional arguments, which cost no
@@ -254,61 +273,97 @@ def parse_set(text: str, spec: SftSpec) -> ExprAst:
     return sc.finish(_setexpr(sc))
 
 
-_SET_OPS = {"and": operator.and_, "or": operator.or_}
-_ELEMENT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_CHAIN_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+              "and": operator.and_, "or": operator.or_}
+# The slice of a node that holds its child nodes, by tag; other nodes have none.
+_CHILDREN = {"p": slice(1, 2), "scale": slice(2, 3), "not": slice(1, 2),
+             **dict.fromkeys(_CHAIN_OPS, slice(1, 3))}
+_NO_CHILDREN = slice(0)
 
 
-def _left_fold(node: ExprAst, ops: dict, evaluate):
-    """Evaluate a left-deep chain of the binary ``ops`` one link at a time,
-    so that a long sum costs no recursion per term."""
-    links = []
-    while node[0] in ops:
-        links.append(node)
+class _Evaluation:
+    """One evaluation of an AST.  A node reached more than once from the
+    root (in a hash-consed AST, a repeated subexpression) is built once: its
+    value is kept in ``memo`` until the evaluation ends.  No other value is
+    kept, and an AST without shared nodes is evaluated as a tree."""
+
+    def __init__(self, root: ExprAst, algebra: SubshiftAlgebra):
+        self.algebra = algebra
+        self.memo: dict[int, object] = {}  # id of a shared node -> its value or None
+        seen = set()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            key = id(node)
+            if key in seen:
+                self.memo[key] = None
+            else:
+                seen.add(key)
+                stack += node[_CHILDREN.get(node[0], _NO_CHILDREN)]
+
+    def value(self, node: ExprAst):
+        key = id(node)
+        if key not in self.memo:
+            return self.build(node)
+        result = self.memo[key]
+        if result is None:
+            result = self.memo[key] = self.build(node)
+        return result
+
+    def build(self, node: ExprAst):
+        tag = node[0]
+        if tag in _CHAIN_OPS:
+            return self.left_fold(node)
+        algebra = self.algebra
+        if tag == "s":
+            return algebra.elem_s(node[1])
+        if tag == "st":
+            return algebra.elem_s_star(node[1])
+        if tag == "p":
+            return algebra.gen_p(self.value(node[1]))
+        if tag == "scale":
+            ring = algebra.ring
+            if "/" in node[1] and ring != QQ:
+                raise BadScalarForRing(f"fraction scalar {node[1]!r} needs the rational ring")
+            return self.value(node[2]).scale(ring.parse_scalar(node[1]))
+        if tag == "one":
+            return algebra.one()
+        if tag == "zero":
+            return algebra.zero()
+        g = algebra.graph
+        if tag == "Z":
+            return cylinder(g, node[1])
+        if tag == "F":
+            return c_set(g, node[1], OMEGA)
+        if tag == "C":
+            return c_set(g, node[1], node[2])
+        if tag == "X":
+            return full_set(g)
+        if tag == "not":
+            return self.value(node[1]).complement()
+        raise AssertionError(f"bad node {node!r}")
+
+    def left_fold(self, node: ExprAst):
+        """Evaluate a left-deep chain of binary operators one link at a time,
+        so that a long sum costs no recursion per term.  The walk down the
+        chain stops at a shared node, whose value is one operand."""
+        links = [node]
         node = node[1]
-    acc = evaluate(node)
-    for tag, _, right in reversed(links):
-        acc = ops[tag](acc, evaluate(right))
-    return acc
+        while node[0] in _CHAIN_OPS and id(node) not in self.memo:
+            links.append(node)
+            node = node[1]
+        acc = self.value(node)
+        for tag, _, right in reversed(links):
+            acc = _CHAIN_OPS[tag](acc, self.value(right))
+        return acc
 
 
 def eval_set(node: ExprAst, algebra: SubshiftAlgebra) -> ClopenSet:
-    g = algebra.graph
-    tag = node[0]
-    if tag == "Z":
-        return cylinder(g, node[1])
-    if tag == "F":
-        return c_set(g, node[1], OMEGA)
-    if tag == "C":
-        return c_set(g, node[1], node[2])
-    if tag == "X":
-        return full_set(g)
-    if tag == "not":
-        return eval_set(node[1], algebra).complement()
-    if tag in _SET_OPS:
-        return _left_fold(node, _SET_OPS, lambda n: eval_set(n, algebra))
-    raise AssertionError(f"bad set node {node!r}")
+    return _Evaluation(node, algebra).value(node)
 
 
 def eval_expr(node: ExprAst, algebra: SubshiftAlgebra) -> AlgebraElement:
-    tag = node[0]
-    if tag == "s":
-        return algebra.elem_s(node[1])
-    if tag == "st":
-        return algebra.elem_s_star(node[1])
-    if tag == "p":
-        return algebra.gen_p(eval_set(node[1], algebra))
-    if tag == "one":
-        return algebra.one()
-    if tag == "zero":
-        return algebra.zero()
-    if tag == "scale":
-        ring = algebra.ring
-        if "/" in node[1] and ring != QQ:
-            raise BadScalarForRing(f"fraction scalar {node[1]!r} needs the rational ring")
-        return eval_expr(node[2], algebra).scale(ring.parse_scalar(node[1]))
-    if tag in _ELEMENT_OPS:
-        return _left_fold(node, _ELEMENT_OPS, lambda n: eval_expr(n, algebra))
-    raise AssertionError(f"bad expression node {node!r}")
+    return _Evaluation(node, algebra).value(node)
 
 
 def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:

@@ -8,6 +8,8 @@ reduced elements are guaranteed nonzero.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import BadScalarForRing, UnknownRing
@@ -28,6 +30,20 @@ def _is_prime(n: int) -> bool:
     d = (n - 1) >> s
     return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s))
                for a in _BASES)
+
+
+def _parse_scalar(convert, text: str, kind: str):
+    """``convert(text)``, or a BadScalarForRing naming ``kind``.  A run of
+    digits longer than the interpreter's int-string limit is refused by that
+    bound, quoting only a prefix of the text."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit and any(len(run) > limit for run in re.findall(r"\d+", text)):
+            raise BadScalarForRing(f"not {kind} scalar: more than {limit} digits "
+                                   f"in {text[:20]!r}...") from None
+        raise BadScalarForRing(f"not {kind} scalar: {text!r}") from None
 
 
 class Ring:
@@ -99,10 +115,7 @@ class IntegerRing(Ring):
         return k
 
     def parse_scalar(self, text: str):
-        try:
-            return int(text)
-        except ValueError:
-            raise BadScalarForRing(f"not an integer scalar: {text!r}") from None
+        return _parse_scalar(int, text, "an integer")
 
 
 class RationalRing(IntegerRing):
@@ -120,10 +133,7 @@ class RationalRing(IntegerRing):
         return Fraction(k)
 
     def parse_scalar(self, text: str):
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
-            raise BadScalarForRing(f"not a rational scalar: {text!r}") from None
+        return _parse_scalar(Fraction, text, "a rational")
 
 
 class IntegerModRing(Ring):
@@ -159,10 +169,7 @@ class IntegerModRing(Ring):
         return k % self.modulus
 
     def parse_scalar(self, text: str):
-        try:
-            return int(text) % self.modulus
-        except ValueError:
-            raise BadScalarForRing(f"not a residue scalar: {text!r}") from None
+        return _parse_scalar(int, text, "a residue") % self.modulus
 
 
 ZZ = IntegerRing()

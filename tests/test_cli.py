@@ -4,6 +4,7 @@ import io
 import random
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -16,9 +17,9 @@ from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
 from subshift_algebra.parsing import (MAX_NESTING, MAX_WORD_LETTERS, RESERVED_SYMBOLS,
-                                      eval_expr, evaluate, format_expr, format_shift,
-                                      parse_expr, parse_set, parse_shift)
-from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ
+                                      _Evaluation, eval_expr, evaluate, format_expr,
+                                      format_shift, parse_expr, parse_set, parse_shift)
+from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
 from subshift_algebra.shift import build_follower_graph
 from subshift_algebra.words import OMEGA
 
@@ -137,6 +138,21 @@ def test_scalar_parsing(g_full):
     assert half + half == rational.elem_s((0,))
 
 
+@pytest.mark.parametrize("ring, kind", [("z", "an integer"), ("q", "a rational"),
+                                        ("zmod:7", "a residue")])
+def test_long_scalar_is_refused_by_the_digit_bound(ring, kind, capsys):
+    # Python refuses to convert a string of more than
+    # sys.get_int_max_str_digits() digits; the refusal names that bound and
+    # quotes only a prefix of the scalar.
+    limit = sys.get_int_max_str_digits()
+    expr = "1" * (limit + 700) + ".s(a)"
+    assert run_cli(["nf", SHIFT_PATHS["full2"], "-e", expr, "--ring", ring]) == (2, "")
+    assert capsys.readouterr().err == \
+        f"error: not {kind} scalar: more than {limit} digits in '{'1' * 20}'...\n"
+    assert run_cli(["nf", SHIFT_PATHS["full2"], "-e", "1" * limit + ".1",
+                    "--ring", ring])[0] == 0
+
+
 def test_set_expressions(g_gold):
     algebra = SubshiftAlgebra(g_gold, ZZ)
     from subshift_algebra.clopen import c_set, cylinder, full_set
@@ -175,7 +191,10 @@ def _random_set(rng, depth):
     return (op, _random_set(rng, depth - 1), _random_set(rng, depth - 1))
 
 
-def _random_ast(rng, depth):
+def _random_ast(rng, depth, scalars):
+    """A random AST with repeated subtrees: an operator may take one
+    operand twice, and the distributive and associative identities repeat
+    their operands."""
     if depth == 0:
         choice = rng.randrange(5)
         if choice == 0:
@@ -187,22 +206,54 @@ def _random_ast(rng, depth):
         if choice == 3:
             return ("one",)
         return ("zero",)
-    op = rng.choice(["add", "sub", "mul", "scale"])
+    op = rng.choice(["add", "sub", "mul", "scale", "twice", "distrib", "assoc"])
     if op == "scale":
-        return ("scale", str(rng.randint(-3, 3)), _random_ast(rng, depth - 1))
-    return (op, _random_ast(rng, depth - 1), _random_ast(rng, depth - 1))
+        return ("scale", rng.choice(scalars), _random_ast(rng, depth - 1, scalars))
+    x, y, z = (_random_ast(rng, depth - 1, scalars) for _ in range(3))
+    if op == "twice":
+        return (rng.choice(["add", "sub", "mul"]), x, x)
+    if op == "distrib":
+        return ("sub", ("sub", ("mul", x, ("add", y, z)), ("mul", x, y)), ("mul", x, z))
+    if op == "assoc":
+        return ("sub", ("mul", ("mul", x, y), z), ("mul", x, ("mul", y, z)))
+    return (op, x, y)
+
+
+def _is_node(a):
+    return isinstance(a, tuple) and a and isinstance(a[0], str)
+
+
+def _unshared(ast):
+    """An equal AST in which no two nodes are one object."""
+    return tuple(_unshared(a) if _is_node(a) else a for a in ast)
+
+
+def _node_ids(ast, into):
+    into.append(id(ast))
+    for a in filter(_is_node, ast[1:]):
+        _node_ids(a, into)
+    return into
 
 
 def test_expression_print_parse_round_trip(g_gold):
-    algebra = SubshiftAlgebra(g_gold, ZZ)
     spec = g_gold.spec
-    rng = random.Random(43)
-    for _ in range(50):
-        ast = _random_ast(rng, rng.randint(1, 3))
-        text = format_expr(ast, spec)
-        reparsed = parse_expr(text, spec)
-        assert reparsed == ast, text
-        assert eval_expr(reparsed, algebra) == eval_expr(ast, algebra), text
+    for ring in ("z", "q", "zmod:6"):
+        algebra = SubshiftAlgebra(g_gold, ring_from_name(ring))
+        scalars = [str(k) for k in range(-3, 4)] + (["1/2", "-2/3"] if ring == "q" else [])
+        rng = random.Random(43)
+        shared = 0
+        for _ in range(50):
+            ast = _unshared(_random_ast(rng, rng.randint(1, 3), scalars))
+            ids = _node_ids(ast, [])
+            assert len(set(ids)) == len(ids)
+            text = format_expr(ast, spec)
+            reparsed = parse_expr(text, spec)
+            assert reparsed == ast, text
+            ids = _node_ids(reparsed, [])
+            shared += len(set(ids)) < len(ids)
+            # The unshared AST is evaluated as a tree: the reference value.
+            assert eval_expr(reparsed, algebra) == eval_expr(ast, algebra), (ring, text)
+        assert shared >= 25, ring
     # A long chain prints flat, so its printed form parses back.
     sum_text = " - ".join(" + ".join(["s(a)", "st(b)", "2.(s(ab))"]) for _ in range(400))
     union_text = " | ".join(["Z(a)", "Z(b) & F(a)", "!(Z(ab))"] * 400)
@@ -210,6 +261,47 @@ def test_expression_print_parse_round_trip(g_gold):
         ast = parse(text, spec)
         assert format_expr(ast, spec) == text
         assert _left_spine(parse(format_expr(ast, spec), spec)) == _left_spine(ast)
+
+
+def test_parse_shares_equal_subtrees(g_full):
+    spec = g_full.spec
+    ast = parse_expr("(s(a)+p(X))*(s(a)+p(X))", spec)
+    assert ast[1] is ast[2]
+    operand = ("add", ("s", W("a")), ("p", ("X",)))
+    assert ast == ("mul", operand, _unshared(operand))
+    union = parse_set("(Z(a) & !F(b)) | (Z(a) & !F(b))", spec)
+    assert union[1] is union[2] and union[1][2][1] == ("F", W("b"))
+    # Equal words under different tags stay apart.
+    assert parse_expr("s(a) - st(a)", spec) == ("sub", ("s", W("a")), ("st", W("a")))
+
+
+def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
+    # (X)*((Y)+(Z)) - (X)*(Y) - (X)*(Z) builds X, Y and Z once each; a
+    # second call builds them again, so nothing is kept between calls.
+    algebra = SubshiftAlgebra(g_gold, ZZ)
+    built = Counter()
+    elem_s, gen_p = SubshiftAlgebra.elem_s, SubshiftAlgebra.gen_p
+
+    def counted_elem_s(self, alpha):
+        built["s", alpha] += 1
+        return elem_s(self, alpha)
+
+    def counted_gen_p(self, a):
+        built["p"] += 1
+        return gen_p(self, a)
+
+    monkeypatch.setattr(SubshiftAlgebra, "elem_s", counted_elem_s)
+    monkeypatch.setattr(SubshiftAlgebra, "gen_p", counted_gen_p)
+    x, y, z = "s(a) + 2.s(b)", "p(Z(a))", "st(ab)"
+    text = f"({x})*(({y})+({z})) - ({x})*({y}) - ({x})*({z})"
+    once = Counter({("s", W("a")): 1, ("s", W("b")): 1, ("s", W("ab")): 1, "p": 1})
+    for calls in (1, 2):
+        assert evaluate(text, algebra).is_zero()
+        assert built == Counter({key: calls * n for key, n in once.items()})
+    # The same identity as an AST built by hand shares nothing.
+    built.clear()
+    assert eval_expr(_unshared(parse_expr(text, g_gold.spec)), algebra).is_zero()
+    assert built == Counter({("s", W("a")): 3, ("s", W("b")): 3, ("s", W("ab")): 2, "p": 2})
 
 
 def _left_spine(ast):
@@ -362,6 +454,23 @@ def test_deep_expressions(g_full):
         (0, "a _^-1 | 1200 aa ; 1200 ab\n", "")
     union = "p(" + " | ".join(["Z(a)"] * 1200) + ")"
     assert run_cli(["nf", SHIFT_PATHS["full2"], "-e", union]) == (0, "_ _^-1 | 1 a\n")
+
+
+def test_long_sums_evaluate_in_one_pass(g_full):
+    # 40,000-term sums, with a repeated term, a repeated chain, and distinct
+    # letter-free terms (which MAX_WORD_LETTERS does not bound).
+    algebra = SubshiftAlgebra(g_full, ZZ)
+    n = 40_000
+    one = algebra.one()
+    assert evaluate(" + ".join(["1"] * n), algebra) == one.scale(n)
+    assert evaluate(" + ".join(["(1+1)"] * n), algebra) == one.scale(2 * n)
+    # The memo keeps the values of the shared `1` and `(1+1)`, and no partial sum.
+    ast = parse_expr(" + ".join(["(1+1)"] * n), g_full.spec)
+    evaluation = _Evaluation(ast, algebra)
+    assert evaluation.value(ast) == one.scale(2 * n)
+    assert evaluation.memo == {id(ast[2][1]): one, id(ast[2]): one.scale(2)}
+    assert evaluate(" + ".join(f"{k}.1" for k in range(1, n + 1)), algebra) == \
+        one.scale(n * (n + 1) // 2)
 
 
 def test_word_letters_bound(g_full):
