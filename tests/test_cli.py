@@ -4,21 +4,22 @@ import io
 import random
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
-from subshift_algebra.algebra import SubshiftAlgebra
+from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
 from subshift_algebra.cli import main
 from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
 from subshift_algebra.parsing import (MAX_NESTING, MAX_WORD_LETTERS, RESERVED_SYMBOLS,
-                                      _Evaluation, eval_expr, evaluate, format_expr,
-                                      format_shift, parse_expr, parse_set, parse_shift)
+                                      eval_expr, evaluate, format_expr, format_shift,
+                                      parse_expr, parse_set, parse_shift)
 from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
 from subshift_algebra.shift import build_follower_graph
 from subshift_algebra.words import OMEGA
@@ -456,21 +457,72 @@ def test_deep_expressions(g_full):
     assert run_cli(["nf", SHIFT_PATHS["full2"], "-e", union]) == (0, "_ _^-1 | 1 a\n")
 
 
-def test_long_sums_evaluate_in_one_pass(g_full):
+def test_long_sums_evaluate_in_one_pass(g_full, monkeypatch):
     # 40,000-term sums, with a repeated term, a repeated chain, and distinct
     # letter-free terms (which MAX_WORD_LETTERS does not bound).
     algebra = SubshiftAlgebra(g_full, ZZ)
     n = 40_000
     one = algebra.one()
     assert evaluate(" + ".join(["1"] * n), algebra) == one.scale(n)
+    # No partial sum is kept: whenever `add` is called, at most two of its
+    # results are alive, the running sum and the value of the shared (1+1).
+    add, results, alive, most = AlgebraElement.add, [], 0, 0
+
+    def freed(_):
+        nonlocal alive
+        alive -= 1
+
+    def watched_add(self, other):
+        nonlocal alive, most
+        most = max(most, alive)
+        result = add(self, other)
+        results.append(weakref.ref(result, freed))
+        alive += 1
+        return result
+
+    monkeypatch.setattr(AlgebraElement, "add", watched_add)
+    monkeypatch.setattr(AlgebraElement, "__add__", watched_add)
     assert evaluate(" + ".join(["(1+1)"] * n), algebra) == one.scale(2 * n)
-    # The memo keeps the values of the shared `1` and `(1+1)`, and no partial sum.
-    ast = parse_expr(" + ".join(["(1+1)"] * n), g_full.spec)
-    evaluation = _Evaluation(ast, algebra)
-    assert evaluation.value(ast) == one.scale(2 * n)
-    assert evaluation.memo == {id(ast[2][1]): one, id(ast[2]): one.scale(2)}
+    assert len(results) == n and most <= 2
+    monkeypatch.undo()
     assert evaluate(" + ".join(f"{k}.1" for k in range(1, n + 1)), algebra) == \
         one.scale(n * (n + 1) // 2)
+
+
+def test_errors_come_in_evaluation_order(g_full, monkeypatch):
+    algebra = SubshiftAlgebra(g_full, ZZ)
+    # A syntax error is raised before any evaluation error.
+    with pytest.raises(ExprSyntaxError) as err:
+        evaluate("1/2.s(a) + )", algebra)
+    assert err.value.position == 11
+    # Of two evaluation errors the one met first is raised: a scalar's ring
+    # check comes before its operand's errors, its conversion after them.
+    digits = "1" * (sys.get_int_max_str_digits() + 1)
+    too_long = f"not an integer scalar: more than {len(digits) - 1} digits in '{'1' * 20}'..."
+    for text, message in (
+            ("1/2.s(a) + 1/3.s(b)", "fraction scalar '1/2' needs the rational ring"),
+            ("s(a) - 1/3.1 + 1/2.1", "fraction scalar '1/3' needs the rational ring"),
+            ("1/2.(1/3.s(a))", "fraction scalar '1/2' needs the rational ring"),
+            ("(1/3.s(a)) * 1/2.1", "fraction scalar '1/3' needs the rational ring"),
+            (f"{digits}.1 + 1/2.1", too_long),
+            (f"1/2.1 + {digits}.1", "fraction scalar '1/2' needs the rational ring"),
+            (f"{digits}.(1/2.1)", "fraction scalar '1/2' needs the rational ring"),
+            (f"1/2.({digits}.1)", "fraction scalar '1/2' needs the rational ring"),
+            (f"2.({digits}.1 * 1/2.1)", too_long)):
+        with pytest.raises(BadScalarForRing) as err:
+            evaluate(text, algebra)
+        assert str(err.value) == message, text
+    # A repeated subexpression that fails is evaluated once.
+    parse_scalar, calls = type(ZZ).parse_scalar, []
+
+    def counted_parse_scalar(self, text):
+        calls.append(text)
+        return parse_scalar(self, text)
+
+    monkeypatch.setattr(type(ZZ), "parse_scalar", counted_parse_scalar)
+    with pytest.raises(BadScalarForRing) as err:
+        evaluate(f"({digits}.s(a)) * ({digits}.s(a))", algebra)
+    assert str(err.value) == too_long and calls == [digits]
 
 
 def test_word_letters_bound(g_full):
