@@ -39,7 +39,9 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import defaultdict
 from functools import partial
+from itertools import islice
 
 from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import ClopenSet, c_set, cylinder, full_set
@@ -116,129 +118,40 @@ def format_shift(spec: SftSpec) -> str:
 #   ('scale', scalar_text, node) ('add'|'sub'|'mul', left, right)
 # set nodes:
 #   ('Z', word) ('F', word) ('C', w1, w2) ('X',) ('not', s) ('and'|'or', l, r)
+# A node's child nodes come last; _KIDS counts them, by tag.
 
 ExprAst = tuple
 
-_SCALAR = re.compile(r"(-?\d+(?:/\d+)?)\.")
+_KIDS = {"p": 1, "not": 1, "scale": 1, "add": 2, "sub": 2, "mul": 2, "and": 2, "or": 2}
+
+# One token: a word form's opener, or the ',' between the words of C(..),
+# with the run of characters after it that a word can hold; a scalar; 'p(';
+# or any other character.  Spaces between tokens match nothing.
+_EXPR_TOKENS = re.compile(r"(?:st\(|s\(|Z\(|F\(|C\(|,)\s*[^\s,)]*|-?\d+(?:/\d+)?\.|p\(|\S")
+_WORD_TOKEN_STARTS = "sZFC,"  # no other token of two or more characters starts so
 
 
-class _Scanner:
-    def __init__(self, text: str, spec: SftSpec):
-        self.text = text
-        self.pos = 0
-        self.depth = 0  # forms open around the current position
-        self.letters = 0  # letters in the words read so far
-        self.spec = spec
-        self.symbol_index = {s: i for i, s in enumerate(spec.alphabet)}
-        # The parse's nodes by key: the tag, then each word or scalar text,
-        # and the id of each child node, already the parse's own one.
-        self.nodes: dict[tuple, ExprAst] = {}
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, token: str):
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise ExprSyntaxError(f"expected {token!r}", self.pos)
-        self.pos += len(token)
-
-    def take_word(self) -> Word:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "_":
-            self.pos += 1
-            return OMEGA
-        letters = []
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in (")", ",") or ch.isspace():
-                break
-            if ch not in self.symbol_index:
-                raise UnknownLetter(f"unknown letter {ch!r} at position {self.pos}")
-            letters.append(self.symbol_index[ch])
-            self.pos += 1
-        if not letters:
-            raise ExprSyntaxError("expected a word", start)
-        self.letters += len(letters)
-        if self.letters > MAX_WORD_LETTERS:
-            raise ExprSyntaxError(
-                f"more than {MAX_WORD_LETTERS} letters in the words of one expression", start)
-        return tuple(letters)
-
-    def finish(self, node: ExprAst) -> ExprAst:
-        """``node``, if it ends the text; else a trailing input error."""
-        self.skip_ws()
-        if self.pos < len(self.text):
-            raise ExprSyntaxError("trailing input", self.pos)
-        return node
+def _by_head(*forms) -> dict:
+    """Forms ``(opener, tag, argument)`` by the first two characters of the
+    opener, which tell them apart.  The argument is _WORD, _TWO_WORDS, _UNIT
+    (the operand that follows), the chain inside a group or ``p(..)``, or
+    None; a group has the tag None and is its chain."""
+    return {form[0][:2]: form for form in forms}
 
 
-def _binary(operand, ops: dict[str, str], sc: _Scanner) -> ExprAst:
-    """``operand (op operand)*``, folded to the left; ``ops`` maps each
-    operator character to its tag."""
-    node = operand(sc)
-    while (tag := ops.get(sc.peek())) is not None:
-        sc.pos += 1
-        right = operand(sc)
-        node = sc.nodes.setdefault((tag, id(node), id(right)), (tag, node, right))
-    return node
+_WORD, _TWO_WORDS, _UNIT = "word", "two words", "unit"
+_PRIMARY_FORMS = _by_head(("st(", "st", _WORD), ("s(", "s", _WORD), ("p(", "p", "set"),
+                          ("1", "one", None), ("0", "zero", None), ("(", None, "expr"))
+_SET_FORMS = _by_head(("!", "not", _UNIT), ("Z(", "Z", _WORD), ("F(", "F", _WORD),
+                      ("C(", "C", _TWO_WORDS), ("X", "X", None), ("(", None, "set"))
+# Each chain: the forms of its operands, its operators, the operators that
+# bind tighter, and the error where an operand is missing.
+_CHAINS = {"expr": (_PRIMARY_FORMS, {"+": "add", "-": "sub"}, {"*": "mul"},
+                    "expected s(..), st(..), p(..), 1, 0 or '('"),
+           "set": (_SET_FORMS, {"|": "or"}, {"&": "and"}, "expected a set expression")}
 
-
-def _form(forms: dict, expected: str, sc: _Scanner) -> ExprAst:
-    """The form of ``forms`` whose opener comes next, found by its first
-    character.  Its arguments follow, comma-separated, and an opener ending
-    in ``(`` is closed by ``)``; a group (tag ``None``) is its argument."""
-    for opener, tag, args in forms.get(sc.peek(), ()):
-        if sc.text.startswith(opener, sc.pos):
-            if sc.depth == MAX_NESTING:
-                raise ExprSyntaxError(f"forms nested deeper than {MAX_NESTING}", sc.pos)
-            sc.pos += len(opener)
-            sc.depth += 1
-            node = [tag]
-            for i, arg in enumerate(args):
-                if i:
-                    sc.take(",")
-                node.append(arg(sc))
-            if opener[-1] == "(":
-                sc.take(")")
-            sc.depth -= 1
-            if tag is None:
-                return node[1]
-            # The arguments of a form are words, or else one child node.
-            node = tuple(node)
-            key = node if not args or args[0] is _word else (tag, id(node[1]))
-            return sc.nodes.setdefault(key, node)
-    raise ExprSyntaxError(expected, sc.pos)
-
-
-def _by_first_char(*forms) -> dict:
-    table: dict = {}
-    for form in forms:
-        table.setdefault(form[0][0], []).append(form)
-    return table
-
-
-def _factor(sc: _Scanner) -> ExprAst:
-    sc.skip_ws()
-    scalar = _SCALAR.match(sc.text, sc.pos)
-    if scalar:
-        sc.pos = scalar.end()
-    node = _form(_PRIMARY_FORMS, "expected s(..), st(..), p(..), 1, 0 or '('", sc)
-    if not scalar:
-        return node
-    return sc.nodes.setdefault(("scale", scalar[1], id(node)), ("scale", scalar[1], node))
-
-
-# The other rules are partials with positional arguments, which cost no
-# stack frame of their own: a level of '(' nesting costs four frames (three
-# inside p(..)) and a '!' one.  MAX_NESTING bounds the open forms, so parsing
-# and evaluating stay well inside Python's recursion limit.
+# The most forms open around a point of an expression: forms nest at most
+# this deep, which keeps the recursion of format_expr small.
 MAX_NESTING = 100
 # The most letters, over all its words, that one expression or set expression
 # may hold.  The cost of a reduction grows faster than the length of its
@@ -246,128 +159,268 @@ MAX_NESTING = 100
 # a few thousand letters of w and half a minute for 16,000), so longer input
 # is refused at the word that crosses the bound.
 MAX_WORD_LETTERS = 4096
-_term = partial(_binary, _factor, {"*": "mul"})
-_expr = partial(_binary, _term, {"+": "add", "-": "sub"})
-_SET_FORMS: dict = {}  # filled below: its forms refer back to these rules
-_setunit = partial(_form, _SET_FORMS, "expected a set expression")
-_setterm = partial(_binary, _setunit, {"&": "and"})
-_setexpr = partial(_binary, _setterm, {"|": "or"})
 
-_word = _Scanner.take_word
-# (opener, tag, argument parsers); "st(" is tried before "s(".
-_PRIMARY_FORMS = _by_first_char(
-    ("st(", "st", (_word,)), ("s(", "s", (_word,)), ("p(", "p", (_setexpr,)),
-    ("1", "one", ()), ("0", "zero", ()), ("(", None, (_expr,)))
-_SET_FORMS.update(_by_first_char(
-    ("!", "not", (_setunit,)), ("Z(", "Z", (_word,)), ("F(", "F", (_word,)),
-    ("C(", "C", (_word, _word)), ("X", "X", ()), ("(", None, (_setexpr,))))
+
+def _position(text: str, index: int) -> int:
+    """Where token ``index`` of ``text`` starts, found by scanning the text
+    again; the end of the text past the last token."""
+    match = next(islice(_EXPR_TOKENS.finditer(text), index, None), None)
+    return len(text) if match is None else match.start()
+
+
+def _parse(text: str, spec: SftSpec, start: str):
+    """The node table of ``text``, read as the chain ``start``, ``expr`` or ``set``: a
+    dict from each distinct node's key (its tag, its words or scalar text,
+    and the table positions of its children) to its own position, in the
+    order the nodes were made; the number of parents of each node; and the
+    fraction scalars, each with the number of nodes made before it.
+
+    The grammar is LL(1), and the parser reads it with a stack of the chains
+    of the open groups and ``p(..)`` forms.  The chain being read keeps its
+    left-folded loose chain ``left low`` and tight chain ``right tight``, and
+    the prefixes (``!`` or a scalar) of the operand to come."""
+    tokens = _EXPR_TOKENS.findall(text)
+    tokens.append("")  # the end of the text
+    letter = {s: k for k, s in enumerate(spec.alphabet)}.__getitem__
+    nodes: dict[tuple, int] = {}
+    uses: defaultdict[int, int] = defaultdict(int)
+    fractions: list[tuple[int, str]] = []
+    split = set()  # tokens whose first character was read on its own
+    i = depth = letters = 0  # the next token; the open forms; letters read
+
+    def error(message, offset=0):
+        return ExprSyntaxError(message, _position(text, i) + (i in split) + offset)
+
+    def make(key, *children):
+        n = len(nodes)
+        position = nodes.setdefault(key, n)
+        if position == n:
+            for child in children:
+                uses[child] += 1
+        return position
+
+    def word(opener, closer):
+        """The word of token i after ``opener``, which ``closer`` must
+        follow; i moves on to the closer."""
+        nonlocal i, letters
+        token = tokens[i]
+        run = token[len(opener):].lstrip()
+        at = len(token) - len(run)  # where the word starts in the token
+        if run[:1] == "_":
+            if len(run) > 1:
+                raise error(f"expected {closer!r}", at + 1)
+            w = OMEGA
+        elif not run:
+            raise error("expected a word", at)
+        else:
+            try:
+                w = tuple(map(letter, run))
+            except KeyError:
+                k = next(k for k, ch in enumerate(run) if ch not in spec.alphabet)
+                raise UnknownLetter(f"unknown letter {run[k]!r} at position "
+                                    f"{_position(text, i) + at + k}") from None
+            letters += len(w)
+            if letters > MAX_WORD_LETTERS:
+                raise error(f"more than {MAX_WORD_LETTERS} letters in the words of one "
+                            "expression", at)
+        i += 1
+        if tokens[i][:1] != closer:
+            raise error(f"expected {closer!r}")
+        return w
+
+    chain = _CHAINS[start]
+    forms, ops, tight_ops, expected = chain
+    left = low = right = tight = scalar = wrap = None
+    nots = 0
+    open_chains = []
+    while True:
+        # An operand: its prefixes, then its form.
+        token = tokens[i]
+        if (scalar is None and forms is _PRIMARY_FORMS and token[-1:] == "."
+                and len(token) > 1 and token[0] not in _WORD_TOKEN_STARTS):
+            scalar = token[:-1]
+            if "/" in scalar:
+                fractions.append((len(nodes), scalar))
+            i += 1
+            continue
+        entry = forms.get(token[:2])
+        if entry is None and (entry := forms.get(token[:1])) is None:
+            raise error(expected)
+        if depth == MAX_NESTING:
+            raise error(f"forms nested deeper than {MAX_NESTING}")
+        opener, tag, arg = entry
+        if arg is _WORD:
+            node = nodes.setdefault((tag, word(opener, ")")), len(nodes))
+            i += 1
+        elif arg is _TWO_WORDS:
+            w = word(opener, ",")
+            node = nodes.setdefault((tag, w, word(",", ")")), len(nodes))
+            i += 1
+        elif arg is None:
+            if token == opener:
+                i += 1
+            else:  # '1' or '0' at the start of a scalar: the rest follows it
+                tokens[i] = token[1:]
+                split.add(i)
+            node = nodes.setdefault((tag,), len(nodes))
+        elif arg is _UNIT:
+            nots += 1
+            depth += 1
+            i += 1
+            continue
+        else:
+            open_chains.append((chain, left, low, right, tight, scalar, nots, wrap))
+            chain = _CHAINS[arg]
+            forms, ops, tight_ops, expected = chain
+            left = low = right = tight = scalar = None
+            nots = 0
+            wrap = tag
+            depth += 1
+            i += 1
+            continue
+        while True:
+            # The operand is complete: apply its prefixes, and join it to
+            # the chains; then read an operator, or end the chain.
+            while nots:
+                node = make(("not", node), node)
+                nots -= 1
+                depth -= 1
+            if scalar is not None:
+                node = make(("scale", scalar, node), node)
+                scalar = None
+            right = node if tight is None else make((tight, right, node), right, node)
+            token = tokens[i]
+            tight = tight_ops.get(token)
+            if tight is not None:
+                i += 1
+                break
+            node = right if low is None else make((low, left, right), left, right)
+            low = ops.get(token[:1])
+            if low is not None:
+                left = node
+                if len(token) > 1:  # a signed scalar: its sign is the operator
+                    tokens[i] = token[1:]
+                    split.add(i)
+                else:
+                    i += 1
+                break
+            if not open_chains:
+                if token:
+                    raise error("trailing input")
+                return nodes, uses, fractions
+            if token != ")":
+                raise error("expected ')'")
+            i += 1
+            depth -= 1
+            if wrap is not None:
+                node = make((wrap, node), node)
+            chain, left, low, right, tight, scalar, nots, wrap = open_chains.pop()
+            forms, ops, tight_ops, expected = chain
+
+
+def _run(nodes, uses: list[int], makers: dict):
+    """Make the value of each node of a table, front to back, from its words
+    or scalar text and its children's values by ``makers[tag]``; return the
+    last.  A value is dropped after its last use, counted down in ``uses``."""
+    values = []
+
+    def take(j):
+        value = values[j]
+        uses[j] -= 1
+        if not uses[j]:
+            values[j] = None
+        return value
+
+    value = None
+    for key in nodes:
+        tag = key[0]
+        kids = _KIDS.get(tag)
+        if kids is None:
+            value = makers[tag](*key[1:])
+        elif kids == 1:
+            value = makers[tag](*key[1:-1], take(key[-1]))
+        else:
+            value = makers[tag](take(key[1]), take(key[2]))
+        values.append(value)
+    return value
+
+
+def _ast_node(tag, *args):
+    return (tag, *args)
+
+
+_AST_MAKERS = {tag: partial(_ast_node, tag) for tag in
+               ("s", "st", "p", "one", "zero", "scale", "add", "sub", "mul",
+                "Z", "F", "C", "X", "not", "and", "or")}
 
 
 def parse_expr(text: str, spec: SftSpec) -> ExprAst:
-    sc = _Scanner(text, spec)
-    return sc.finish(_expr(sc))
+    nodes, uses, _ = _parse(text, spec, "expr")
+    return _run(nodes, uses, _AST_MAKERS)
 
 
 def parse_set(text: str, spec: SftSpec) -> ExprAst:
-    sc = _Scanner(text, spec)
-    return sc.finish(_setexpr(sc))
+    nodes, uses, _ = _parse(text, spec, "set")
+    return _run(nodes, uses, _AST_MAKERS)
 
 
-_CHAIN_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-              "and": operator.and_, "or": operator.or_}
-# The slice of a node that holds its child nodes, by tag; other nodes have none.
-_CHILDREN = {"p": slice(1, 2), "scale": slice(2, 3), "not": slice(1, 2),
-             **dict.fromkeys(_CHAIN_OPS, slice(1, 3))}
-_NO_CHILDREN = slice(0)
+def _table(root: ExprAst):
+    """The node table of an AST built elsewhere, as ``_parse`` gives it: its
+    distinct node objects in post-order, left to right."""
+    positions: dict[int, int] = {}  # id of a node -> its position
+    nodes, uses, fractions = [], [], []
+    stack = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if id(node) in positions:
+            continue
+        cut = len(node) - _KIDS.get(node[0], 0)
+        if not children_done:
+            if node[0] == "scale" and "/" in node[1]:
+                fractions.append((len(nodes), node[1]))
+            stack.append((node, True))
+            stack += ((child, False) for child in reversed(node[cut:]))
+            continue
+        children = [positions[id(child)] for child in node[cut:]]
+        for child in children:
+            uses[child] += 1
+        positions[id(node)] = len(nodes)
+        nodes.append(node[:cut] + tuple(children))
+        uses.append(0)
+    return nodes, uses, fractions
 
 
-class _Evaluation:
-    """One evaluation of an AST.  A node reached more than once from the
-    root (in a hash-consed AST, a repeated subexpression) is built once: its
-    value is kept in ``memo`` until the evaluation ends.  No other value is
-    kept, and an AST without shared nodes is evaluated as a tree."""
-
-    def __init__(self, root: ExprAst, algebra: SubshiftAlgebra):
-        self.algebra = algebra
-        self.memo: dict[int, object] = {}  # id of a shared node -> its value or None
-        seen = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            key = id(node)
-            if key in seen:
-                self.memo[key] = None
-            else:
-                seen.add(key)
-                stack += node[_CHILDREN.get(node[0], _NO_CHILDREN)]
-
-    def value(self, node: ExprAst):
-        key = id(node)
-        if key not in self.memo:
-            return self.build(node)
-        result = self.memo[key]
-        if result is None:
-            result = self.memo[key] = self.build(node)
-        return result
-
-    def build(self, node: ExprAst):
-        tag = node[0]
-        if tag in _CHAIN_OPS:
-            return self.left_fold(node)
-        algebra = self.algebra
-        if tag == "s":
-            return algebra.elem_s(node[1])
-        if tag == "st":
-            return algebra.elem_s_star(node[1])
-        if tag == "p":
-            return algebra.gen_p(self.value(node[1]))
-        if tag == "scale":
-            ring = algebra.ring
-            if "/" in node[1] and ring != QQ:
-                raise BadScalarForRing(f"fraction scalar {node[1]!r} needs the rational ring")
-            return self.value(node[2]).scale(ring.parse_scalar(node[1]))
-        if tag == "one":
-            return algebra.one()
-        if tag == "zero":
-            return algebra.zero()
-        g = algebra.graph
-        if tag == "Z":
-            return cylinder(g, node[1])
-        if tag == "F":
-            return c_set(g, node[1], OMEGA)
-        if tag == "C":
-            return c_set(g, node[1], node[2])
-        if tag == "X":
-            return full_set(g)
-        if tag == "not":
-            return self.value(node[1]).complement()
-        raise AssertionError(f"bad node {node!r}")
-
-    def left_fold(self, node: ExprAst):
-        """Evaluate a left-deep chain of binary operators one link at a time,
-        so that a long sum costs no recursion per term.  The walk down the
-        chain stops at a shared node, whose value is one operand."""
-        links = [node]
-        node = node[1]
-        while node[0] in _CHAIN_OPS and id(node) not in self.memo:
-            links.append(node)
-            node = node[1]
-        acc = self.value(node)
-        for tag, _, right in reversed(links):
-            acc = _CHAIN_OPS[tag](acc, self.value(right))
-        return acc
+def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
+    """The value of a node table in ``algebra``.  A fraction scalar outside
+    the rationals is refused where the nodes of its operand would begin, so
+    errors come in the order of a left-to-right walk: a scalar's ring check
+    before its operand, its conversion after."""
+    g, ring = algebra.graph, algebra.ring
+    makers = {
+        "s": algebra.elem_s, "st": algebra.elem_s_star, "p": algebra.gen_p,
+        "one": algebra.one, "zero": algebra.zero,
+        "scale": lambda scalar, x: x.scale(ring.parse_scalar(scalar)),
+        "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+        "Z": partial(cylinder, g), "F": lambda w: c_set(g, w, OMEGA), "C": partial(c_set, g),
+        "X": partial(full_set, g), "not": ClopenSet.complement,
+        "and": operator.and_, "or": operator.or_}
+    if fractions and ring != QQ:
+        stop, scalar = fractions[0]
+        _run(islice(nodes, stop), uses, makers)
+        raise BadScalarForRing(f"fraction scalar {scalar!r} needs the rational ring")
+    return _run(nodes, uses, makers)
 
 
 def eval_set(node: ExprAst, algebra: SubshiftAlgebra) -> ClopenSet:
-    return _Evaluation(node, algebra).value(node)
+    return _evaluate(*_table(node), algebra)
 
 
 def eval_expr(node: ExprAst, algebra: SubshiftAlgebra) -> AlgebraElement:
-    return _Evaluation(node, algebra).value(node)
+    return _evaluate(*_table(node), algebra)
 
 
 def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:
-    return eval_expr(parse_expr(text, algebra.graph.spec), algebra)
+    return _evaluate(*_parse(text, algebra.graph.spec, "expr"), algebra)
 
 
 # The printed form of each tag, filled with its arguments in order.
