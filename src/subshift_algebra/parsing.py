@@ -26,13 +26,14 @@ Expression grammar (LL(1), whitespace-insensitive)::
 Scalars are ring-dependent: ``k.`` everywhere, ``k/m.`` only over the
 rationals.
 
-The parser hash-conses the AST (Filliâtre & Conchon, *Type-safe modular
-hash-consing*, 2006): equal subexpressions of one text are one node, keyed
-by its tag, its words or scalar text and the identities of its children, so
-that building a node costs O(1) beyond its own text.  The AST still compares
-``==`` to the tree it stands for.  One evaluation builds each node that it
-reaches more than once a single time and keeps no value past its return, so
-``evaluate`` builds every repeated subexpression once per call.
+One regular expression splits a text into tokens in one scan; text
+positions are found only for an error, by scanning again.  The parser
+hash-conses (Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006):
+its table holds each distinct node once, keyed by its tag, words or scalar
+text and the table positions of its children, so a node comes after its
+children.  ``evaluate`` builds the table's values front to back in one pass,
+dropping each after its last use; ``parse_expr`` builds the AST, in which
+equal subtrees are one object, from the same table.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import (BadScalarForRing, DuplicateSymbol, EmptyAlphabet,
                      UnknownLetter)
 from .rings import QQ
 from .shift import SftSpec
-from .words import OMEGA, Word
+from .words import OMEGA
 
 # -- shift files ----------------------------------------------------------------
 
@@ -130,109 +131,80 @@ _KIDS = {"p": 1, "not": 1, "scale": 1, "add": 2, "sub": 2, "mul": 2, "and": 2, "
 _EXPR_TOKENS = re.compile(r"(?:st\(|s\(|Z\(|F\(|C\(|,)\s*[^\s,)]*|-?\d+(?:/\d+)?\.|p\(|\S")
 _WORD_TOKEN_STARTS = "sZFC,"  # no other token of two or more characters starts so
 
-
-def _by_head(*forms) -> dict:
-    """Forms ``(opener, tag, argument)`` by the first two characters of the
-    opener, which tell them apart.  The argument is _WORD, _TWO_WORDS, _UNIT
-    (the operand that follows), the chain inside a group or ``p(..)``, or
-    None; a group has the tag None and is its chain."""
-    return {form[0][:2]: form for form in forms}
-
-
-_WORD, _TWO_WORDS, _UNIT = "word", "two words", "unit"
-_PRIMARY_FORMS = _by_head(("st(", "st", _WORD), ("s(", "s", _WORD), ("p(", "p", "set"),
-                          ("1", "one", None), ("0", "zero", None), ("(", None, "expr"))
-_SET_FORMS = _by_head(("!", "not", _UNIT), ("Z(", "Z", _WORD), ("F(", "F", _WORD),
-                      ("C(", "C", _TWO_WORDS), ("X", "X", None), ("(", None, "set"))
-# Each chain: the forms of its operands, its operators, the operators that
-# bind tighter, and the error where an operand is missing.
+# The forms (opener, tag, argument) by the first two characters of the opener;
+# the argument is the character after each word, _UNIT (the operand after the
+# opener), the chain inside a group (tag None) or p(..), or None.  A chain has
+# the forms of its operands, its operators, tighter ones, and a missing operand's error.
+_WORD, _UNIT = (")",), "unit"
+_PRIMARY_FORMS = {"st": ("st(", "st", _WORD), "s(": ("s(", "s", _WORD), "p(": ("p(", "p", "set"),
+                  "1": ("1", "one", None), "0": ("0", "zero", None), "(": ("(", None, "expr")}
+_SET_FORMS = {"!": ("!", "not", _UNIT), "Z(": ("Z(", "Z", _WORD), "F(": ("F(", "F", _WORD),
+              "C(": ("C(", "C", (",", ")")), "X": ("X", "X", None), "(": ("(", None, "set")}
 _CHAINS = {"expr": (_PRIMARY_FORMS, {"+": "add", "-": "sub"}, {"*": "mul"},
                     "expected s(..), st(..), p(..), 1, 0 or '('"),
            "set": (_SET_FORMS, {"|": "or"}, {"&": "and"}, "expected a set expression")}
 
-# The most forms open around a point of an expression: forms nest at most
-# this deep, which keeps the recursion of format_expr small.
+# Forms (s(, p(, Z(, a parenthesis, !, X, 1, ...) nest at most this deep, so
+# that format_expr, which recurses into them, stays inside the recursion limit.
 MAX_NESTING = 100
 # The most letters, over all its words, that one expression or set expression
-# may hold.  The cost of a reduction grows faster than the length of its
-# words (on the golden mean shift, reducing s(w) + st(bw) takes seconds for
-# a few thousand letters of w and half a minute for 16,000), so longer input
-# is refused at the word that crosses the bound.
+# may hold.  The cost of a reduction grows faster than the length of its words
+# (on the golden mean shift, reducing s(w) + st(bw) takes seconds for a few
+# thousand letters of w and half a minute for 16,000), so longer input is
+# refused at the word that crosses the bound.
 MAX_WORD_LETTERS = 4096
 
 
-def _position(text: str, index: int) -> int:
-    """Where token ``index`` of ``text`` starts, found by scanning the text
-    again; the end of the text past the last token."""
-    match = next(islice(_EXPR_TOKENS.finditer(text), index, None), None)
-    return len(text) if match is None else match.start()
-
-
 def _parse(text: str, spec: SftSpec, start: str):
-    """The node table of ``text``, read as the chain ``start``, ``expr`` or ``set``: a
-    dict from each distinct node's key (its tag, its words or scalar text,
-    and the table positions of its children) to its own position, in the
-    order the nodes were made; the number of parents of each node; and the
-    fraction scalars, each with the number of nodes made before it.
-
-    The grammar is LL(1), and the parser reads it with a stack of the chains
-    of the open groups and ``p(..)`` forms.  The chain being read keeps its
-    left-folded loose chain ``left low`` and tight chain ``right tight``, and
-    the prefixes (``!`` or a scalar) of the operand to come."""
-    tokens = _EXPR_TOKENS.findall(text)
-    tokens.append("")  # the end of the text
+    """The node table of ``text`` read as chain ``start``, with the parent counts
+    and fraction scalars that ``_evaluate`` takes.  The open groups and p(..)
+    forms are a stack of chains; the chain being read holds its loose part
+    ``left low``, its tight part ``right tight`` and its operand's prefixes."""
+    tokens = _EXPR_TOKENS.findall(text) + [""]  # "": the end of the text
     letter = {s: k for k, s in enumerate(spec.alphabet)}.__getitem__
-    nodes: dict[tuple, int] = {}
-    uses: defaultdict[int, int] = defaultdict(int)
-    fractions: list[tuple[int, str]] = []
-    split = set()  # tokens whose first character was read on its own
+    nodes, uses, fractions = {}, defaultdict(int), []
     i = depth = letters = 0  # the next token; the open forms; letters read
 
+    def position():
+        """Where token i starts, found by scanning the text again."""
+        match = next(islice(_EXPR_TOKENS.finditer(text), i, None), None)
+        return len(text) if match is None else match.start()
+
     def error(message, offset=0):
-        return ExprSyntaxError(message, _position(text, i) + (i in split) + offset)
+        return ExprSyntaxError(message, position() + offset)
 
     def make(key, *children):
         n = len(nodes)
-        position = nodes.setdefault(key, n)
-        if position == n:
+        found = nodes.setdefault(key, n)
+        if found == n:
             for child in children:
                 uses[child] += 1
-        return position
+        return found
 
     def word(opener, closer):
-        """The word of token i after ``opener``, which ``closer`` must
-        follow; i moves on to the closer."""
+        """The word of token i after ``opener``; ``closer`` must follow."""
         nonlocal i, letters
-        token = tokens[i]
-        run = token[len(opener):].lstrip()
-        at = len(token) - len(run)  # where the word starts in the token
-        if run[:1] == "_":
-            if len(run) > 1:
-                raise error(f"expected {closer!r}", at + 1)
-            w = OMEGA
-        elif not run:
-            raise error("expected a word", at)
-        else:
-            try:
-                w = tuple(map(letter, run))
-            except KeyError:
-                k = next(k for k, ch in enumerate(run) if ch not in spec.alphabet)
-                raise UnknownLetter(f"unknown letter {run[k]!r} at position "
-                                    f"{_position(text, i) + at + k}") from None
-            letters += len(w)
-            if letters > MAX_WORD_LETTERS:
-                raise error(f"more than {MAX_WORD_LETTERS} letters in the words of one "
-                            "expression", at)
+        run = tokens[i][len(opener):].lstrip()
+        at = len(tokens[i]) - len(run)  # where the word starts in the token
+        if not run or run[0] == "_" and len(run) > 1:  # '_' is a word on its own
+            raise error(f"expected {closer!r}" if run else "expected a word", at + bool(run))
+        try:
+            w = OMEGA if run == "_" else tuple(map(letter, run))
+        except KeyError:
+            k = next(k for k, ch in enumerate(run) if ch not in spec.alphabet)
+            raise UnknownLetter(f"unknown letter {run[k]!r} at position "
+                                f"{position() + at + k}") from None
+        letters += len(w)
+        if letters > MAX_WORD_LETTERS:
+            raise error(f"more than {MAX_WORD_LETTERS} letters in the words of one expression", at)
         i += 1
         if tokens[i][:1] != closer:
             raise error(f"expected {closer!r}")
         return w
 
-    chain = _CHAINS[start]
-    forms, ops, tight_ops, expected = chain
+    forms, ops, tight_ops, expected = chain = _CHAINS[start]
     left = low = right = tight = scalar = wrap = None
-    nots = 0
-    open_chains = []
+    nots, open_chains = 0, []
     while True:
         # An operand: its prefixes, then its form.
         token = tokens[i]
@@ -249,42 +221,34 @@ def _parse(text: str, spec: SftSpec, start: str):
         if depth == MAX_NESTING:
             raise error(f"forms nested deeper than {MAX_NESTING}")
         opener, tag, arg = entry
-        if arg is _WORD:
-            node = nodes.setdefault((tag, word(opener, ")")), len(nodes))
-            i += 1
-        elif arg is _TWO_WORDS:
-            w = word(opener, ",")
-            node = nodes.setdefault((tag, w, word(",", ")")), len(nodes))
+        if type(arg) is tuple:
+            w = word(opener, arg[0])
+            node = nodes.setdefault((tag, w) if arg is _WORD else (tag, w, word(",", ")")),
+                                    len(nodes))
             i += 1
         elif arg is None:
-            if token == opener:
-                i += 1
-            else:  # '1' or '0' at the start of a scalar: the rest follows it
-                tokens[i] = token[1:]
-                split.add(i)
+            if token != opener:  # a '1' or '0' that starts a scalar, then the rest
+                raise error("expected ')'" if open_chains else "trailing input", 1)
             node = nodes.setdefault((tag,), len(nodes))
-        elif arg is _UNIT:
-            nots += 1
-            depth += 1
             i += 1
-            continue
         else:
-            open_chains.append((chain, left, low, right, tight, scalar, nots, wrap))
-            chain = _CHAINS[arg]
-            forms, ops, tight_ops, expected = chain
-            left = low = right = tight = scalar = None
-            nots = 0
-            wrap = tag
             depth += 1
             i += 1
+            if arg is _UNIT:
+                nots += 1
+            else:
+                open_chains.append((chain, left, low, right, tight, scalar, nots, wrap))
+                forms, ops, tight_ops, expected = chain = _CHAINS[arg]
+                left = low = right = tight = scalar = None
+                nots, wrap = 0, tag
             continue
         while True:
-            # The operand is complete: apply its prefixes, and join it to
-            # the chains; then read an operator, or end the chain.
-            while nots:
+            # A complete operand: apply its prefixes and join it to the
+            # chain; then read an operator, or close the chain.
+            for _ in range(nots):
                 node = make(("not", node), node)
-                nots -= 1
-                depth -= 1
+            depth -= nots
+            nots = 0
             if scalar is not None:
                 node = make(("scale", scalar, node), node)
                 scalar = None
@@ -300,16 +264,13 @@ def _parse(text: str, spec: SftSpec, start: str):
                 left = node
                 if len(token) > 1:  # a signed scalar: its sign is the operator
                     tokens[i] = token[1:]
-                    split.add(i)
                 else:
                     i += 1
                 break
+            if token != (")" if open_chains else ""):
+                raise error("expected ')'" if open_chains else "trailing input")
             if not open_chains:
-                if token:
-                    raise error("trailing input")
                 return nodes, uses, fractions
-            if token != ")":
-                raise error("expected ')'")
             i += 1
             depth -= 1
             if wrap is not None:
@@ -318,10 +279,32 @@ def _parse(text: str, spec: SftSpec, start: str):
             forms, ops, tight_ops, expected = chain
 
 
-def _run(nodes, uses: list[int], makers: dict):
-    """Make the value of each node of a table, front to back, from its words
-    or scalar text and its children's values by ``makers[tag]``; return the
-    last.  A value is dropped after its last use, counted down in ``uses``."""
+def _table(root: ExprAst):
+    """The node table of an AST built elsewhere, as ``_parse`` makes it: one
+    entry per node object, in post-order, left to right."""
+    positions, nodes, uses, fractions = {}, [], defaultdict(int), []  # positions by node id
+    stack = [(root, False)]
+    while stack:
+        node, ready = stack.pop()
+        if id(node) in positions:
+            continue
+        cut = len(node) - _KIDS.get(node[0], 0)
+        if ready:
+            key = node[:cut] + tuple(positions[id(child)] for child in node[cut:])
+            for child in key[cut:]:
+                uses[child] += 1
+            positions[id(node)] = len(nodes)
+            nodes.append(key)
+        else:
+            if node[0] == "scale" and "/" in node[1]:
+                fractions.append((len(nodes), node[1]))
+            stack += [(node, True)] + [(child, False) for child in reversed(node[cut:])]
+    return nodes, uses, fractions
+
+
+def _run(nodes, uses, makers: dict):
+    """Make each entry's value front to back by ``makers[tag]``, from its words
+    or scalar text and its children's values, dropped after their last use."""
     values = []
 
     def take(j):
@@ -345,65 +328,17 @@ def _run(nodes, uses: list[int], makers: dict):
     return value
 
 
-def _ast_node(tag, *args):
-    return (tag, *args)
-
-
-_AST_MAKERS = {tag: partial(_ast_node, tag) for tag in
-               ("s", "st", "p", "one", "zero", "scale", "add", "sub", "mul",
-                "Z", "F", "C", "X", "not", "and", "or")}
-
-
-def parse_expr(text: str, spec: SftSpec) -> ExprAst:
-    nodes, uses, _ = _parse(text, spec, "expr")
-    return _run(nodes, uses, _AST_MAKERS)
-
-
-def parse_set(text: str, spec: SftSpec) -> ExprAst:
-    nodes, uses, _ = _parse(text, spec, "set")
-    return _run(nodes, uses, _AST_MAKERS)
-
-
-def _table(root: ExprAst):
-    """The node table of an AST built elsewhere, as ``_parse`` gives it: its
-    distinct node objects in post-order, left to right."""
-    positions: dict[int, int] = {}  # id of a node -> its position
-    nodes, uses, fractions = [], [], []
-    stack = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if id(node) in positions:
-            continue
-        cut = len(node) - _KIDS.get(node[0], 0)
-        if not children_done:
-            if node[0] == "scale" and "/" in node[1]:
-                fractions.append((len(nodes), node[1]))
-            stack.append((node, True))
-            stack += ((child, False) for child in reversed(node[cut:]))
-            continue
-        children = [positions[id(child)] for child in node[cut:]]
-        for child in children:
-            uses[child] += 1
-        positions[id(node)] = len(nodes)
-        nodes.append(node[:cut] + tuple(children))
-        uses.append(0)
-    return nodes, uses, fractions
-
-
 def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
-    """The value of a node table in ``algebra``.  A fraction scalar outside
-    the rationals is refused where the nodes of its operand would begin, so
-    errors come in the order of a left-to-right walk: a scalar's ring check
-    before its operand, its conversion after."""
+    """The value of a node table.  A fraction scalar outside the rationals is
+    refused where its operand's entries would start, so errors come in the order
+    of a walk of the expression: a scalar's ring check before its operand's."""
     g, ring = algebra.graph, algebra.ring
-    makers = {
-        "s": algebra.elem_s, "st": algebra.elem_s_star, "p": algebra.gen_p,
-        "one": algebra.one, "zero": algebra.zero,
-        "scale": lambda scalar, x: x.scale(ring.parse_scalar(scalar)),
-        "add": operator.add, "sub": operator.sub, "mul": operator.mul,
-        "Z": partial(cylinder, g), "F": lambda w: c_set(g, w, OMEGA), "C": partial(c_set, g),
-        "X": partial(full_set, g), "not": ClopenSet.complement,
-        "and": operator.and_, "or": operator.or_}
+    makers = {"s": algebra.elem_s, "st": algebra.elem_s_star, "p": algebra.gen_p,
+              "one": algebra.one, "zero": algebra.zero, "add": operator.add,
+              "sub": operator.sub, "mul": operator.mul, "and": operator.and_, "or": operator.or_,
+              "scale": lambda scalar, x: x.scale(ring.parse_scalar(scalar)),
+              "Z": partial(cylinder, g), "F": lambda w: c_set(g, w, OMEGA),
+              "C": partial(c_set, g), "X": partial(full_set, g), "not": ClopenSet.complement}
     if fractions and ring != QQ:
         stop, scalar = fractions[0]
         _run(islice(nodes, stop), uses, makers)
@@ -411,12 +346,19 @@ def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
     return _run(nodes, uses, makers)
 
 
-def eval_set(node: ExprAst, algebra: SubshiftAlgebra) -> ClopenSet:
+def parse_expr(text: str, spec: SftSpec) -> ExprAst:
+    return _run(*_parse(text, spec, "expr")[:2], _AST_MAKERS)
+
+
+def parse_set(text: str, spec: SftSpec) -> ExprAst:
+    return _run(*_parse(text, spec, "set")[:2], _AST_MAKERS)
+
+
+def eval_expr(node: ExprAst, algebra: SubshiftAlgebra) -> AlgebraElement | ClopenSet:
     return _evaluate(*_table(node), algebra)
 
 
-def eval_expr(node: ExprAst, algebra: SubshiftAlgebra) -> AlgebraElement:
-    return _evaluate(*_table(node), algebra)
+eval_set = eval_expr
 
 
 def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:
@@ -457,3 +399,6 @@ def format_expr(node: ExprAst, spec: SftSpec) -> str:
     for tag, _, right in reversed(links):
         text = _FORMATS[tag].format(text, _operand(right, level + 1, spec))
     return text
+
+
+_AST_MAKERS = {tag: lambda *args, tag=tag: (tag, *args) for tag in _FORMATS}
