@@ -78,18 +78,19 @@ def _cmd_reduce(args) -> int:
     algebra = _load_algebra(args.shift, args.ring)
     x = evaluate(args.expr, algebra)
     witness = reduce_element(x, record_trace=args.trace)
-    print(f"mu: {_element_line(witness.mu)}")
-    print(f"nu: {_element_line(witness.nu)}")
     form = witness.form
     ring = algebra.ring
+    # The lines are formatted before any is printed, so that a coefficient
+    # too long to print leaves no partial output.
     if isinstance(form, ProjectionMultiple):
-        print(f"PROJ {ring.format(form.gamma)} {form.proj_set.format()}")
+        form_line = f"PROJ {ring.format(form.gamma)} {form.proj_set.format()}"
     else:
         spec = algebra.graph.spec
         gammas = " ".join(ring.format(g) for g in form.gammas)
         exps = " ".join(str(q) for q in form.exps)
-        print(f"CYCLE {form.cycle_set.format()} {spec.word_to_str(form.beta)} "
-              f"[{gammas}] [{exps}]")
+        form_line = (f"CYCLE {form.cycle_set.format()} {spec.word_to_str(form.beta)} "
+                     f"[{gammas}] [{exps}]")
+    print(f"mu: {_element_line(witness.mu)}\nnu: {_element_line(witness.nu)}\n{form_line}")
     if args.trace:
         for step in witness.trace:
             print(f"trace: {step}")

@@ -112,3 +112,8 @@ class UnknownRing(SubshiftAlgebraError):
 
 class BadScalarForRing(SubshiftAlgebraError):
     """A scalar literal cannot be interpreted in the selected ring."""
+
+
+class CoefficientTooLong(SubshiftAlgebraError):
+    """A coefficient has more digits than the interpreter converts to text
+    (``sys.get_int_max_str_digits()``), so it cannot be printed."""

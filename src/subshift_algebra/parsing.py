@@ -127,8 +127,8 @@ _KIDS = {"p": 1, "not": 1, "scale": 1, "add": 2, "sub": 2, "mul": 2, "and": 2, "
 
 # One token: a word form's opener, or the ',' between the words of C(..),
 # with the run of characters after it that a word can hold; a scalar; 'p(';
-# or any other character.  Spaces between tokens match nothing.
-_EXPR_TOKENS = re.compile(r"(?:st\(|s\(|Z\(|F\(|C\(|,)\s*[^\s,)]*|-?\d+(?:/\d+)?\.|p\(|\S")
+# or any other character (the common ones first).  Spaces match nothing.
+_EXPR_TOKENS = re.compile(r"[()*+|&!X]|(?:st\(|s\(|Z\(|F\(|C\(|,)\s*[^\s,)]*|-?\d+(?:/\d+)?\.|p\(|\S")
 _WORD_TOKEN_STARTS = "sZFC,"  # no other token of two or more characters starts so
 
 # The forms (opener, tag, argument) by the first two characters of the opener;

@@ -12,7 +12,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import BadScalarForRing, UnknownRing
+from .errors import BadScalarForRing, CoefficientTooLong, UnknownRing
 
 
 # The first 13 primes.  Miller-Rabin with these bases decides primality
@@ -77,7 +77,14 @@ class Ring:
         raise NotImplementedError
 
     def format(self, a) -> str:
-        return str(a)
+        """``str(a)``, or a CoefficientTooLong where ``a`` has more digits than
+        the interpreter converts to text; that limit is left as it is."""
+        try:
+            return str(a)
+        except ValueError:
+            raise CoefficientTooLong(
+                f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} "
+                "digits (sys.get_int_max_str_digits())") from None
 
     def __eq__(self, other):
         return type(self) is type(other) and self.name == other.name

@@ -154,6 +154,24 @@ def test_long_scalar_is_refused_by_the_digit_bound(ring, kind, capsys):
                     "--ring", ring])[0] == 0
 
 
+@pytest.mark.parametrize("ring", ["z", "q"])
+def test_long_coefficient_is_refused_by_the_printer(ring, capsys):
+    # A product of two 3000-digit scalars has a coefficient of about 6000
+    # digits, more than the interpreter converts to text: the commands that
+    # print it refuse it by that bound, and iszero, which does not, answers.
+    limit = sys.get_int_max_str_digits()
+    nines = "9" * 3000
+    expr = f"{nines}.1 * {nines}.1"
+    for command in ("nf", "reduce"):
+        assert run_cli([command, SHIFT_PATHS["full2"], "-e", expr, "--ring", ring]) == (2, "")
+        assert capsys.readouterr().err == (f"error: cannot print a coefficient of more than "
+                                           f"{limit} digits (sys.get_int_max_str_digits())\n")
+    assert run_cli(["iszero", SHIFT_PATHS["full2"], "-e", expr, "--ring", ring]) == \
+        (1, "nonzero\n")
+    assert run_cli(["nf", SHIFT_PATHS["full2"], "-e", f"{nines}.1", "--ring", ring]) == \
+        (0, f"_ _^-1 | {nines} a ; {nines} b\n")
+
+
 def test_set_expressions(g_gold):
     algebra = SubshiftAlgebra(g_gold, ZZ)
     from subshift_algebra.clopen import c_set, cylinder, full_set
