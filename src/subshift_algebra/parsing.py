@@ -208,7 +208,7 @@ def _parse(text: str, spec: SftSpec, start: str):
     while True:
         # An operand: its prefixes, then its form.
         token = tokens[i]
-        if (scalar is None and forms is _PRIMARY_FORMS and token[-1:] == "."
+        if (token[-1:] == "." and scalar is None and forms is _PRIMARY_FORMS
                 and len(token) > 1 and token[0] not in _WORD_TOKEN_STARTS):
             scalar = token[:-1]
             if "/" in scalar:
@@ -245,10 +245,10 @@ def _parse(text: str, spec: SftSpec, start: str):
         while True:
             # A complete operand: apply its prefixes and join it to the
             # chain; then read an operator, or close the chain.
-            for _ in range(nots):
+            while nots:
                 node = make(("not", node), node)
-            depth -= nots
-            nots = 0
+                nots -= 1
+                depth -= 1
             if scalar is not None:
                 node = make(("scale", scalar, node), node)
                 scalar = None
