@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import operator
 import re
-from collections import defaultdict
 from functools import partial
 from itertools import islice
 
@@ -128,13 +127,14 @@ _KIDS = {"p": 1, "not": 1, "scale": 1, "add": 2, "sub": 2, "mul": 2, "and": 2, "
 # One token: a word form's opener, or the ',' between the words of C(..),
 # with the run of characters after it that a word can hold; a scalar; 'p(';
 # or any other character (the common ones first).  Spaces match nothing.
-_EXPR_TOKENS = re.compile(r"[()*+|&!X]|(?:st\(|s\(|Z\(|F\(|C\(|,)\s*[^\s,)]*|-?\d+(?:/\d+)?\.|p\(|\S")
+_EXPR_TOKENS = re.compile(r"[()*+|&!X]|(?:st\(|s\(|Z\(|F\(|C\(|,)\s*[^\s,)]*"
+                          r"|-?\d+(?:/\d+)?\.|p\(|\S")
 _WORD_TOKEN_STARTS = "sZFC,"  # no other token of two or more characters starts so
 
-# The forms (opener, tag, argument) by the first two characters of the opener;
-# the argument is the character after each word, _UNIT (the operand after the
-# opener), the chain inside a group (tag None) or p(..), or None.  A chain has
-# the forms of its operands, its operators, tighter ones, and a missing operand's error.
+# The forms (opener, tag, argument) by the first two characters of the opener.
+# The argument is the character after each word, _UNIT (the operand after the
+# opener), the chain inside a group (tag None) or p(..), or None.  A chain is
+# (operand forms, operators, tighter operators, error for a missing operand).
 _WORD, _UNIT = (")",), "unit"
 _PRIMARY_FORMS = {"st": ("st(", "st", _WORD), "s(": ("s(", "s", _WORD), "p(": ("p(", "p", "set"),
                   "1": ("1", "one", None), "0": ("0", "zero", None), "(": ("(", None, "expr")}
@@ -162,7 +162,8 @@ def _parse(text: str, spec: SftSpec, start: str):
     ``left low``, its tight part ``right tight`` and its operand's prefixes."""
     tokens = _EXPR_TOKENS.findall(text) + [""]  # "": the end of the text
     letter = {s: k for k, s in enumerate(spec.alphabet)}.__getitem__
-    nodes, uses, fractions = {}, defaultdict(int), []
+    nodes, fractions = {}, []
+    uses = [0] * (2 * len(tokens))  # parents per node; a token makes at most two nodes
     i = depth = letters = 0  # the next token; the open forms; letters read
 
     def position():
@@ -243,8 +244,7 @@ def _parse(text: str, spec: SftSpec, start: str):
                 nots, wrap = 0, tag
             continue
         while True:
-            # A complete operand: apply its prefixes and join it to the
-            # chain; then read an operator, or close the chain.
+            # A complete operand: apply its prefixes, join it, read an operator.
             while nots:
                 node = make(("not", node), node)
                 nots -= 1
@@ -282,7 +282,7 @@ def _parse(text: str, spec: SftSpec, start: str):
 def _table(root: ExprAst):
     """The node table of an AST built elsewhere, as ``_parse`` makes it: one
     entry per node object, in post-order, left to right."""
-    positions, nodes, uses, fractions = {}, [], defaultdict(int), []  # positions by node id
+    positions, nodes, uses, fractions = {}, [], [], []  # positions by node id
     stack = [(root, False)]
     while stack:
         node, ready = stack.pop()
@@ -295,6 +295,7 @@ def _table(root: ExprAst):
                 uses[child] += 1
             positions[id(node)] = len(nodes)
             nodes.append(key)
+            uses.append(0)
         else:
             if node[0] == "scale" and "/" in node[1]:
                 fractions.append((len(nodes), node[1]))

@@ -77,11 +77,9 @@ class Ring:
         raise NotImplementedError
 
     def format(self, a) -> str:
-        """``str(a)``, or a CoefficientTooLong where ``a`` has more digits than
-        the interpreter converts to text; that limit is left as it is."""
         try:
             return str(a)
-        except ValueError:
+        except ValueError:  # past the interpreter's int-string limit, left as it is
             raise CoefficientTooLong(
                 f"cannot print a coefficient of more than {sys.get_int_max_str_digits()} "
                 "digits (sys.get_int_max_str_digits())") from None

@@ -7,6 +7,7 @@ import sys
 import weakref
 from collections import Counter
 from contextlib import redirect_stdout
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -527,9 +528,13 @@ def test_errors_come_in_evaluation_order(g_full, monkeypatch):
             (f"{digits}.(1/2.1)", "fraction scalar '1/2' needs the rational ring"),
             (f"1/2.({digits}.1)", "fraction scalar '1/2' needs the rational ring"),
             (f"2.({digits}.1 * 1/2.1)", too_long)):
-        with pytest.raises(BadScalarForRing) as err:
-            evaluate(text, algebra)
-        assert str(err.value) == message, text
+        # The same order holds for an AST built elsewhere, shared or not.
+        ast = parse_expr(text, g_full.spec)
+        for run in (partial(evaluate, text), partial(eval_expr, ast),
+                    partial(eval_expr, _unshared(ast))):
+            with pytest.raises(BadScalarForRing) as err:
+                run(algebra)
+            assert str(err.value) == message, text
     # A repeated subexpression that fails is evaluated once.
     parse_scalar, calls = type(ZZ).parse_scalar, []
 
