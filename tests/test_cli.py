@@ -318,6 +318,10 @@ def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
     for calls in (1, 2):
         assert evaluate(text, algebra).is_zero()
         assert built == Counter({key: calls * n for key, n in once.items()})
+    # So does the parsed AST, whose equal subtrees are one object.
+    built.clear()
+    assert eval_expr(parse_expr(text, g_gold.spec), algebra).is_zero()
+    assert built == once
     # The same identity as an AST built by hand shares nothing.
     built.clear()
     assert eval_expr(_unshared(parse_expr(text, g_gold.spec)), algebra).is_zero()
@@ -527,6 +531,7 @@ def test_errors_come_in_evaluation_order(g_full, monkeypatch):
             (f"1/2.1 + {digits}.1", "fraction scalar '1/2' needs the rational ring"),
             (f"{digits}.(1/2.1)", "fraction scalar '1/2' needs the rational ring"),
             (f"1/2.({digits}.1)", "fraction scalar '1/2' needs the rational ring"),
+            (f"1 + 1/2.({digits}.1)", "fraction scalar '1/2' needs the rational ring"),
             (f"2.({digits}.1 * 1/2.1)", too_long)):
         # The same order holds for an AST built elsewhere, shared or not.
         ast = parse_expr(text, g_full.spec)
