@@ -162,12 +162,10 @@ def _parse(text: str, spec: SftSpec, start: str):
     ``left low``, its tight part ``right tight`` and its operand's prefixes."""
     tokens = _EXPR_TOKENS.findall(text) + [""]  # "": the end of the text
     letter = {s: k for k, s in enumerate(spec.alphabet)}.__getitem__
-    nodes, fractions = {}, []
-    uses = [0] * (2 * len(tokens))  # parents per node; a token makes at most two nodes
+    nodes, fractions, uses = {}, [], [0] * (2 * len(tokens))  # a token makes at most 2 nodes
     i = depth = letters = 0  # the next token; the open forms; letters read
 
     def position():
-        """Where token i starts, found by scanning the text again."""
         match = next(islice(_EXPR_TOKENS.finditer(text), i, None), None)
         return len(text) if match is None else match.start()
 
@@ -187,8 +185,10 @@ def _parse(text: str, spec: SftSpec, start: str):
         nonlocal i, letters
         run = tokens[i][len(opener):].lstrip()
         at = len(tokens[i]) - len(run)  # where the word starts in the token
-        if not run or run[0] == "_" and len(run) > 1:  # '_' is a word on its own
-            raise error(f"expected {closer!r}" if run else "expected a word", at + bool(run))
+        if not run:
+            raise error("expected a word", at)
+        if run[0] == "_" and len(run) > 1:  # '_' is a word on its own
+            raise error(f"expected {closer!r}", at + 1)
         try:
             w = OMEGA if run == "_" else tuple(map(letter, run))
         except KeyError:
@@ -224,8 +224,8 @@ def _parse(text: str, spec: SftSpec, start: str):
         opener, tag, arg = entry
         if type(arg) is tuple:
             w = word(opener, arg[0])
-            node = nodes.setdefault((tag, w) if arg is _WORD else (tag, w, word(",", ")")),
-                                    len(nodes))
+            key = (tag, w) if arg is _WORD else (tag, w, word(",", ")"))
+            node = nodes.setdefault(key, len(nodes))
             i += 1
         elif arg is None:
             if token != opener:  # a '1' or '0' that starts a scalar, then the rest
