@@ -29,13 +29,18 @@ from __future__ import annotations
 
 from functools import partial
 
-from .clopen import ClopenSet, CoeffFn, accumulate, canonical, full_set, relative_range
-from .errors import BadArgument, RingMismatch
+from .clopen import (MAX_PRINTED_WORDS, ClopenSet, CoeffFn, accumulate, canonical, full_set,
+                     relative_range)
+from .errors import BadArgument, ElementTooLarge, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
 from .words import OMEGA, Word
 
 Pair = tuple[Word, Word]
+
+# The most component pairs (the product of the factors' component counts) that
+# one product multiplies; a larger product is refused before any pair is.
+MAX_PRODUCT_PAIRS = 2 ** 14
 
 
 def _common_prefix_len(a: Word, b: Word) -> int:
@@ -200,6 +205,10 @@ class AlgebraElement:
 
     def mul(self, other: "AlgebraElement") -> "AlgebraElement":
         self._check(other)
+        pairs = len(self.components) * len(other.components)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ElementTooLarge(
+                f"a product of {pairs} component pairs, more than {MAX_PRODUCT_PAIRS}")
         return AlgebraElement(self.algebra, self._accumulate({}, self._products(other)))
 
     def star(self) -> "AlgebraElement":
@@ -234,10 +243,11 @@ class AlgebraElement:
             return "0"
         g, ring = self.algebra.graph, self.algebra.ring
         spec = g.spec
-        lines = []
+        lines, room = [], MAX_PRINTED_WORDS  # one bound for all the lines
         for (u, v) in sorted(self.components):
             fn = self.components[(u, v)]
-            coeffs = fn.at_length(max(len(u) + g.m, fn.longest()))
+            coeffs = fn.at_length(max(len(u) + g.m, fn.longest()), room)
+            room -= len(coeffs)
             body = " ; ".join(
                 f"{ring.format(coeffs[w])} {spec.word_to_str(w)}"
                 for w in sorted(coeffs))

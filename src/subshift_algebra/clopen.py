@@ -32,9 +32,13 @@ from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 
-from .errors import BadArgument, InternalNonzeroViolation
+from .errors import BadArgument, ElementTooLarge, InternalNonzeroViolation
 from .shift import FollowerGraph
 from .words import OMEGA, EpPoint, Word, ep_normalize, is_minimal_cycle_word
+
+# The most words that a printed form lists (CoeffFn.at_length); a larger one is
+# refused before more are held.
+MAX_PRINTED_WORDS = 2 ** 18
 
 
 @dataclass(slots=True)
@@ -66,11 +70,18 @@ class CoeffFn:
     def support(self) -> "ClopenSet":
         return ClopenSet(self.graph, self.coeffs)
 
-    def at_length(self, n: int) -> dict[Word, object]:
+    def at_length(self, n: int, limit: int = MAX_PRINTED_WORDS) -> dict[Word, object]:
         """The function on the legal words of length ``n``, at least the
-        longest stored word: the printed form."""
-        g = self.graph
-        return {e: c for w, c in self.coeffs.items() for e in g.extensions(w, n)}
+        longest stored word: the printed form.  Raises
+        :class:`ElementTooLarge` past ``limit`` words, the room left of
+        :data:`MAX_PRINTED_WORDS`, before more are held."""
+        g, out = self.graph, {}
+        for w, c in self.coeffs.items():
+            words = g.extensions(w, n, limit - len(out))
+            if words is None:
+                raise ElementTooLarge(f"the printed form has more than {MAX_PRINTED_WORDS} words")
+            out.update(dict.fromkeys(words, c))
+        return out
 
     def equals(self, other: "CoeffFn") -> bool:
         if other.graph is not self.graph:

@@ -18,8 +18,14 @@ class EmptyShift(SubshiftAlgebraError):
 
 
 class ShiftTooLarge(SubshiftAlgebraError):
-    """The shift has more m-blocks than the follower graph is built for
-    (``shift.MAX_BLOCKS``)."""
+    """The forbidden words have more proper prefixes, the states of the
+    follower graph, than it is built for (``shift.MAX_STATES``)."""
+
+
+class ElementTooLarge(SubshiftAlgebraError):
+    """A product has more component pairs than one multiplication takes
+    (``algebra.MAX_PRODUCT_PAIRS``), or a printed form more words than are
+    printed (``clopen.MAX_PRINTED_WORDS``)."""
 
 
 class NotCommuting(SubshiftAlgebraError):

@@ -329,9 +329,12 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
     # leaves and cut with the offending cylinder, which kills every s-term.
     # Starting at block 0 also covers inputs whose set is not yet inside
     # Z_{c^{max exp}}: the kill argument only needs the minimality of j.
-    # out_degree has an entry per legal word of at most m letters, so per state.
+    # Past more blocks of c than the table has states, the walk along c^inf
+    # repeats a state at one phase of c (pigeonhole, in any deterministic
+    # presentation); a set whose points all still follow c there is the
+    # forced singleton, which the test above has ruled out.
     j = 0
-    cap = (b_set.longest() + (len(g.out_degree) + 2) * len(c)) // len(c) + 2
+    cap = (b_set.longest() + (g.n_states + 2) * len(c)) // len(c) + 2
     while b_set.is_subset(cylinder(g, c * (j + 1))):
         j += 1
         if j > cap:

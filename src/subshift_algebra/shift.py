@@ -1,14 +1,14 @@
 """Shifts of finite type over finite alphabets and their follower graphs.
 
 A shift is presented by an alphabet and a finite set of forbidden words.  The
-follower graph is the standard memory-m automaton (states = legal m-blocks,
-pruned to the states of out-degree >= 1) whose infinite paths are exactly the
-points of the shift.  It decides prefix legality, i.e. non-emptiness of
-cylinders, which is what every other module builds on.  The graph is one
-transition table with a start state, the empty word, and a word is legal iff
-its walk from the start state never leaves the table (Lind & Marcus, *An
-Introduction to Symbolic Dynamics and Coding*, section 3.2).  The forbidden
-words themselves are scanned only while the graph is built.
+follower graph is a deterministic automaton whose states are the proper
+prefixes of the forbidden words: a word leads to the longest of its suffixes
+among them (Aho & Corasick, *Efficient string matching*, 1975).  It decides
+prefix legality, i.e. non-emptiness of cylinders, which is what every other
+module builds on.  The graph is one transition table with a start state, the
+empty word, and a word is legal iff its walk from the start state never
+leaves the table (Lind & Marcus, *An Introduction to Symbolic Dynamics and
+Coding*, section 3.2).  The forbidden words are read only while it is built.
 
 Every query takes its id from one walk, :meth:`FollowerGraph.reach`.
 A support check on words ``u.q`` against a word ``v`` walks ``u`` and ``v``
@@ -19,31 +19,19 @@ letters from it.
 
 An id ``i`` also names a follower set ``F(i)``, the sequences ``x`` whose
 walk from ``i`` never leaves the table: ``F(v) = {x : v.x in X}`` for the id
-``v`` reaches.  :meth:`FollowerGraph.follower_subset` decides
-``F(i) <= F(j)`` and :meth:`FollowerGraph.follower_code` gives the shortest
-words covering ``F(i) & F(j)``; both walk the pair of ids letter by letter,
-end within m letters (both ids then name the same m-block) and are memoised
-per pair as they are asked.
+``v`` reaches.  :meth:`FollowerGraph.follower_subset` reads ``F(i) <= F(j)``
+from a table made with the graph, and :meth:`FollowerGraph.follower_code`
+gives the shortest words covering ``F(i) & F(j)``: it walks the pair of ids
+letter by letter, ends within m letters (the id of a word depends only on its
+last m letters) and is memoised per pair as it is asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import EmptyShift, ShiftTooLarge, UnknownLetter
 from .words import OMEGA, EpPoint, Word, ep_normalize
-
-
-def _has_forbidden_factor(w: Word, forbidden: frozenset[Word]) -> bool:
-    if not forbidden:
-        return False
-    lengths = {len(f) for f in forbidden}
-    for i in range(len(w)):
-        for L in lengths:
-            if i + L <= len(w) and w[i:i + L] in forbidden:
-                return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -69,10 +57,11 @@ class SftSpec:
         for f in self.forbidden:
             if any(a < 0 or a >= len(self.alphabet) for a in f):
                 raise ValueError(f"forbidden word uses an out-of-range letter: {f}")
-        pruned = frozenset(
-            f for f in self.forbidden
-            if not _has_forbidden_factor(f, self.forbidden - {f})
-        )
+        lengths = {len(f) for f in self.forbidden}
+        pruned = frozenset(  # the words with no forbidden proper factor
+            f for f in self.forbidden if not any(
+                f[i:i + n] in self.forbidden for n in lengths if n < len(f)
+                for i in range(len(f) - n + 1)))
         object.__setattr__(self, "forbidden", pruned)
 
     @staticmethod
@@ -101,40 +90,35 @@ class SftSpec:
 
 
 class FollowerGraph:
-    """Pruned memory-m transition automaton of an SFT.
+    """The follower automaton of an SFT, built by :func:`build_follower_graph`.
 
-    States are the legal m-blocks that admit an infinite continuation
-    (``legal_words(m)``); letter ``a`` leads from state ``s`` to the last m
-    letters of ``s.a`` when that word is legal (``letters(s)``).  Every query
-    walks one table from its start state: ``_ids`` numbers the empty word (id
-    0), the proper prefixes of the states and the states, and ``_delta[i][a]``
-    is the id that letter ``a`` leads to from id ``i``, or -1.  A word
-    reaches the id of its last (at most m) letters.  Built by
-    :func:`build_follower_graph`.
+    Every query walks one table from its start state: ``_delta[i][a]`` is
+    the id that letter ``a`` leads to from id ``i``, or -1 when ``a``
+    completes a forbidden word or leads to an id without an infinite walk.
+    The ids are the proper prefixes of the forbidden words, id 0 the empty
+    word, and a legal word reaches the longest of its suffixes among them,
+    which lies in its last m letters.  ``_inclusion[i]`` has bit ``j`` set
+    iff ``F(i) <= F(j)``.
 
-    ``_subsets`` and ``_codes`` hold the answers of :meth:`follower_subset`
-    and :meth:`follower_code` per pair of ids, and ``_tails`` the tail memo
-    of each pair (:meth:`tails`), whose keys have at most m letters.  They
-    are filled as they are asked and never emptied.
+    Four memos fill themselves as they are asked and are never emptied:
+    ``_ids`` and ``out_degree`` give a word of at most m letters its id and
+    the number of letters that may follow it, ``_codes`` the answers of
+    :meth:`follower_code` per pair of ids, and ``_tails`` the tail memo of
+    each pair (:meth:`tails`), whose keys have at most m letters.
     """
 
-    def __init__(self, spec: SftSpec, states: frozenset[Word],
-                 edges: dict[tuple[Word, int], Word]):
+    def __init__(self, spec: SftSpec, delta: list[list[int]]):
         self.spec = spec
         self.m = spec.memory
         self.n_letters = len(spec.alphabet)
-        self._ids = {OMEGA: 0}
-        self._delta = [[-1] * self.n_letters]
-        for n in range(1, self.m + 1):
-            for w in sorted({s[:n] for s in states}):
-                self._delta[self._ids[w[:-1]]][w[-1]] = len(self._ids)
-                self._ids[w] = len(self._ids)
-                self._delta.append([-1] * self.n_letters)
-        for (u, a), v in edges.items():
-            self._delta[self._ids[u]][a] = self._ids[v]
-        self._subsets: dict[tuple[int, int], bool] = {}
-        self._codes: dict[tuple[int, int], tuple[Word, ...]] = {}
-        self._tails: dict[tuple[int, int], _TailMemo] = {}
+        self.n_states = len(delta)
+        self._delta = delta
+        # A walk that comes back to id 0, the start state, goes on by lookup.
+        self._ids = _Memo(lambda w: self.reach(w[1:], delta[0][w[0]]) if w else 0)
+        self.out_degree = _Memo(lambda w: len(self.letters(w)))
+        self._inclusion = _inclusions(delta)
+        self._codes = _Memo(self._code)
+        self._tails = _Memo(lambda key: _TailMemo(self, *key))
 
     def reach(self, w: Word, state: int = 0) -> int:
         """The id that ``w`` reaches from id ``state``, or -1 if its walk
@@ -143,8 +127,8 @@ class FollowerGraph:
         if not state:
             m = self.m
             if len(w) <= m:
-                return self._ids.get(w, -1)
-            state = self._ids.get(w[:m], -1)
+                return self._ids[w]
+            state = self._ids[w[:m]]
             w = w[m:]
         delta = self._delta
         for a in w:
@@ -157,13 +141,6 @@ class FollowerGraph:
         """True iff the cylinder of ``w`` is non-empty."""
         return self.reach(w) >= 0
 
-    @cached_property
-    def out_degree(self) -> dict[Word, int]:
-        """The number of letters ``a`` with ``w.a`` legal, for each legal
-        word ``w`` of at most m letters; a longer legal word has the count of
-        its last m letters.  Made on first use."""
-        return {w: self.n_letters - self._delta[i].count(-1) for w, i in self._ids.items()}
-
     def letters(self, w: Word) -> list[int]:
         """The letters ``a`` with ``w.a`` legal, in ascending order."""
         i = self.reach(w)
@@ -171,35 +148,16 @@ class FollowerGraph:
 
     def follower_subset(self, i: int, j: int) -> bool:
         """Whether ``F(i) <= F(j)`` for ids ``i`` and ``j`` (-1 names the
-        empty set): every letter walkable from ``i`` is walkable from ``j``
-        and the successors are again in that relation.  Asked pairs are
-        memoised; equal ids and -1 are answered without the memo."""
-        if i == j or i < 0:
-            return True
-        if j < 0:
-            return False
-        key = (i, j)
-        known = self._subsets.get(key)
-        if known is None:
-            row, known = self._delta[j], True
-            for a, t in enumerate(self._delta[i]):
-                if t >= 0 and t != row[a] and (row[a] < 0 or not self.follower_subset(t, row[a])):
-                    known = False
-                    break
-            self._subsets[key] = known
-        return known
+        empty set): one read of the table made with the graph."""
+        return i < 0 or j >= 0 and self._inclusion[i] >> j & 1 == 1
 
     def tails(self, u: Word, v: Word) -> _TailMemo:
         """The tail memo of the pair of ids that ``u`` and ``v`` reach,
         walking each word once: ``memo[q]`` answers a tail ``q``
         (:class:`_TailMemo`)."""
         ids, m = self._ids, self.m  # reach's one lookup for a short word, inlined
-        key = (ids.get(u, -1) if len(u) <= m else self.reach(u),
-               ids.get(v, -1) if len(v) <= m else self.reach(v))
-        memo = self._tails.get(key)
-        if memo is None:
-            memo = self._tails[key] = _TailMemo(self, *key)
-        return memo
+        return self._tails[ids[u] if len(u) <= m else self.reach(u),
+                           ids[v] if len(v) <= m else self.reach(v)]
 
     def follower_code(self, i: int, j: int) -> tuple[Word, ...]:
         """The shortest words ``t`` whose sets ``t.F(j.t)`` partition
@@ -208,20 +166,15 @@ class FollowerGraph:
         otherwise each letter walkable from both ids followed by the code of
         the pair it leads to.  At every word ``t`` of the code
         ``F(j.t) <= F(i.t)``.  Memoised per asked pair."""
-        if i < 0 or j < 0:
-            return ()
-        key = (i, j)
-        code = self._codes.get(key)
-        if code is None:
-            if self.follower_subset(j, i):
-                code = (OMEGA,)
-            else:
-                row = self._delta[j]
-                code = tuple((a,) + t for a, s in enumerate(self._delta[i])
-                             if s >= 0 and row[a] >= 0
-                             for t in self.follower_code(s, row[a]))
-            self._codes[key] = code
-        return code
+        return self._codes[i, j] if i >= 0 and j >= 0 else ()
+
+    def _code(self, pair: tuple[int, int]) -> tuple[Word, ...]:
+        i, j = pair
+        if self.follower_subset(j, i):
+            return (OMEGA,)
+        row = self._delta[j]
+        return tuple((a,) + t for a, s in enumerate(self._delta[i]) if s >= 0 and row[a] >= 0
+                     for t in self.follower_code(s, row[a]))
 
     def legal_words(self, n: int) -> tuple[Word, ...]:
         """All prefix-legal words of length ``n``, lexicographically sorted:
@@ -230,25 +183,29 @@ class FollowerGraph:
             raise ValueError("length must be >= 0")
         return tuple(self._grow(OMEGA, 0, n))
 
-    def _grow(self, w: Word, state: int, steps: int) -> list[Word]:
+    def _grow(self, w: Word, state: int, steps: int, limit: int | None = None) -> list[Word] | None:
         """Extend ``w``, which reaches id ``state``, by ``steps`` letters
         along the table.  Letters are tried in ascending order, so the
-        result is in lexicographic order."""
-        delta = self._delta
+        result is in lexicographic order.  ``None`` past ``limit`` words:
+        each step, none smaller than the last, is counted before it is made."""
+        delta, k = self._delta, self.n_letters
         frontier = [(w, state)]
         for _ in range(steps):
+            if limit is not None and len(frontier) * k > limit \
+                    and sum(k - delta[s].count(-1) for _, s in frontier) > limit:
+                return None
             frontier = [(u + (a,), t)
                         for u, s in frontier
                         for a, t in enumerate(delta[s]) if t >= 0]
-        return [u for u, _ in frontier]
+        return [u for u, _ in frontier] if limit is None or len(frontier) <= limit else None
 
-    def extensions(self, w: Word, n: int) -> list[Word]:
+    def extensions(self, w: Word, n: int, limit: int | None = None) -> list[Word] | None:
         """Prefix-legal extensions of ``w`` to length ``n`` (``n >= len(w)``),
-        lexicographically sorted."""
+        lexicographically sorted; ``None`` past ``limit`` of them."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
         state = self.reach(w)
-        return self._grow(w, state, n - len(w)) if state >= 0 else []
+        return self._grow(w, state, n - len(w), limit) if state >= 0 else []
 
     def least_extension(self, w: Word, n: int, avoid: Word | None = None) -> Word | None:
         """The lexicographically least prefix-legal extension of ``w`` to
@@ -280,14 +237,12 @@ class FollowerGraph:
             k, a, state = fork
             word[k:] = [a]  # now above ``avoid``: the next pass returns
 
-    def unique_extension(self, w: Word) -> EpPoint | None:
-        """The single point of ``Z_w`` when the continuation is forced.
-
-        Present iff every id on the walk from the id ``w`` reaches has
-        out-degree exactly 1; the forced walk reaches the states within m
-        steps and closes into a cycle within one step per state more.
-        """
-        state = self.reach(w)
+    def unique_extension(self, w: Word, state: int = 0) -> EpPoint | None:
+        """The single point of ``Z_w`` when the continuation is forced, with
+        ``w`` walked from the id ``state``: present iff every id on the walk
+        from the id ``w`` reaches has out-degree exactly 1.  The forced walk
+        closes into a cycle within one step per id."""
+        state = self.reach(w, state)
         if state < 0:
             raise ValueError("unique_extension needs a prefix-legal word")
         letters: list[int] = []
@@ -309,8 +264,8 @@ class _TailMemo(dict):
     and otherwise the code of ``F(a.q) & F(b.q)`` below ``b.q``, which
     covers all of ``F(a.q)`` (empty when ``a.q`` is not legal).  A missing
     tail of at most m letters is walked from both ids at once and its answer
-    kept.  A longer one walks only the rest from the m-block its first m
-    letters name: the answer is theirs while ``a.q`` stays legal, and empty
+    kept.  A longer one walks only the rest from the id its first m letters
+    reach: the answer is theirs while ``a.q`` stays legal, and empty
     otherwise.  So no key has more than m letters."""
 
     __slots__ = ("graph", "i", "j")
@@ -338,34 +293,73 @@ class _TailMemo(dict):
         return code
 
 
-# The most m-blocks (alphabet size to the power of the memory) that
-# build_follower_graph enumerates; a larger shift is refused before it starts.
-MAX_BLOCKS = 2 ** 16
+class _Memo(dict):
+    """A dict that fills a missing key ``k`` with ``fill(k)``."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _inclusions(delta: list[list[int]]) -> list[int]:
+    """Bit ``j`` of entry ``i`` is set iff ``F(i) <= F(j)``, with bit n for
+    -1, the empty set: a greatest fixpoint that drops each nonempty set's pair
+    with the empty one, then once each pair a letter leads to a dropped pair."""
+    n = len(delta)
+    into: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]  # id -> letter -> ids
+    for i, row in enumerate(delta):
+        for a, t in enumerate(row):
+            into[t].setdefault(a, []).append(i)  # -1 is into[n]
+    rows = [(1 << n + 1) - 1] * n
+    dropped = [(i, n) for i, row in enumerate(delta) if max(row) >= 0]
+    for p, q in dropped:  # grows while it is read
+        for a, sources in into[p].items():
+            for j in into[q].get(a, ()):
+                for i in sources:
+                    if rows[i] >> j & 1:
+                        rows[i] ^= 1 << j
+                        dropped.append((i, j))
+    return rows
+
+
+# The most states, the proper prefixes of the forbidden words with the empty
+# one, that build_follower_graph takes; more are refused before any row is built.
+MAX_STATES = 512
 
 
 def build_follower_graph(spec: SftSpec) -> FollowerGraph:
-    """Build the pruned follower automaton; raises :class:`EmptyShift` if the
-    shift has no points and :class:`ShiftTooLarge` if it has more than
-    :data:`MAX_BLOCKS` m-blocks to enumerate.  The forbidden-free words grow
-    one letter at a time up to length m+1, each an edge from its first m-block
-    to its last; a new word's prefix has passed, so only its suffixes are
-    tested."""
-    m = spec.memory
+    """Build the follower automaton; raises :class:`EmptyShift` if the
+    shift has no points and :class:`ShiftTooLarge` if the forbidden words
+    have more than :data:`MAX_STATES` proper prefixes.  Their trie's rows
+    are completed breadth first: a missing letter leads where it leads from
+    the row's longest proper suffix in the trie (its failure link).  Letters
+    into a state with no infinite walk then lead nowhere."""
     k = len(spec.alphabet)
-    if k ** m > MAX_BLOCKS:
-        raise ShiftTooLarge(
-            f"{k} letters with memory {m} give {k}^{m} blocks, more than {MAX_BLOCKS}")
-    forbidden, lengths = spec.forbidden, {len(f) for f in spec.forbidden}
-    level = [OMEGA]
-    for _ in range(m + 1):
-        level = [w for w in (u + (a,) for u in level for a in range(k))
-                 if not any(w[-n:] in forbidden for n in lengths)]
-    edges = {(w[:-1], w[-1]): w[1:] for w in level}
-    # Prune to the retention fixpoint: keep the states with an outgoing edge.
-    states = None
-    while states != (live := {u for u, _a in edges}):
-        states = live
-        edges = {(u, a): v for (u, a), v in edges.items() if v in states}
-    if not states:
+    trie: list[dict[int, int]] = [{}]  # an id -> its letters -> the ids they lead to
+    for f in sorted(spec.forbidden):
+        i = 0
+        for a in f[:-1]:
+            if a not in trie[i]:
+                if len(trie) == MAX_STATES:
+                    raise ShiftTooLarge(f"more than {MAX_STATES} forbidden-word prefixes")
+                trie[i][a] = len(trie)
+                trie.append({})
+            i = trie[i][a]
+        trie[i][f[-1]] = -1  # no word in a factor-free set extends f
+    delta, fail, order = [[]] * len(trie), [0] * len(trie), [0]
+    for i in order:  # grows while it is read
+        back = delta[fail[i]] if i else [0] * k
+        delta[i] = [trie[i].get(a, back[a]) for a in range(k)]
+        for a, t in trie[i].items():
+            if t > 0:
+                fail[t] = back[a]
+                order.append(t)
+    live = set(range(len(delta)))
+    while dead := {i for i in live if not any(t in live for t in delta[i])}:
+        live -= dead
+    if 0 not in live:
         raise EmptyShift("all states pruned; the shift space is empty")
-    return FollowerGraph(spec, frozenset(states), edges)
+    return FollowerGraph(spec, [[t if t in live else -1 for t in row] for row in delta])

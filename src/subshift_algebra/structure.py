@@ -8,7 +8,6 @@ spot checks backing semiprimeness over coefficient domains.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, SubshiftAlgebra
@@ -28,19 +27,18 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
 
     A cycle without exit is a singleton clopen set, which forces its word's
     forced path to close inside the out-degree-1 part of the follower graph;
-    conversely every such graph cycle yields one.  A state lies on one iff
-    the forced point of its cylinder is purely periodic, with the cycle word
-    as its period; each cycle is reported at its least state.
+    conversely every such graph cycle yields one.  A state (an m-block) lies
+    on one iff the forced point of its cylinder is purely periodic, with the
+    cycle word as its period; each cycle is reported at its least state, the
+    least m-block of the forced orbit of an id, so no m-block is enumerated.
     """
-    results = []
-    for s in g.legal_words(g.m):
+    m, results = g.m, []
+    forced = (g.unique_extension(OMEGA, i) for i in range(g.n_states))
+    for s in sorted({_least_window(p, m) for p in forced if p is not None and not p.preperiod}):
         point = g.unique_extension(s)
-        if point is None or point.preperiod:
+        if point is None or point.preperiod or s != _least_window(point, m):
             continue
         alpha = point.period
-        stream = point.prefix(len(alpha) + g.m)
-        if s != min(stream[i:i + g.m] for i in range(len(alpha))):
-            continue
         a_set = cylinder(g, s)
         cc = classify_cycle(a_set, alpha)
         if cc.kind is not CycleKind.CYCLE_WITHOUT_EXIT or not cc.minimal:
@@ -48,6 +46,12 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
                 "a forced graph cycle is not a minimal cycle without exit")
         results.append((a_set, alpha))
     return results
+
+
+def _least_window(point, m: int) -> Word:
+    """The least m-letter window of the purely periodic ``point``."""
+    stream = point.prefix(len(point.period) + m)
+    return min(stream[i:i + m] for i in range(len(point.period)))
 
 
 @dataclass(frozen=True)
@@ -206,11 +210,13 @@ def relations_selftest(g: FollowerGraph, max_len: int,
     """
     if max_len < 0:
         raise BadArgument(f"the word length bound must be >= 0, got {max_len}")
-    counts = itertools.accumulate(len(g.legal_words(n)) for n in range(max_len + 1))
-    # any() stops at the first length past the bound, so a huge max_len is cheap.
-    if any(count > MAX_SELFTEST_WORDS for count in counts):
-        raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
-                          f"have length at most {max_len}")
+    words: list[Word] = []
+    # The words stop at the first length past the bound, so a huge max_len is cheap.
+    for n in range(max_len + 1):
+        words.extend(g.legal_words(n))
+        if len(words) > MAX_SELFTEST_WORDS:
+            raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
+                              f"have length at most {max_len}")
     algebra = SubshiftAlgebra(g, ring if ring is not None else ZZ)
     checks = 0
     failures: list[str] = []
@@ -221,10 +227,6 @@ def relations_selftest(g: FollowerGraph, max_len: int,
         checks += 1
         if not ok:
             failures.append(f"residual: {label}")
-
-    words: list[Word] = [OMEGA]
-    for n in range(1, max_len + 1):
-        words.extend(g.legal_words(n))
 
     one = algebra.one()
     note(algebra.gen_p(full_set(g)) == one, "p(X) = 1")

@@ -67,8 +67,21 @@ def in_shift(point, forbidden) -> bool:
 
 
 def l_spec(m: int) -> SftSpec:
-    """``L_m``: forbidden ``a^(m+1)`` and ``b^m a``; memory m, 2^m states."""
+    """``L_m``: forbidden ``a^(m+1)`` and ``b^m a``; memory m, 2^m m-blocks
+    and 2m + 1 states."""
     return SftSpec.make("ab", ["a" * (m + 1), "b" * m + "a"])
+
+
+# Shifts whose legality and cycles are checked word by word against brute force.
+DIFFERENTIAL_SHIFTS = {
+    "full2": ("ab", []),
+    "golden_mean": ("ab", ["bb"]),
+    "y": ("ab", ["ba"]),
+    "deep_pruning": ("abc", ["aa", "ab", "ac", "cb", "cc"]),
+    # c is forbidden-free but dead, so "ac" is illegal inside longer words too.
+    "dead_inner_block": ("abc", ["ca", "cb", "cc"]),
+    **{f"L{m}": ("ab", ["a" * (m + 1), "b" * m + "a"]) for m in (2, 3, 4)},
+}
 
 
 def random_specs(count, seed):

@@ -8,12 +8,14 @@ import weakref
 from collections import Counter
 from contextlib import redirect_stdout
 from functools import partial
+from itertools import product
 from pathlib import Path
 
 import pytest
 
-from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
+from subshift_algebra.algebra import MAX_PRODUCT_PAIRS, AlgebraElement, SubshiftAlgebra
 from subshift_algebra.cli import main
+from subshift_algebra.clopen import MAX_PRINTED_WORDS
 from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
@@ -25,7 +27,7 @@ from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
 from subshift_algebra.shift import build_follower_graph
 from subshift_algebra.words import OMEGA
 
-from conftest import W
+from conftest import W, l_spec
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -411,12 +413,15 @@ def test_corner_long_word_fails_fast():
 
 
 NOT_UTF8 = "<shift file that is not UTF-8>"
-TOO_LARGE = "<shift file with 2^24 blocks>"
+TOO_LARGE = "<shift file with 1,024 proper prefixes of forbidden words>"
+LONG_MEMORY = "<shift file with memory 24, printed at 24 letters>"
 EMPTY_WORD_SYMBOL = "<shift file with the symbol _>"
 COMMA_SYMBOL = "<shift file with the symbol ,>"
 BAD_SHIFT_FILES = {
     NOT_UTF8: b"\xff\xfealphabet: a b\n",
-    TOO_LARGE: b"alphabet: a b\nforbidden: aaaaaaaaaaaaaaaaaaaaaaaaa\n",
+    TOO_LARGE: b"alphabet: a b\nforbidden: %s\n" % b", ".join(
+        b"b" + bytes(w) for w in product(b"ab", repeat=10)),
+    LONG_MEMORY: b"alphabet: a b\nforbidden: aaaaaaaaaaaaaaaaaaaaaaaaa\n",
     EMPTY_WORD_SYMBOL: b"alphabet: _ a\nforbidden:\n",
     COMMA_SYMBOL: b"alphabet: a ,\nforbidden:\n",
 }
@@ -442,10 +447,14 @@ BAD_SHIFT_FILES = {
      "--word", "b", "-e", "1"],
     ["selftest", SHIFT_PATHS["full2"], "--max-len", "-1"],
     ["selftest", SHIFT_PATHS["full2"], "--max-len", "99"],
+    ["nf", SHIFT_PATHS["full2"], "-e", "p(Z(a)|Z(b" + "a" * 19 + "))"],
+    ["nf", LONG_MEMORY, "-e", "1"],
+    ["iszero", SHIFT_PATHS["full2"], "-e", "*".join(["(s(a)+s(b))"] * 16)],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
         "shift-not-utf8", "word-empty", "shift-too-large", "symbol-underscore",
         "symbol-comma", "nested-300", "not-1000", "ring-zmod-bound", "letters-expr",
-        "letters-set", "selftest-negative", "selftest-too-many-words"])
+        "letters-set", "selftest-negative", "selftest-too-many-words", "print-too-large",
+        "print-too-large-memory", "product-too-large"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.
@@ -460,6 +469,23 @@ def test_malformed_input_is_usage_error(argv, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_size_bounds_are_named_usage_errors(capsys):
+    # A printed form past MAX_PRINTED_WORDS, here two lines of 2^17 + 1
+    # words each, and a product past MAX_PRODUCT_PAIRS exit 2 with the bound
+    # in the message and print nothing; the 196,605 words of x at L_16 are
+    # within the first bound.
+    a17 = "p(Z(a)|Z(b" + "a" * 17 + "))"
+    code = main(["nf", str(SHIFT_PATHS["full2"]), "-e", f"{a17} + s(b)*{a17}"])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: the printed form has more than {MAX_PRINTED_WORDS} words\n")
+    code = main(["iszero", str(SHIFT_PATHS["full2"]), "-e", "*".join(["(s(a)+s(b))"] * 15)])
+    assert (code, *capsys.readouterr()) == (
+        2, "", f"error: a product of {2 ** 15} component pairs, more than {MAX_PRODUCT_PAIRS}\n")
+    algebra = SubshiftAlgebra(build_follower_graph(l_spec(16)), ZZ)
+    printed = evaluate("s(a)+2.s(bab)+st(b)", algebra).format()
+    assert printed.count(";") + printed.count("\n") + 1 == 196_605
 
 
 def test_deep_expressions(g_full):

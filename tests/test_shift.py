@@ -5,12 +5,17 @@ from itertools import product
 
 import pytest
 
+from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge
-from subshift_algebra.shift import MAX_BLOCKS, SftSpec, build_follower_graph
+from subshift_algebra.parsing import evaluate
+from subshift_algebra.reduction import reduce, verify
+from subshift_algebra.rings import ZZ
+from subshift_algebra.shift import MAX_STATES, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint
 
-from conftest import (W, brute_follower_graph, brute_forbidden_free, brute_forced_point,
-                      brute_is_legal, brute_legal_words, random_specs)
+from conftest import (DIFFERENTIAL_SHIFTS, W, brute_follower_graph, brute_forbidden_free,
+                      brute_forced_point, brute_is_legal, brute_legal_words, l_spec,
+                      random_specs)
 
 
 def _edges(g):
@@ -47,6 +52,14 @@ def test_forbidden_normalization():
     spec = SftSpec.make("ab", ["bb", "abb", "bb"])
     assert spec.forbidden == frozenset({W("bb")})
     assert spec.memory == 1
+    # A word is kept iff no other forbidden word is a factor of it.
+    rng = random.Random(3)
+    for _ in range(300):
+        words = {"".join(rng.choice("abc") for _ in range(rng.randint(1, 5)))
+                 for _ in range(rng.randint(1, 8))}
+        kept = {f for f in words if not any(g != f and g in f for g in words)}
+        assert SftSpec.make("abc", list(words)).forbidden == \
+            frozenset(tuple("abc".index(ch) for ch in f) for f in kept), words
 
 
 def test_memory_floor_is_one():
@@ -95,17 +108,6 @@ def test_deep_pruning_cascade():
     assert not g.is_prefix_legal((2,))      # c is pruned transitively
     assert not g.is_prefix_legal((0,))      # a dies in round one
     assert list(g.legal_words(2)) == brute_legal_words(g.spec, 2)
-
-
-DIFFERENTIAL_SHIFTS = {
-    "full2": ("ab", []),
-    "golden_mean": ("ab", ["bb"]),
-    "y": ("ab", ["ba"]),
-    "deep_pruning": ("abc", ["aa", "ab", "ac", "cb", "cc"]),
-    # c is forbidden-free but dead, so "ac" is illegal inside longer words too.
-    "dead_inner_block": ("abc", ["ca", "cb", "cc"]),
-    **{f"L{m}": ("ab", ["a" * (m + 1), "b" * m + "a"]) for m in (2, 3, 4)},
-}
 
 
 @pytest.mark.parametrize("name", list(DIFFERENTIAL_SHIFTS))
@@ -218,13 +220,39 @@ def test_unique_extension_with_preperiod():
 
 
 def test_too_many_blocks_fail_fast():
-    # Memory 24 over two letters: 2^24 blocks, refused before any is built.
-    assert 2 ** 24 > MAX_BLOCKS
+    # Every 11-letter word that starts with b: 1,024 proper prefixes, more
+    # than MAX_STATES, refused before any row is built, although its memory
+    # is only 10 (2^10 m-blocks).  One letter fewer per word gives 512
+    # prefixes with the empty one: at the bound, and built.
+    def b_words(n):
+        return ["b" + "".join(w) for w in product("ab", repeat=n)]
     with pytest.raises(ShiftTooLarge):
-        build_follower_graph(SftSpec.make("ab", ["a" * 25]))
-    with pytest.raises(ShiftTooLarge):
-        build_follower_graph(SftSpec.make("abcde", ["a" * 8]))
+        build_follower_graph(SftSpec.make("ab", b_words(10)))
+    assert build_follower_graph(SftSpec.make("ab", b_words(9))).n_states == MAX_STATES
     assert not issubclass(ShiftTooLarge, ContractViolation)
+
+
+@pytest.mark.parametrize("m", [17, 24, 32])
+def test_long_memory_builds_from_the_prefixes(m):
+    # L_m has 2^m m-blocks but one state per proper prefix of a^(m+1) and
+    # b^m a: 2m + 1.  A word is legal iff it is forbidden-free, since b^inf
+    # may follow any such word.
+    spec = l_spec(m)
+    g = build_follower_graph(spec)
+    assert g.n_states == len(g._delta) == 2 * m + 1
+    rng = random.Random(m)
+    for _ in range(300):
+        w = ()
+        while len(w) < 3 * m:
+            w += (rng.randrange(2),) * rng.randint(1, m + 2)
+        for n in range(0, len(w) + 1, 5):
+            free = brute_forbidden_free(w[:n], spec.forbidden)
+            assert g.is_prefix_legal(w[:n]) == free, (m, w[:n])
+            if free:
+                assert brute_forbidden_free(w[:n] + (1,) * (m + 1), spec.forbidden)
+                assert g.is_prefix_legal(w[:n] + (1,) * (2 * m))
+    x = evaluate("s(a)+2.s(bab)+st(b)", SubshiftAlgebra(g, ZZ))
+    assert verify(reduce(x), x)
 
 
 def _extensions_by_brute_force(spec, w):
@@ -289,7 +317,7 @@ def test_pair_memos_hold_only_asked_pairs():
     # pair or one that a letter walked from both ids leads to, and every
     # asked pair of distinct legal ids is kept.
     g = build_follower_graph(SftSpec.make("ab", ["aaa", "bba"]))
-    assert g._subsets == {} and g._codes == {} and g._tails == {}
+    assert g._codes == {} and g._tails == {}
     asked = [(g.reach(a), g.reach(b)) for a, b in
              [(W("a"), W("b")), (W("ab"), W("b")), (OMEGA, W("bb")), (W("b"), W("aa"))]]
     for i, j in asked:
@@ -304,6 +332,6 @@ def test_pair_memos_hold_only_asked_pairs():
         frontier = {(g._delta[i][a], g._delta[j][a]) for i, j in frontier
                     for a in range(g.n_letters)
                     if i >= 0 and j >= 0 and g._delta[i][a] >= 0} - reachable
-    for key in (*g._subsets, *g._codes):
+    for key in g._codes:
         assert key in reachable or key[::-1] in reachable, key
     assert {p for p in asked if p[0] != p[1]} <= set(g._codes)

@@ -8,10 +8,10 @@ from subshift_algebra import structure
 from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.clopen import (CycleClass, CycleKind, classify_cycle,
                                      cylinder, full_set)
-from subshift_algebra.errors import (BadArgument, InternalNonzeroViolation, NotADomain,
-                                     NotInCorner, NotMinimalCycle, ZeroInput)
+from subshift_algebra.errors import (BadArgument, EmptyShift, InternalNonzeroViolation,
+                                     NotADomain, NotInCorner, NotMinimalCycle, ZeroInput)
 from subshift_algebra.rings import QQ, ZZ, Zmod
-from subshift_algebra.shift import SftSpec, build_follower_graph
+from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.structure import (LaurentPoly, corner_project,
                                         corner_to_laurent,
                                         find_cycles_without_exit,
@@ -19,7 +19,7 @@ from subshift_algebra.structure import (LaurentPoly, corner_project,
                                         square_nonzero_check)
 from subshift_algebra.words import OMEGA, ep_normalize
 
-from conftest import W, random_nonzero_element
+from conftest import DIFFERENTIAL_SHIFTS, W, l_spec, random_nonzero_element, random_specs
 
 
 # -- cycle enumeration -------------------------------------------------------------
@@ -85,6 +85,45 @@ def test_cycle_scan_cross_check(all_graphs):
                 if point is not None and point.preperiod == OMEGA:
                     periodic_found = True
         assert bool(pairs) == periodic_found
+
+
+def _cycles_over_m_blocks(g):
+    """The reference scan over every legal m-block: those whose forced point
+    is purely periodic and which are the least m-block of that orbit, in
+    lexicographic order."""
+    results = []
+    for s in g.legal_words(g.m):
+        point = g.unique_extension(s)
+        if point is None or point.preperiod:
+            continue
+        alpha = point.period
+        stream = point.prefix(len(alpha) + g.m)
+        if s != min(stream[i:i + g.m] for i in range(len(alpha))):
+            continue
+        results.append((cylinder(g, s), alpha))
+    return results
+
+
+def test_cycles_match_the_m_block_scan():
+    specs = [SftSpec.make(*spec) for spec in DIFFERENTIAL_SHIFTS.values()]
+    found = 0
+    for spec in [*specs, *random_specs(300, seed=7)]:
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            continue
+        pairs = find_cycles_without_exit(g)
+        assert pairs == _cycles_over_m_blocks(g), spec
+        found += len(pairs)
+    assert found > 50
+
+
+def test_cycles_on_long_memory_enumerate_no_blocks(monkeypatch):
+    # L_32 has 2^32 m-blocks; its one cycle without exit is b at b^32.
+    g = build_follower_graph(l_spec(32))
+    monkeypatch.setattr(FollowerGraph, "legal_words", None)
+    b32 = (1,) * 32
+    assert find_cycles_without_exit(g) == [(cylinder(g, b32), (1,))]
 
 
 # -- corner and Laurent -----------------------------------------------------------
