@@ -29,8 +29,8 @@ from __future__ import annotations
 
 from functools import partial
 
-from .clopen import (MAX_PRINTED_WORDS, ClopenSet, CoeffFn, accumulate, canonical, full_set,
-                     relative_range)
+from .clopen import (MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS, ClopenSet, CoeffFn, accumulate,
+                     canonical, full_set, relative_range)
 from .errors import BadArgument, ElementTooLarge, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
@@ -243,11 +243,14 @@ class AlgebraElement:
             return "0"
         g, ring = self.algebra.graph, self.algebra.ring
         spec = g.spec
-        lines, room = [], MAX_PRINTED_WORDS  # one bound for all the lines
+        lines = []
+        words, letters = MAX_PRINTED_WORDS, MAX_PRINTED_LETTERS  # one bound for all the lines
         for (u, v) in sorted(self.components):
             fn = self.components[(u, v)]
-            coeffs = fn.at_length(max(len(u) + g.m, fn.longest()), room)
-            room -= len(coeffs)
+            n = max(len(u) + g.m, fn.longest())
+            coeffs = fn.at_length(n, words, letters)
+            words -= len(coeffs)
+            letters -= len(coeffs) * n
             body = " ; ".join(
                 f"{ring.format(coeffs[w])} {spec.word_to_str(w)}"
                 for w in sorted(coeffs))

@@ -36,9 +36,10 @@ from .errors import BadArgument, ElementTooLarge, InternalNonzeroViolation
 from .shift import FollowerGraph
 from .words import OMEGA, EpPoint, Word, ep_normalize, is_minimal_cycle_word
 
-# The most words that a printed form lists (CoeffFn.at_length); a larger one is
-# refused before more are held.
+# The most words, and the most letters in them, that a printed form lists
+# (CoeffFn.at_length); a larger one is refused before more are held.
 MAX_PRINTED_WORDS = 2 ** 18
+MAX_PRINTED_LETTERS = 2 ** 22
 
 
 @dataclass(slots=True)
@@ -70,17 +71,21 @@ class CoeffFn:
     def support(self) -> "ClopenSet":
         return ClopenSet(self.graph, self.coeffs)
 
-    def at_length(self, n: int, limit: int = MAX_PRINTED_WORDS) -> dict[Word, object]:
+    def at_length(self, n: int, words: int = MAX_PRINTED_WORDS,
+                  letters: int = MAX_PRINTED_LETTERS) -> dict[Word, object]:
         """The function on the legal words of length ``n``, at least the
         longest stored word: the printed form.  Raises
-        :class:`ElementTooLarge` past ``limit`` words, the room left of
-        :data:`MAX_PRINTED_WORDS`, before more are held."""
+        :class:`ElementTooLarge` past ``words`` words or ``letters``
+        letters, the room left of :data:`MAX_PRINTED_WORDS` and
+        :data:`MAX_PRINTED_LETTERS`, before more are held."""
         g, out = self.graph, {}
+        limit = min(words, letters // max(n, 1))  # no word held is longer than n
         for w, c in self.coeffs.items():
-            words = g.extensions(w, n, limit - len(out))
-            if words is None:
-                raise ElementTooLarge(f"the printed form has more than {MAX_PRINTED_WORDS} words")
-            out.update(dict.fromkeys(words, c))
+            found = g.extensions(w, n, limit - len(out))
+            if found is None:
+                raise ElementTooLarge(f"the printed form has more than {MAX_PRINTED_WORDS} "
+                                      f"words or {MAX_PRINTED_LETTERS} letters")
+            out.update(dict.fromkeys(found, c))
         return out
 
     def equals(self, other: "CoeffFn") -> bool:
@@ -298,7 +303,7 @@ def canonical(g: FollowerGraph, coeffs: dict[Word, object],
                     raise ValueError(f"support words are not a prefix code: {b}")
         return merge_siblings(g, coeffs, k)
     # One word merges only while it is the only legal child of its parent.
-    if coeffs and len(w) > k and g.out_degree[w[:-1][-g.m:]] == 1:
+    if coeffs and len(w) > k and g.out_degree[g.reach(w[:-1][-g.m:])] == 1:
         return merge_siblings(g, coeffs, k)
     return coeffs
 
@@ -311,11 +316,11 @@ def merge_siblings(g: FollowerGraph, values: dict[Word, object],
     again for the families that this completes, but never by a word shorter
     than ``floor``.  A set is the constant map.  Returns ``values`` itself
     when nothing merges."""
-    degree, m = g.out_degree, g.m
+    degree, m, reach = g.out_degree, g.m, g.reach
     if len(values) == 1:  # the common case: a word merges while it is an only child
         (w, c), = values.items()
         n = len(w)
-        while n > floor and degree[w[:n - 1][-m:]] == 1:
+        while n > floor and degree[reach(w[:n - 1][-m:])] == 1:
             n -= 1
         return values if n == len(w) else {w[:n]: c}
     family: dict[Word, int] = {}  # a word -> the number of its stored children
@@ -323,7 +328,7 @@ def merge_siblings(g: FollowerGraph, values: dict[Word, object],
         if len(w) > floor:
             p = w[:-1]
             family[p] = family.get(p, 0) + 1
-    full = [p for p, n in family.items() if n == degree[p[-m:]]]
+    full = [p for p, n in family.items() if n == degree[reach(p[-m:])]]
     if not full:
         return values
     out = dict(values)
@@ -339,7 +344,7 @@ def merge_siblings(g: FollowerGraph, values: dict[Word, object],
         if len(p) > floor:
             q = p[:-1]
             family[q] = family.get(q, 0) + 1
-            if family[q] == degree[q[-m:]]:
+            if family[q] == degree[reach(q[-m:])]:
                 full.append(q)
     return out
 

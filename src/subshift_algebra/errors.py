@@ -24,8 +24,9 @@ class ShiftTooLarge(SubshiftAlgebraError):
 
 class ElementTooLarge(SubshiftAlgebraError):
     """A product has more component pairs than one multiplication takes
-    (``algebra.MAX_PRODUCT_PAIRS``), or a printed form more words than are
-    printed (``clopen.MAX_PRINTED_WORDS``)."""
+    (``algebra.MAX_PRODUCT_PAIRS``), or a printed form more words or letters
+    than are printed (``clopen.MAX_PRINTED_WORDS`` and
+    ``clopen.MAX_PRINTED_LETTERS``)."""
 
 
 class NotCommuting(SubshiftAlgebraError):

@@ -34,6 +34,17 @@ from .errors import EmptyShift, ShiftTooLarge, UnknownLetter
 from .words import OMEGA, EpPoint, Word, ep_normalize
 
 
+def _has_forbidden_factor(w: Word, forbidden: frozenset[Word]) -> bool:
+    if not forbidden:
+        return False
+    lengths = {len(f) for f in forbidden}
+    for i in range(len(w)):
+        for L in lengths:
+            if i + L <= len(w) and w[i:i + L] in forbidden:
+                return True
+    return False
+
+
 @dataclass(frozen=True)
 class SftSpec:
     """Presentation of a shift of finite type.
@@ -57,11 +68,10 @@ class SftSpec:
         for f in self.forbidden:
             if any(a < 0 or a >= len(self.alphabet) for a in f):
                 raise ValueError(f"forbidden word uses an out-of-range letter: {f}")
-        lengths = {len(f) for f in self.forbidden}
-        pruned = frozenset(  # the words with no forbidden proper factor
-            f for f in self.forbidden if not any(
-                f[i:i + n] in self.forbidden for n in lengths if n < len(f)
-                for i in range(len(f) - n + 1)))
+        pruned = frozenset(
+            f for f in self.forbidden
+            if not _has_forbidden_factor(f, self.forbidden - {f})
+        )
         object.__setattr__(self, "forbidden", pruned)
 
     @staticmethod
@@ -100,11 +110,11 @@ class FollowerGraph:
     which lies in its last m letters.  ``_inclusion[i]`` has bit ``j`` set
     iff ``F(i) <= F(j)``.
 
-    Four memos fill themselves as they are asked and are never emptied:
-    ``_ids`` and ``out_degree`` give a word of at most m letters its id and
-    the number of letters that may follow it, ``_codes`` the answers of
-    :meth:`follower_code` per pair of ids, and ``_tails`` the tail memo of
-    each pair (:meth:`tails`), whose keys have at most m letters.
+    ``out_degree[i]`` is the number of letters that may follow id ``i``.
+    Two memos fill themselves as they are asked and are never emptied:
+    ``_codes`` the answers of :meth:`follower_code` per pair of ids, and
+    ``_tails`` the tail memo of each pair (:meth:`tails`), whose keys have at
+    most m letters.
     """
 
     def __init__(self, spec: SftSpec, delta: list[list[int]]):
@@ -113,23 +123,15 @@ class FollowerGraph:
         self.n_letters = len(spec.alphabet)
         self.n_states = len(delta)
         self._delta = delta
-        # A walk that comes back to id 0, the start state, goes on by lookup.
-        self._ids = _Memo(lambda w: self.reach(w[1:], delta[0][w[0]]) if w else 0)
-        self.out_degree = _Memo(lambda w: len(self.letters(w)))
+        # The last entry, 0, answers the id -1.
+        self.out_degree = [self.n_letters - row.count(-1) for row in delta] + [0]
         self._inclusion = _inclusions(delta)
-        self._codes = _Memo(self._code)
-        self._tails = _Memo(lambda key: _TailMemo(self, *key))
+        self._codes: dict[tuple[int, int], tuple[Word, ...]] = {}
+        self._tails: dict[tuple[int, int], _TailMemo] = {}
 
     def reach(self, w: Word, state: int = 0) -> int:
         """The id that ``w`` reaches from id ``state``, or -1 if its walk
-        leaves the table.  From the start state the first m letters are one
-        lookup; each further letter is one table step."""
-        if not state:
-            m = self.m
-            if len(w) <= m:
-                return self._ids[w]
-            state = self._ids[w[:m]]
-            w = w[m:]
+        leaves the table: one table step per letter."""
         delta = self._delta
         for a in w:
             if state < 0:
@@ -155,9 +157,11 @@ class FollowerGraph:
         """The tail memo of the pair of ids that ``u`` and ``v`` reach,
         walking each word once: ``memo[q]`` answers a tail ``q``
         (:class:`_TailMemo`)."""
-        ids, m = self._ids, self.m  # reach's one lookup for a short word, inlined
-        return self._tails[ids[u] if len(u) <= m else self.reach(u),
-                           ids[v] if len(v) <= m else self.reach(v)]
+        key = self.reach(u), self.reach(v)
+        memo = self._tails.get(key)
+        if memo is None:
+            memo = self._tails[key] = _TailMemo(self, *key)
+        return memo
 
     def follower_code(self, i: int, j: int) -> tuple[Word, ...]:
         """The shortest words ``t`` whose sets ``t.F(j.t)`` partition
@@ -165,16 +169,22 @@ class FollowerGraph:
         reaches from ``j``: the empty word alone when ``F(j) <= F(i)``, and
         otherwise each letter walkable from both ids followed by the code of
         the pair it leads to.  At every word ``t`` of the code
-        ``F(j.t) <= F(i.t)``.  Memoised per asked pair."""
-        return self._codes[i, j] if i >= 0 and j >= 0 else ()
-
-    def _code(self, pair: tuple[int, int]) -> tuple[Word, ...]:
-        i, j = pair
-        if self.follower_subset(j, i):
-            return (OMEGA,)
-        row = self._delta[j]
-        return tuple((a,) + t for a, s in enumerate(self._delta[i]) if s >= 0 and row[a] >= 0
-                     for t in self.follower_code(s, row[a]))
+        ``F(j.t) <= F(i.t)``.  Memoised per asked pair; found depth first,
+        with no recursion."""
+        if i < 0 or j < 0:
+            return ()
+        code = self._codes.get((i, j))
+        if code is None:
+            delta, k, words, stack = self._delta, self.n_letters, [], [(OMEGA, i, j)]
+            while stack:  # the larger letters lie below, so the words ascend
+                t, s, r = stack.pop()
+                if self.follower_subset(r, s):
+                    words.append(t)
+                else:
+                    stack += [(t + (a,), x, y) for a, x, y in zip(range(k), delta[s], delta[r])
+                              if x >= 0 and y >= 0][::-1]
+            code = self._codes[i, j] = tuple(words)
+        return code
 
     def legal_words(self, n: int) -> tuple[Word, ...]:
         """All prefix-legal words of length ``n``, lexicographically sorted:
@@ -264,9 +274,10 @@ class _TailMemo(dict):
     and otherwise the code of ``F(a.q) & F(b.q)`` below ``b.q``, which
     covers all of ``F(a.q)`` (empty when ``a.q`` is not legal).  A missing
     tail of at most m letters is walked from both ids at once and its answer
-    kept.  A longer one walks only the rest from the id its first m letters
-    reach: the answer is theirs while ``a.q`` stays legal, and empty
-    otherwise.  So no key has more than m letters."""
+    kept.  A longer one takes the answer of its first m letters while
+    ``a.q`` stays legal, i.e. while ``q`` walks from the start state (those
+    m letters fix the id), and empty otherwise.  So no key has more than m
+    letters."""
 
     __slots__ = ("graph", "i", "j")
 
@@ -279,7 +290,7 @@ class _TailMemo(dict):
         if len(q) > m:
             head = q[:m]
             code = self[head]
-            if code == () or g.reach(q[m:], g._ids[head]) >= 0:
+            if code == () or g.reach(q) >= 0:
                 return code
             return ()
         delta, a, b = g._delta, self.i, self.j
@@ -291,17 +302,6 @@ class _TailMemo(dict):
                 b = delta[b][c]
         code = self[q] = g.follower_code(a, b) if g.follower_subset(a, b) else False
         return code
-
-
-class _Memo(dict):
-    """A dict that fills a missing key ``k`` with ``fill(k)``."""
-
-    def __init__(self, fill):
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 def _inclusions(delta: list[list[int]]) -> list[int]:

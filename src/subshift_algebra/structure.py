@@ -8,6 +8,7 @@ spot checks backing semiprimeness over coefficient domains.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, SubshiftAlgebra
@@ -32,13 +33,16 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
     cycle word as its period; each cycle is reported at its least state, the
     least m-block of the forced orbit of an id, so no m-block is enumerated.
     """
-    m, results = g.m, []
-    forced = (g.unique_extension(OMEGA, i) for i in range(g.n_states))
-    for s in sorted({_least_window(p, m) for p in forced if p is not None and not p.preperiod}):
-        point = g.unique_extension(s)
-        if point is None or point.preperiod or s != _least_window(point, m):
-            continue
-        alpha = point.period
+    cycles, m = {}, g.m  # the least m-block of each forced orbit -> the period read from it
+    for i in range(g.n_states):
+        point = g.unique_extension(OMEGA, i)
+        if point is not None and not point.preperiod:
+            n = len(point.period)
+            stream = point.prefix(2 * n + m)
+            r = min(range(n), key=lambda k: stream[k:k + m])
+            cycles[stream[r:r + m]] = stream[r:r + n]
+    results = []
+    for s, alpha in sorted(cycles.items()):
         a_set = cylinder(g, s)
         cc = classify_cycle(a_set, alpha)
         if cc.kind is not CycleKind.CYCLE_WITHOUT_EXIT or not cc.minimal:
@@ -46,12 +50,6 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
                 "a forced graph cycle is not a minimal cycle without exit")
         results.append((a_set, alpha))
     return results
-
-
-def _least_window(point, m: int) -> Word:
-    """The least m-letter window of the purely periodic ``point``."""
-    stream = point.prefix(len(point.period) + m)
-    return min(stream[i:i + m] for i in range(len(point.period)))
 
 
 @dataclass(frozen=True)
@@ -210,13 +208,11 @@ def relations_selftest(g: FollowerGraph, max_len: int,
     """
     if max_len < 0:
         raise BadArgument(f"the word length bound must be >= 0, got {max_len}")
-    words: list[Word] = []
-    # The words stop at the first length past the bound, so a huge max_len is cheap.
-    for n in range(max_len + 1):
-        words.extend(g.legal_words(n))
-        if len(words) > MAX_SELFTEST_WORDS:
-            raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
-                              f"have length at most {max_len}")
+    counts = itertools.accumulate(len(g.legal_words(n)) for n in range(max_len + 1))
+    # any() stops at the first length past the bound, so a huge max_len is cheap.
+    if any(count > MAX_SELFTEST_WORDS for count in counts):
+        raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
+                          f"have length at most {max_len}")
     algebra = SubshiftAlgebra(g, ring if ring is not None else ZZ)
     checks = 0
     failures: list[str] = []
@@ -227,6 +223,10 @@ def relations_selftest(g: FollowerGraph, max_len: int,
         checks += 1
         if not ok:
             failures.append(f"residual: {label}")
+
+    words: list[Word] = [OMEGA]
+    for n in range(1, max_len + 1):
+        words.extend(g.legal_words(n))
 
     one = algebra.one()
     note(algebra.gen_p(full_set(g)) == one, "p(X) = 1")

@@ -15,7 +15,7 @@ import pytest
 
 from subshift_algebra.algebra import MAX_PRODUCT_PAIRS, AlgebraElement, SubshiftAlgebra
 from subshift_algebra.cli import main
-from subshift_algebra.clopen import MAX_PRINTED_WORDS
+from subshift_algebra.clopen import MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS
 from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
@@ -24,7 +24,7 @@ from subshift_algebra.parsing import (MAX_NESTING, MAX_WORD_LETTERS, RESERVED_SY
                                       eval_expr, evaluate, format_expr, format_shift,
                                       parse_expr, parse_set, parse_shift)
 from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
-from subshift_algebra.shift import build_follower_graph
+from subshift_algebra.shift import FollowerGraph, build_follower_graph
 from subshift_algebra.words import OMEGA
 
 from conftest import W, l_spec
@@ -472,20 +472,47 @@ def test_malformed_input_is_usage_error(argv, tmp_path):
 
 
 def test_size_bounds_are_named_usage_errors(capsys):
-    # A printed form past MAX_PRINTED_WORDS, here two lines of 2^17 + 1
-    # words each, and a product past MAX_PRODUCT_PAIRS exit 2 with the bound
-    # in the message and print nothing; the 196,605 words of x at L_16 are
-    # within the first bound.
+    # A printed form past its bounds, here two lines of 2^17 + 1 words of
+    # 19 letters each (more than MAX_PRINTED_LETTERS together), and a
+    # product past MAX_PRODUCT_PAIRS exit 2 with the bounds in the message
+    # and print nothing; the 196,605 words of x at L_16 (3,407,820 letters)
+    # are within the first bounds.
     a17 = "p(Z(a)|Z(b" + "a" * 17 + "))"
     code = main(["nf", str(SHIFT_PATHS["full2"]), "-e", f"{a17} + s(b)*{a17}"])
     assert (code, *capsys.readouterr()) == (
-        2, "", f"error: the printed form has more than {MAX_PRINTED_WORDS} words\n")
+        2, "", f"error: the printed form has more than {MAX_PRINTED_WORDS} words or "
+               f"{MAX_PRINTED_LETTERS} letters\n")
     code = main(["iszero", str(SHIFT_PATHS["full2"]), "-e", "*".join(["(s(a)+s(b))"] * 15)])
     assert (code, *capsys.readouterr()) == (
         2, "", f"error: a product of {2 ** 15} component pairs, more than {MAX_PRODUCT_PAIRS}\n")
     algebra = SubshiftAlgebra(build_follower_graph(l_spec(16)), ZZ)
     printed = evaluate("s(a)+2.s(bab)+st(b)", algebra).format()
     assert printed.count(";") + printed.count("\n") + 1 == 196_605
+
+
+def test_printed_forms_hold_bounded_words_and_letters(tmp_path, monkeypatch, capsys):
+    # One call for extensions holds at most ``limit`` words of n letters.
+    # Over three letters, p(Z(a)|Z(bc^12)) prints 3^12 + 1 words of 13
+    # letters: the word bound is met first.  s(b^400) on the shift without
+    # a^400 prints at 400 + 399 letters: the letter bound is met first, at
+    # far fewer words.
+    asked = []
+    extensions = FollowerGraph.extensions
+    monkeypatch.setattr(FollowerGraph, "extensions", lambda g, w, n, limit=None:
+                        asked.append((limit, n)) or extensions(g, w, n, limit))
+    cases = [("abc", "", "p(Z(a)|Z(b" + "c" * 12 + "))", MAX_PRINTED_WORDS),
+             ("ab", "a" * 400, "s(" + "b" * 400 + ")", MAX_PRINTED_LETTERS // 799)]
+    for alphabet, forbidden, expr, first_limit in cases:
+        shift = tmp_path / f"{alphabet}.shift"
+        shift.write_text(f"alphabet: {' '.join(alphabet)}\nforbidden: {forbidden}\n")
+        asked.clear()
+        assert main(["nf", str(shift), "-e", expr]) == 2
+        assert capsys.readouterr().err == (
+            f"error: the printed form has more than {MAX_PRINTED_WORDS} words or "
+            f"{MAX_PRINTED_LETTERS} letters\n")
+        assert asked[0][0] == first_limit
+        assert all(limit <= MAX_PRINTED_WORDS and limit * n <= MAX_PRINTED_LETTERS
+                   for limit, n in asked)
 
 
 def test_deep_expressions(g_full):

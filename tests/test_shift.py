@@ -52,14 +52,6 @@ def test_forbidden_normalization():
     spec = SftSpec.make("ab", ["bb", "abb", "bb"])
     assert spec.forbidden == frozenset({W("bb")})
     assert spec.memory == 1
-    # A word is kept iff no other forbidden word is a factor of it.
-    rng = random.Random(3)
-    for _ in range(300):
-        words = {"".join(rng.choice("abc") for _ in range(rng.randint(1, 5)))
-                 for _ in range(rng.randint(1, 8))}
-        kept = {f for f in words if not any(g != f and g in f for g in words)}
-        assert SftSpec.make("abc", list(words)).forbidden == \
-            frozenset(tuple("abc".index(ch) for ch in f) for f in kept), words
 
 
 def test_memory_floor_is_one():
@@ -253,6 +245,22 @@ def test_long_memory_builds_from_the_prefixes(m):
                 assert g.is_prefix_legal(w[:n] + (1,) * (2 * m))
     x = evaluate("s(a)+2.s(bab)+st(b)", SubshiftAlgebra(g, ZZ))
     assert verify(reduce(x), x)
+
+
+def test_deepest_accepted_walks_do_not_recurse():
+    # The largest accepted shapes walk hundreds of letters deep: a^512 has
+    # MAX_STATES states, one per power of a, and in L_255 (511 states) the
+    # code of F(a) & F(b) goes 255 letters down a^k b.  Nothing recurses
+    # per letter, so both stay far inside the interpreter's recursion limit.
+    g = build_follower_graph(SftSpec.make("ab", ["a" * 512]))
+    assert g.n_states == MAX_STATES
+    x = evaluate("s(" + "b" * 500 + ")", SubshiftAlgebra(g, ZZ))
+    assert not x.is_zero() and verify(reduce(x), x)
+    g = build_follower_graph(l_spec(255))
+    assert g.follower_code(g.reach(W("a")), g.reach(W("b"))) == tuple(
+        W("a" * k + "b") for k in range(254, -1, -1))
+    x = evaluate("p(C(a,b))", SubshiftAlgebra(g, ZZ))
+    assert not x.is_zero() and verify(reduce(x), x)
 
 
 def _extensions_by_brute_force(spec, w):
