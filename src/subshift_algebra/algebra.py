@@ -14,7 +14,10 @@ Multiplication follows the partial-action formula: to multiply a component
 of ``f`` by ``u.p -> v.p``, multiply pointwise with ``g`` on the common
 refinement of the two codes, translate back by ``v.q -> u.q``, and place the
 result at the reduced product ``s t``.  If the reduced product is not of the
-shape (positive word)(negative word)^{-1} the contribution is zero.
+shape (positive word)(negative word)^{-1} the contribution is zero.  It is
+one pass over the component pairs: each left component is translated once,
+and the tail memo of ``(v, u)`` is fetched once for it, so each product's
+words go back to ``u.q`` straight into the dict of the pair they land at.
 
 Zero is the empty component map; because zero coefficients are purged
 eagerly and every component is stored canonically, ``is_zero`` and
@@ -29,8 +32,8 @@ from __future__ import annotations
 
 from functools import partial
 
-from .clopen import (MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS, ClopenSet, CoeffFn, accumulate,
-                     canonical, full_set, relative_range)
+from .clopen import (MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS, ClopenSet, CoeffFn, canonical,
+                     full_set, relative_range, translate_into)
 from .errors import BadArgument, ElementTooLarge, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
@@ -55,6 +58,17 @@ def _strip_common_suffix(u: Word, v: Word) -> Pair:
     while k < len(u) and k < len(v) and u[-1 - k] == v[-1 - k]:
         k += 1
     return (u[:len(u) - k], v[:len(v) - k]) if k else (u, v)
+
+
+def _add_into(out: dict[Pair, CoeffFn], t: Pair, fn: CoeffFn, ring: Ring) -> None:
+    """Add ``fn`` at the pair ``t`` of ``out``; a pair whose sum is zero is
+    dropped."""
+    if t in out:
+        fn = out[t].add(fn, ring)
+        if fn.is_zero():
+            del out[t]
+            return
+    out[t] = fn
 
 
 class SubshiftAlgebra:
@@ -87,7 +101,12 @@ class SubshiftAlgebra:
         return AlgebraElement(self, {(alpha, OMEGA): fn})
 
     def elem_s_star(self, beta: Word) -> "AlgebraElement":
-        return self.elem_s(beta).star()
+        """``s_beta^*``, the star of :meth:`elem_s`: one entry ``beta`` at
+        ``(beta, omega)`` translated to ``(omega, beta)``."""
+        if not self.graph.is_prefix_legal(beta):
+            return self.zero()
+        fn = CoeffFn(self.graph, {beta: self.ring.one()}).translate(beta, OMEGA)
+        return AlgebraElement(self, {(OMEGA, beta): fn})
 
     def mono(self, alpha: Word, a: ClopenSet, beta: Word) -> "AlgebraElement":
         """``s_alpha p_A s_beta^*``; zero exactly when A, F_alpha and F_beta
@@ -158,16 +177,20 @@ class AlgebraElement:
                 or other.algebra.ring != self.algebra.ring:
             raise RingMismatch("elements live in different algebras")
 
-    def _accumulate(self, out: dict[Pair, CoeffFn], items) -> dict[Pair, CoeffFn]:
-        """Add ``(pair, coefficient function)`` items into ``out``; a pair
-        whose sum is zero is dropped."""
-        ring = self.algebra.ring
-        return accumulate(out, items, lambda f, h: f.add(h, ring), CoeffFn.is_zero)
+    def _sum(self, other: "AlgebraElement", neg=None) -> "AlgebraElement":
+        """``self + other``, or ``self - other`` with ``neg``, the ring's
+        negation, applied to the values of ``other``."""
+        self._check(other)
+        g, ring = self.algebra.graph, self.algebra.ring
+        out = dict(self.components)
+        for t, fn in other.components.items():
+            if neg is not None:
+                fn = CoeffFn(g, {w: neg(c) for w, c in fn.coeffs.items()})
+            _add_into(out, t, fn, ring)
+        return AlgebraElement(self.algebra, out)
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        out = self._accumulate(dict(self.components), other.components.items())
-        return AlgebraElement(self.algebra, out)
+        return self._sum(other)
 
     def _map_values(self, f) -> "AlgebraElement":
         """``f`` applied to every coefficient value; zero values are dropped."""
@@ -181,35 +204,39 @@ class AlgebraElement:
     def scale(self, r) -> "AlgebraElement":
         return self._map_values(partial(self.algebra.ring.mul, r))
 
-    def _products(self, other: "AlgebraElement"):
-        """The nonzero contributions ``(pair, coefficient function)`` of the
-        component pairs of ``self * other``, in the order of the pairs."""
-        ring = self.algebra.ring
+    def mul(self, other: "AlgebraElement") -> "AlgebraElement":
+        """One pass over the component pairs, in order; a pair that two of
+        them reach holds the sum of their contributions."""
+        self._check(other)
+        pairs = len(self.components) * len(other.components)
+        if pairs > MAX_PRODUCT_PAIRS:
+            raise ElementTooLarge(
+                f"a product of {pairs} component pairs, more than {MAX_PRODUCT_PAIRS}")
+        g, ring = self.algebra.graph, self.algebra.ring
+        times, is_zero = ring.mul, ring.is_zero
+        out: dict[Pair, CoeffFn] = {}
         for (u, v), f in self.components.items():
-            moved = None  # f translated by u.p -> v.p, made once
+            moved = None  # f translated by u.p -> v.p, and the memo back: made once
             for (u2, v2), h in other.components.items():
                 k = _common_prefix_len(v, u2)
                 v1, u21 = v[k:], u2[k:]
                 if v1 and u21:
                     continue  # product index leaves the (pos)(neg)^-1 family
                 if moved is None:
-                    moved = f.translate(u, v)
-                prod = moved.times(h, ring)
-                if prod.is_zero():
+                    moved, back = f.translate(u, v), g.tails(v, u)
+                coeffs = {}
+                for w, x, y in moved._overlay(h):
+                    p = times(x, y)
+                    if not is_zero(p):
+                        translate_into(coeffs, ((w, p),), v, u, back)
+                if not coeffs:
                     continue
                 if not v1:
                     pair = _strip_common_suffix(u + u21, v2)
                 else:
                     pair = (u, v2 + v1)
-                yield pair, prod.translate(v, u)
-
-    def mul(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check(other)
-        pairs = len(self.components) * len(other.components)
-        if pairs > MAX_PRODUCT_PAIRS:
-            raise ElementTooLarge(
-                f"a product of {pairs} component pairs, more than {MAX_PRODUCT_PAIRS}")
-        return AlgebraElement(self.algebra, self._accumulate({}, self._products(other)))
+                _add_into(out, pair, CoeffFn(g, coeffs), ring)
+        return AlgebraElement(self.algebra, out)
 
     def star(self) -> "AlgebraElement":
         out = {(v, u): fn.translate(u, v) for (u, v), fn in self.components.items()}
@@ -227,7 +254,7 @@ class AlgebraElement:
     __neg__ = negate
 
     def __sub__(self, other):
-        return self.add(other.negate())
+        return self._sum(other, self.algebra.ring.neg)
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):

@@ -178,23 +178,28 @@ class CoeffFn:
         ``F(old.q) & F(new.q)``, which is all of ``F(old.q)`` (``new.q``
         itself when ``|q| >= m``).  A word outside ``C(new, old)``, or
         not legal, raises :class:`InternalNonzeroViolation`."""
-        g = self.graph
-        k = len(old)
-        memo = g.tails(old, new)
-        out = {}
-        for w, c in self.coeffs.items():
-            if w[:k] != old:
-                raise InternalNonzeroViolation(
-                    f"translation prefix {old} missing from support word {w}")
-            q = w[k:]
-            code = memo[q]
-            if not code:  # False, or the empty code of an illegal word
-                raise InternalNonzeroViolation(
-                    f"translated word {new + q} does not follow all that {w} does"
-                    if code is False else f"support word {w} is not legal")
-            for t in code:
-                out[new + q + t] = c
+        g, out = self.graph, {}
+        translate_into(out, self.coeffs.items(), old, new, g.tails(old, new))
         return type(self)(g, out)
+
+
+def translate_into(out: dict[Word, object], items, old: Word, new: Word, memo) -> None:
+    """Write the translation ``old.p -> new.p`` of the ``(word, value)``
+    items into ``out``, with ``memo = g.tails(old, new)``: the one loop of
+    :meth:`CoeffFn.translate`, which ``mul`` also runs on each product word."""
+    k = len(old)
+    for w, c in items:
+        if w[:k] != old:
+            raise InternalNonzeroViolation(
+                f"translation prefix {old} missing from support word {w}")
+        q = w[k:]
+        code = memo[q]
+        if not code:  # False, or the empty code of an illegal word
+            raise InternalNonzeroViolation(
+                f"translated word {new + q} does not follow all that {w} does"
+                if code is False else f"support word {w} is not legal")
+        for t in code:
+            out[new + q + t] = c
 
 
 def _carve(g: FollowerGraph, w: Word, below: list[Word]) -> list[Word]:

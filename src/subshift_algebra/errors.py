@@ -19,7 +19,8 @@ class EmptyShift(SubshiftAlgebraError):
 
 class ShiftTooLarge(SubshiftAlgebraError):
     """The forbidden words have more proper prefixes, the states of the
-    follower graph, than it is built for (``shift.MAX_STATES``)."""
+    follower graph, than it is built for (``shift.MAX_STATES``), or its
+    table more cells, states times letters (``shift.MAX_TABLE_CELLS``)."""
 
 
 class ElementTooLarge(SubshiftAlgebraError):

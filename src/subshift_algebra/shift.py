@@ -34,15 +34,11 @@ from .errors import EmptyShift, ShiftTooLarge, UnknownLetter
 from .words import OMEGA, EpPoint, Word, ep_normalize
 
 
-def _has_forbidden_factor(w: Word, forbidden: frozenset[Word]) -> bool:
-    if not forbidden:
-        return False
-    lengths = {len(f) for f in forbidden}
-    for i in range(len(w)):
-        for L in lengths:
-            if i + L <= len(w) and w[i:i + L] in forbidden:
-                return True
-    return False
+def _has_forbidden_factor(w: Word, forbidden: frozenset[Word], lengths: set[int]) -> bool:
+    """Whether a proper factor of ``w`` is in ``forbidden``, whose words
+    have the ``lengths``."""
+    return any(w[i:i + n] in forbidden
+               for n in lengths if n < len(w) for i in range(len(w) - n + 1))
 
 
 @dataclass(frozen=True)
@@ -68,10 +64,9 @@ class SftSpec:
         for f in self.forbidden:
             if any(a < 0 or a >= len(self.alphabet) for a in f):
                 raise ValueError(f"forbidden word uses an out-of-range letter: {f}")
-        pruned = frozenset(
-            f for f in self.forbidden
-            if not _has_forbidden_factor(f, self.forbidden - {f})
-        )
+        lengths = {len(f) for f in self.forbidden}
+        pruned = frozenset(f for f in self.forbidden
+                           if not _has_forbidden_factor(f, self.forbidden, lengths))
         object.__setattr__(self, "forbidden", pruned)
 
     @staticmethod
@@ -326,14 +321,17 @@ def _inclusions(delta: list[list[int]]) -> list[int]:
 
 
 # The most states, the proper prefixes of the forbidden words with the empty
-# one, that build_follower_graph takes; more are refused before any row is built.
+# one, that build_follower_graph takes, and the most cells (states times
+# letters) of its table; more are refused before any row is built.
 MAX_STATES = 512
+MAX_TABLE_CELLS = 2 ** 18
 
 
 def build_follower_graph(spec: SftSpec) -> FollowerGraph:
     """Build the follower automaton; raises :class:`EmptyShift` if the
     shift has no points and :class:`ShiftTooLarge` if the forbidden words
-    have more than :data:`MAX_STATES` proper prefixes.  Their trie's rows
+    have more than :data:`MAX_STATES` proper prefixes or the table more
+    than :data:`MAX_TABLE_CELLS` cells.  Their trie's rows
     are completed breadth first: a missing letter leads where it leads from
     the row's longest proper suffix in the trie (its failure link).  Letters
     into a state with no infinite walk then lead nowhere."""
@@ -349,6 +347,9 @@ def build_follower_graph(spec: SftSpec) -> FollowerGraph:
                 trie.append({})
             i = trie[i][a]
         trie[i][f[-1]] = -1  # no word in a factor-free set extends f
+    if len(trie) * k > MAX_TABLE_CELLS:
+        raise ShiftTooLarge(f"a table of {len(trie)} states by {k} letters, "
+                            f"more than {MAX_TABLE_CELLS} cells")
     delta, fail, order = [[]] * len(trie), [0] * len(trie), [0]
     for i in order:  # grows while it is read
         back = delta[fail[i]] if i else [0] * k

@@ -3,11 +3,12 @@
 import random
 import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
-from subshift_algebra.clopen import (CoeffFn, c_set, cylinder, empty_set,
+from subshift_algebra.clopen import (CoeffFn, accumulate, c_set, cylinder, empty_set,
                                      full_set, relative_range)
 from subshift_algebra.errors import (BadArgument, InternalNonzeroViolation,
                                      RingMismatch)
@@ -16,7 +17,7 @@ from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.shift import SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
 
-from conftest import W, l_spec, random_monomial_sum, words_up_to
+from conftest import DIFFERENTIAL_SHIFTS, W, l_spec, random_monomial_sum, words_up_to
 
 
 def test_generator_examples(alg_gold, g_gold):
@@ -335,3 +336,93 @@ def test_unit_and_scaling_element_stay_small():
         if m in (8, 12):
             x = evaluate("s(a) + 2.s(bab) + st(b)", algebra)
             assert sum(len(fn.coeffs) for fn in x.components.values()) <= m + 2
+
+
+# -- the one-pass product against the composition of coefficient operations --
+
+
+def _reference_mul(x, y):
+    """``x * y`` as the composition of coefficient-function operations:
+    translate, pointwise product, translate back, accumulate the pairs,
+    then the constructor.  Also the pairs that two or more component pairs
+    reached and whose contributions cancelled."""
+    ring = x.algebra.ring
+    items = []
+    for (u, v), f in x.components.items():
+        for t, h in y.components.items():
+            pair = _reduced_product((u, v), t)
+            if pair is None:
+                continue
+            prod = f.translate(u, v).times(h, ring)
+            if not prod.is_zero():
+                items.append((pair, prod.translate(v, u)))
+    out = accumulate({}, items, lambda f, h: f.add(h, ring), CoeffFn.is_zero)
+    return AlgebraElement(x.algebra, out), {t for t, _ in items} - out.keys()
+
+
+def _same(a, b):
+    """The same component keys in the same order, with equal coefficient dicts."""
+    return list(a.components) == list(b.components) and all(
+        fn.coeffs == b.components[t].coeffs for t, fn in a.components.items())
+
+
+_PARITY_RINGS = {"z": ZZ, "q": QQ, "zmod:6": Zmod(6)}
+
+
+def _parity_algebras():
+    for name, (alphabet, forbidden) in DIFFERENTIAL_SHIFTS.items():
+        g = build_follower_graph(SftSpec.make(alphabet, forbidden))
+        for ring_name, ring in _PARITY_RINGS.items():
+            yield f"{name}/{ring_name}", SubshiftAlgebra(g, ring)
+
+
+def _small_element(algebra, rng):
+    """A seeded element of one to four components; over q some values are
+    halves."""
+    while True:
+        x = random_monomial_sum(algebra, rng, max_word=2, max_terms=4)
+        if algebra.ring is QQ and rng.random() < 0.5:
+            x = x.scale(Fraction(1, 2))
+        if 1 <= len(x.components) <= 4:
+            return x
+
+
+def test_mul_matches_the_composition_of_coefficient_operations():
+    cancelled = {}
+    for label, algebra in _parity_algebras():
+        rng = random.Random(label)
+        for _ in range(60):
+            x, y = _small_element(algebra, rng), _small_element(algebra, rng)
+            expected, gone = _reference_mul(x, y)
+            assert _same(x * y, expected), (label, x, y)
+            ring = label.split("/")[1]
+            cancelled[ring] = cancelled.get(ring, 0) + len(gone)
+    # Contributions of two component pairs to one pair cancel over every ring.
+    assert all(cancelled.get(ring) for ring in _PARITY_RINGS), cancelled
+    # By design, on the full shift: s(a) s(b) and s(ab) s(a)^* s(a) land on
+    # (ab, omega) and cancel, and s(ab) s(a)^* s(b) is zero.
+    algebra = SubshiftAlgebra(build_follower_graph(SftSpec.make("ab", [])), ZZ)
+    x, y = evaluate("s(a) - s(ab)*st(a)", algebra), evaluate("s(a) + s(b)", algebra)
+    expected, gone = _reference_mul(x, y)
+    assert gone == {(W("ab"), OMEGA)}
+    assert _same(x * y, expected) and x * y == algebra.elem_s(W("aa"))
+
+
+def test_elem_s_star_is_the_star_of_elem_s():
+    for alphabet, forbidden in DIFFERENTIAL_SHIFTS.values():
+        algebra = SubshiftAlgebra(build_follower_graph(SftSpec.make(alphabet, forbidden)), ZZ)
+        for n in range(5):
+            for w in product(range(len(alphabet)), repeat=n):  # illegal words too
+                assert _same(algebra.elem_s_star(w), algebra.elem_s(w).star()), w
+
+
+def test_difference_is_the_sum_with_the_negation():
+    for label, algebra in _parity_algebras():
+        rng = random.Random(label)
+        seven = algebra.ring.from_int(7)
+        for _ in range(30):
+            x, y = _small_element(algebra, rng), _small_element(algebra, rng)
+            for a, b in [(x, y), (y, x), (x, x), (x, x.scale(seven))]:
+                assert _same(a - b, a + (-b)), (label, a, b)
+        if algebra.ring.name == "zmod:6":  # 7 = 1, so x - 7.x is zero
+            assert (x - x.scale(seven)).is_zero() and not x.is_zero()

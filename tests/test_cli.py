@@ -302,21 +302,27 @@ def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
     # second call builds them again, so nothing is kept between calls.
     algebra = SubshiftAlgebra(g_gold, ZZ)
     built = Counter()
-    elem_s, gen_p = SubshiftAlgebra.elem_s, SubshiftAlgebra.gen_p
+    elem_s, elem_s_star = SubshiftAlgebra.elem_s, SubshiftAlgebra.elem_s_star
+    gen_p = SubshiftAlgebra.gen_p
 
     def counted_elem_s(self, alpha):
         built["s", alpha] += 1
         return elem_s(self, alpha)
+
+    def counted_elem_s_star(self, beta):
+        built["st", beta] += 1
+        return elem_s_star(self, beta)
 
     def counted_gen_p(self, a):
         built["p"] += 1
         return gen_p(self, a)
 
     monkeypatch.setattr(SubshiftAlgebra, "elem_s", counted_elem_s)
+    monkeypatch.setattr(SubshiftAlgebra, "elem_s_star", counted_elem_s_star)
     monkeypatch.setattr(SubshiftAlgebra, "gen_p", counted_gen_p)
     x, y, z = "s(a) + 2.s(b)", "p(Z(a))", "st(ab)"
     text = f"({x})*(({y})+({z})) - ({x})*({y}) - ({x})*({z})"
-    once = Counter({("s", W("a")): 1, ("s", W("b")): 1, ("s", W("ab")): 1, "p": 1})
+    once = Counter({("s", W("a")): 1, ("s", W("b")): 1, ("st", W("ab")): 1, "p": 1})
     for calls in (1, 2):
         assert evaluate(text, algebra).is_zero()
         assert built == Counter({key: calls * n for key, n in once.items()})
@@ -327,7 +333,7 @@ def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
     # The same identity as an AST built by hand shares nothing.
     built.clear()
     assert eval_expr(_unshared(parse_expr(text, g_gold.spec)), algebra).is_zero()
-    assert built == Counter({("s", W("a")): 3, ("s", W("b")): 3, ("s", W("ab")): 2, "p": 2})
+    assert built == Counter({("s", W("a")): 3, ("s", W("b")): 3, ("st", W("ab")): 2, "p": 2})
 
 
 def _left_spine(ast):
@@ -414,6 +420,7 @@ def test_corner_long_word_fails_fast():
 
 NOT_UTF8 = "<shift file that is not UTF-8>"
 TOO_LARGE = "<shift file with 1,024 proper prefixes of forbidden words>"
+TOO_WIDE = "<shift file with a table of 512 states by 600 letters>"
 LONG_MEMORY = "<shift file with memory 24, printed at 24 letters>"
 EMPTY_WORD_SYMBOL = "<shift file with the symbol _>"
 COMMA_SYMBOL = "<shift file with the symbol ,>"
@@ -421,6 +428,8 @@ BAD_SHIFT_FILES = {
     NOT_UTF8: b"\xff\xfealphabet: a b\n",
     TOO_LARGE: b"alphabet: a b\nforbidden: %s\n" % b", ".join(
         b"b" + bytes(w) for w in product(b"ab", repeat=10)),
+    TOO_WIDE: ("alphabet: %s\nforbidden: %s\n" % (
+        " ".join(chr(0x4E00 + i) for i in range(600)), chr(0x4E00) * 512)).encode(),
     LONG_MEMORY: b"alphabet: a b\nforbidden: aaaaaaaaaaaaaaaaaaaaaaaaa\n",
     EMPTY_WORD_SYMBOL: b"alphabet: _ a\nforbidden:\n",
     COMMA_SYMBOL: b"alphabet: a ,\nforbidden:\n",
@@ -450,11 +459,12 @@ BAD_SHIFT_FILES = {
     ["nf", SHIFT_PATHS["full2"], "-e", "p(Z(a)|Z(b" + "a" * 19 + "))"],
     ["nf", LONG_MEMORY, "-e", "1"],
     ["iszero", SHIFT_PATHS["full2"], "-e", "*".join(["(s(a)+s(b))"] * 16)],
+    ["nf", TOO_WIDE, "-e", "1"],
 ], ids=["ring-zmod-x", "ring-zmod-1", "ring-w", "word-unknown-letter", "shift-is-dir",
         "shift-not-utf8", "word-empty", "shift-too-large", "symbol-underscore",
         "symbol-comma", "nested-300", "not-1000", "ring-zmod-bound", "letters-expr",
         "letters-set", "selftest-negative", "selftest-too-many-words", "print-too-large",
-        "print-too-large-memory", "product-too-large"])
+        "print-too-large-memory", "product-too-large", "shift-too-many-cells"])
 def test_malformed_input_is_usage_error(argv, tmp_path):
     # Exit 1 is a documented answer ("nonzero"), so malformed input must not
     # crash with a traceback and exit 1.

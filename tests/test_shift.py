@@ -1,6 +1,7 @@
 """Follower-graph construction, legality and enumeration."""
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -10,7 +11,7 @@ from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge
 from subshift_algebra.parsing import evaluate
 from subshift_algebra.reduction import reduce, verify
 from subshift_algebra.rings import ZZ
-from subshift_algebra.shift import MAX_STATES, SftSpec, build_follower_graph
+from subshift_algebra.shift import MAX_STATES, MAX_TABLE_CELLS, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint
 
 from conftest import (DIFFERENTIAL_SHIFTS, W, brute_follower_graph, brute_forbidden_free,
@@ -222,6 +223,53 @@ def test_too_many_blocks_fail_fast():
         build_follower_graph(SftSpec.make("ab", b_words(10)))
     assert build_follower_graph(SftSpec.make("ab", b_words(9))).n_states == MAX_STATES
     assert not issubclass(ShiftTooLarge, ContractViolation)
+
+
+def test_table_cells_bound_fails_fast():
+    # a^512 over 512 letters has MAX_STATES states and MAX_TABLE_CELLS cells:
+    # at both bounds, and built.  One letter more, or 500 states over 5,000
+    # letters, is refused after the trie and before any row is built.
+    letters = [chr(0x4E00 + i) for i in range(5000)]
+    g = build_follower_graph(SftSpec.make(letters[:512], [letters[0] * 512]))
+    assert g.n_states * g.n_letters == MAX_STATES * 512 == MAX_TABLE_CELLS
+    wide = [(letters[:513], [letters[0] * 512]),
+            (letters, [a + b for a in letters[:499] for b in letters[:2]])]
+    for alphabet, forbidden in wide:
+        states = len({w[:n] for w in forbidden for n in range(len(w))})
+        message = (f"a table of {states} states by {len(alphabet)} letters, "
+                   f"more than {MAX_TABLE_CELLS} cells")
+        with pytest.raises(ShiftTooLarge, match=message):
+            build_follower_graph(SftSpec.make(alphabet, forbidden))
+
+
+def _pruned_by_any_other(forbidden):
+    """The forbidden words with no other forbidden word as a factor."""
+    def factors(f):
+        return {f[i:j] for i in range(len(f)) for j in range(i + 1, len(f) + 1)}
+    return frozenset(f for f in forbidden if not any(g in factors(f) for g in forbidden - {f}))
+
+
+def test_forbidden_pruning_matches_pairwise_rule():
+    # A word is pruned iff another forbidden word is one of its factors:
+    # checked on seeded random sets with words of one to five letters.
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        forbidden = frozenset(tuple(rng.randrange(k) for _ in range(rng.randint(1, 5)))
+                              for _ in range(rng.randint(0, 12)))
+        assert SftSpec(tuple("abc"[:k]), forbidden).forbidden == _pruned_by_any_other(forbidden)
+
+
+def test_forbidden_pruning_is_not_quadratic():
+    # 10,000 two-letter words over 101 letters, none a factor of another,
+    # with a few single letters that prune the words they occur in.
+    rng = random.Random(3)
+    words = rng.sample([(a, b) for a in range(101) for b in range(101)], 10_000)
+    forbidden = frozenset(words + [(7,), (40,)])
+    start = time.perf_counter()
+    spec = SftSpec(tuple(chr(0x4E00 + i) for i in range(101)), forbidden)
+    assert time.perf_counter() - start < 1.0
+    assert spec.forbidden == {w for w in forbidden if len(w) == 1 or not {7, 40} & set(w)}
 
 
 @pytest.mark.parametrize("m", [17, 24, 32])
