@@ -160,7 +160,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {t: self.components[t]})
 
     def support_set(self, t: Pair) -> ClopenSet:
-        return self.components[t].support()
+        return ClopenSet(self.algebra.graph, self.components[t].coeffs)
 
     def tail_set(self, t: Pair) -> ClopenSet:
         """For a positive component ``(u, omega)``: the set of tails, i.e.
@@ -244,8 +244,7 @@ class AlgebraElement:
 
     def equals(self, other: "AlgebraElement") -> bool:
         self._check(other)
-        return self.components.keys() == other.components.keys() and all(
-            f.equals(other.components[t]) for t, f in self.components.items())
+        return self.components == other.components
 
     # -- operators ---------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .algebra import SubshiftAlgebra
@@ -114,28 +115,19 @@ def _cmd_grade(args) -> int:
     return 0
 
 
-def _cmd_cycles(args) -> int:
+def _cmd_cycles(args, none: str = "none", prefix: str = "", found: int = 0) -> int:
+    """Print the minimal cycles without exit, each after ``prefix``, or
+    ``none`` if there are none; exit 0 then, and ``found`` otherwise.
+    ``check-exits`` is this command with its own texts and exit code 1."""
     algebra = _load_algebra(args.shift, "z")
     pairs = find_cycles_without_exit(algebra.graph)
     if not pairs:
-        print("none")
+        print(none)
         return 0
     spec = algebra.graph.spec
     for a_set, alpha in pairs:
-        print(f"{a_set.format()} {spec.word_to_str(alpha)}")
-    return 0
-
-
-def _cmd_check_exits(args) -> int:
-    algebra = _load_algebra(args.shift, "z")
-    pairs = find_cycles_without_exit(algebra.graph)
-    if not pairs:
-        print("all cycles have exits")
-        return 0
-    spec = algebra.graph.spec
-    for a_set, alpha in pairs:
-        print(f"cycle without exit: {a_set.format()} {spec.word_to_str(alpha)}")
-    return 1
+        print(f"{prefix}{a_set.format()} {spec.word_to_str(alpha)}")
+    return found
 
 
 def _cmd_corner(args) -> int:
@@ -205,7 +197,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-exits", help="verify every cycle has an exit")
     p.add_argument("shift")
-    p.set_defaults(func=_cmd_check_exits)
+    p.set_defaults(func=partial(_cmd_cycles, none="all cycles have exits",
+                                prefix="cycle without exit: ", found=1))
 
     p = sub.add_parser("corner", help="corner element as a Laurent polynomial")
     p.add_argument("shift")

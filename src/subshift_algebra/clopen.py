@@ -68,9 +68,6 @@ class CoeffFn:
         """The length of the longest stored word (0 for none)."""
         return max(map(len, self.coeffs), default=0)
 
-    def support(self) -> "ClopenSet":
-        return ClopenSet(self.graph, self.coeffs)
-
     def at_length(self, n: int, words: int = MAX_PRINTED_WORDS,
                   letters: int = MAX_PRINTED_LETTERS) -> dict[Word, object]:
         """The function on the legal words of length ``n``, at least the
@@ -87,11 +84,6 @@ class CoeffFn:
                                       f"words or {MAX_PRINTED_LETTERS} letters")
             out.update(dict.fromkeys(found, c))
         return out
-
-    def equals(self, other: "CoeffFn") -> bool:
-        if other.graph is not self.graph:
-            raise ValueError("operands live over different shifts")
-        return self.coeffs == other.coeffs
 
     def _overlay(self, other: "CoeffFn", left: bool = False, right: bool = False):
         """The common refinement of two codes as a list of ``(word, value,
@@ -230,7 +222,9 @@ class ClopenSet(CoeffFn):
     def __eq__(self, other) -> bool:
         if not isinstance(other, ClopenSet):
             return NotImplemented
-        return self.equals(other)
+        if other.graph is not self.graph:
+            raise ValueError("operands live over different shifts")
+        return self.coeffs == other.coeffs
 
     __hash__ = None  # semantic equality; not hashable
 
@@ -378,25 +372,20 @@ def c_set(g: FollowerGraph, alpha: Word, beta: Word) -> ClopenSet:
 def relative_range(a: CoeffFn, alpha: Word) -> ClopenSet:
     """``r(A, alpha) = {x in X : alpha.x in A}`` for the support ``A`` of
     ``a``, without refining it; for a component at ``(u, omega)`` and
-    ``alpha = u`` this is its tail set.  A stored word ``alpha.t``
-    contributes ``t`` followed by the code of ``F(alpha.t) & F(t)`` (``t``
-    itself when ``|t| >= m``), and a stored proper prefix of ``alpha`` the
-    code of ``F(alpha)``.  Any other word contributes nothing, and a stored
-    ``alpha.t`` that is not legal raises :class:`InternalNonzeroViolation`."""
+    ``alpha = u`` this is its tail set.  It is the translation
+    ``alpha.p -> p`` (:func:`translate_into`) of the stored words under
+    ``alpha``, which sends ``alpha.t`` to ``t`` followed by the code of
+    ``F(alpha.t) & F(t)`` (``t`` itself when ``|t| >= m``), plus the code of
+    ``F(alpha)`` when a proper prefix of ``alpha`` is stored.  Any other word
+    contributes nothing, and a stored ``alpha.t`` that is not legal raises
+    :class:`InternalNonzeroViolation`."""
     g, k = a.graph, len(alpha)
     memo = g.tails(alpha, OMEGA)
-    words = []
-    for w in a.coeffs:
-        if len(w) < k:
-            if alpha[:len(w)] == w:
-                words.extend(memo[OMEGA])
-        elif w[:k] == alpha:
-            t = w[k:]
-            code = memo[t]
-            if not code:
-                raise InternalNonzeroViolation(f"support word {w} is not legal")
-            words.extend(t + s for s in code)
-    return ClopenSet(g, words)
+    out = {}
+    if any(alpha[:len(w)] == w for w in a.coeffs if len(w) < k):
+        out = dict.fromkeys(memo[OMEGA], True)
+    translate_into(out, ((w, True) for w in a.coeffs if w[:k] == alpha), alpha, OMEGA, memo)
+    return ClopenSet(g, out)
 
 
 def as_singleton(a: ClopenSet) -> EpPoint | None:

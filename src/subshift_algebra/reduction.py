@@ -315,8 +315,9 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
 
     The set lies inside every Z_{c^n} exactly when each of its points starts
     with arbitrarily long powers of c, i.e. equals c^inf; so the infinite
-    intersection condition reduces to the exact singleton test.  Neither the
-    containment tests nor the search for the diverging block refine the set.
+    intersection condition reduces to the exact singleton test.  The search
+    for the diverging block reads one set difference per block, which refines
+    the set no finer than the cylinder it removes.
     """
     g = p.alg.graph
     keys = _sorted_keys(p.x)
@@ -335,18 +336,18 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
     # forced singleton, which the test above has ruled out.
     j = 0
     cap = (b_set.longest() + (g.n_states + 2) * len(c)) // len(c) + 2
-    while b_set.is_subset(cylinder(g, c * (j + 1))):
+    while (rest := b_set.difference(cylinder(g, c * (j + 1)))).is_empty():
         j += 1
         if j > cap:
             raise InternalNonzeroViolation(
                 "bounded search exhausted; singleton test should have fired")
-    # The diverging block ends the least legal word of length (j+1)|c| that
-    # meets the set and is not c^(j+1): a stored word's prefix of that
-    # length, or a shorter stored word's least extension to it.
-    prefix = c * (j + 1)
-    n = len(prefix)
-    w0 = min(filter(None, (g.least_extension(w, n, prefix)
-                           for w in {w[:n] for w in b_set.words})))
+    # The diverging block ends the least word of the difference, cut or
+    # extended (by its least extension) to length (j+1)|c|: in a prefix code
+    # the least word's extensions precede every other word's, so this is the
+    # least legal word of that length that meets the set and is not c^(j+1).
+    n = (j + 1) * len(c)
+    w = min(rest.words)
+    w0 = w[:n] if len(w) >= n else g.least_extension(w, n)
     beta = w0[j * len(c):]
     if beta == c:
         raise InternalNonzeroViolation("exit search found no diverging block")

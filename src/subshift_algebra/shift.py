@@ -212,13 +212,10 @@ class FollowerGraph:
         state = self.reach(w)
         return self._grow(w, state, n - len(w), limit) if state >= 0 else []
 
-    def least_extension(self, w: Word, n: int, avoid: Word | None = None) -> Word | None:
+    def least_extension(self, w: Word, n: int) -> Word | None:
         """The lexicographically least prefix-legal extension of ``w`` to
-        length ``n`` other than ``avoid``, or ``None`` if there is none.
-
-        Every id has a successor, so the least word takes the least letter at
-        every step.  If that word is ``avoid``, the next one leaves it at its
-        last step that offers a larger letter, and takes least letters after."""
+        length ``n``, or ``None`` if ``w`` is not prefix-legal.  Every id has
+        a successor, so the least word takes the least letter at every step."""
         if n < len(w):
             raise ValueError("cannot extend to a shorter length")
         state = self.reach(w)
@@ -226,21 +223,12 @@ class FollowerGraph:
             return None
         delta = self._delta
         word = list(w)
-        fork = None  # (length, letter, id) of the last step with a larger letter
-        while True:
-            while len(word) < n:
-                row = delta[state]
-                a, *larger = (b for b, t in enumerate(row) if t >= 0)
-                if larger:
-                    fork = (len(word), larger[0], row[larger[0]])
-                word.append(a)
-                state = row[a]
-            if tuple(word) != avoid:
-                return tuple(word)
-            if fork is None:
-                return None
-            k, a, state = fork
-            word[k:] = [a]  # now above ``avoid``: the next pass returns
+        while len(word) < n:
+            row = delta[state]
+            a = next(b for b, t in enumerate(row) if t >= 0)
+            word.append(a)
+            state = row[a]
+        return tuple(word)
 
     def unique_extension(self, w: Word, state: int = 0) -> EpPoint | None:
         """The single point of ``Z_w`` when the continuation is forced, with

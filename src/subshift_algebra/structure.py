@@ -8,7 +8,6 @@ spot checks backing semiprimeness over coefficient domains.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, SubshiftAlgebra
@@ -28,12 +27,13 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
 
     A cycle without exit is a singleton clopen set, which forces its word's
     forced path to close inside the out-degree-1 part of the follower graph;
-    conversely every such graph cycle yields one.  A state (an m-block) lies
-    on one iff the forced point of its cylinder is purely periodic, with the
-    cycle word as its period; each cycle is reported at its least state, the
-    least m-block of the forced orbit of an id, so no m-block is enumerated.
+    conversely every such graph cycle yields one.  A state (a proper prefix
+    of a forbidden word) lies on one iff the forced point from it is purely
+    periodic, with the cycle word as its period; each cycle is reported at
+    the cylinder of the least m-letter window of its forced orbit, read from
+    the states, so no word of length m is enumerated.
     """
-    cycles, m = {}, g.m  # the least m-block of each forced orbit -> the period read from it
+    cycles, m = {}, g.m  # the least m-letter window of each forced orbit -> the period read from it
     for i in range(g.n_states):
         point = g.unique_extension(OMEGA, i)
         if point is not None and not point.preperiod:
@@ -208,11 +208,12 @@ def relations_selftest(g: FollowerGraph, max_len: int,
     """
     if max_len < 0:
         raise BadArgument(f"the word length bound must be >= 0, got {max_len}")
-    counts = itertools.accumulate(len(g.legal_words(n)) for n in range(max_len + 1))
-    # any() stops at the first length past the bound, so a huge max_len is cheap.
-    if any(count > MAX_SELFTEST_WORDS for count in counts):
-        raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
-                          f"have length at most {max_len}")
+    words: list[Word] = [OMEGA]
+    for n in range(1, max_len + 1):  # stops at the first length past the bound
+        words.extend(g.legal_words(n))
+        if len(words) > MAX_SELFTEST_WORDS:
+            raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
+                              f"have length at most {max_len}")
     algebra = SubshiftAlgebra(g, ring if ring is not None else ZZ)
     checks = 0
     failures: list[str] = []
@@ -223,10 +224,6 @@ def relations_selftest(g: FollowerGraph, max_len: int,
         checks += 1
         if not ok:
             failures.append(f"residual: {label}")
-
-    words: list[Word] = [OMEGA]
-    for n in range(1, max_len + 1):
-        words.extend(g.legal_words(n))
 
     one = algebra.one()
     note(algebra.gen_p(full_set(g)) == one, "p(X) = 1")

@@ -142,11 +142,6 @@ class EpPoint:
         reps = max(0, (n - len(self.preperiod))) // len(self.period) + 2
         return (self.preperiod + self.period * reps)[:n]
 
-    def letter(self, i: int) -> int:
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
 
 def ep_normalize(pre: Word, per: Word) -> EpPoint:
     """Canonical :class:`EpPoint` for the sequence ``pre + per^inf``."""

@@ -175,6 +175,8 @@ def test_cross_graph_operands_rejected(g_gold, g_y):
         full_set(g_gold).union(full_set(g_y))
     with pytest.raises(ValueError):
         full_set(g_gold).is_subset(cylinder(g_y, W("b")))
+    with pytest.raises(ValueError):
+        full_set(g_gold) == full_set(g_y)
 
 
 def test_coarse_subset_refines_nothing(g_gold, monkeypatch):

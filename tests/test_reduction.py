@@ -8,6 +8,7 @@ from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
 from subshift_algebra.clopen import (CoeffFn, CycleKind, c_set, classify_cycle,
                                      cylinder, full_set, relative_range)
 from subshift_algebra.errors import InternalNonzeroViolation, ZeroInput
+from subshift_algebra.parsing import evaluate
 from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
                                         _extract_root, _phase_common_projection,
                                         _phase_exit_kill, _phase_positive,
@@ -307,6 +308,23 @@ def exit_kill(x):
     assert _sorted_keys(x)[0] == (OMEGA, OMEGA)
     p = _Pipeline(x)
     return _phase_exit_kill(p, p.x.tail_set((OMEGA, OMEGA)), *_extract_root(x))
+
+
+@pytest.mark.parametrize("shift, text, j, witness", [
+    ("full", "1 + s(a)", 0, "b"),
+    ("full", "1 + s(ba)", 0, "aa"),  # the difference's least word, a, is extended
+    ("gold", "p(Z(a)) + s(a)*p(Z(a))", 1, "ab"),
+    ("full", "p(Z(ab)) + s(ab)*p(Z(ab))", 1, "abaa"),  # extended from aba
+])
+def test_exit_kill_witness_word(all_graphs, shift, text, j, witness):
+    # The cut is the cylinder of the least legal word of length (j+1)|c|
+    # that meets the set and is not c^(j+1), for the least such j.
+    x = evaluate(text, SubshiftAlgebra(all_graphs[shift], ZZ))
+    c, exps = _extract_root(x)
+    p = _Pipeline(x, record_trace=True)
+    _phase_exit_kill(p, p.x.tail_set((OMEGA, OMEGA)), c, exps)
+    assert p.trace[-1] == f"L p(Z({witness}))"
+    assert len(witness) == (j + 1) * len(c)
 
 
 def test_exit_kill_cycle_form(alg_y, g_y):
