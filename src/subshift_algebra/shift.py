@@ -10,12 +10,17 @@ empty word, and a word is legal iff its walk from the start state never
 leaves the table (Lind & Marcus, *An Introduction to Symbolic Dynamics and
 Coding*, section 3.2).  The forbidden words are read only while it is built.
 
-Every query takes its id from one walk, :meth:`FollowerGraph.reach`.
-A support check on words ``u.q`` against a word ``v`` walks ``u`` and ``v``
-once (:meth:`FollowerGraph.tails`) and then only the tails ``q``, from both
-ids at once: the memo of the pair answers ``memo[q]`` and fills itself, with
-one key per tail of at most m letters, and a longer tail takes its first m
-letters from it.
+Every query takes its id from one walk, :meth:`FollowerGraph.reach`, and
+each word asked from the start state is walked once: the word memo keeps the
+id it reaches.  A support check on words ``u.q`` against a word ``v`` takes
+the tail memo of the pair from the pair memo, keyed by the words ``(u, v)``
+(:meth:`FollowerGraph.tails`), and then walks only the tails ``q``, from both
+ids at once: the tail memo answers ``memo[q]`` and fills itself, with one key
+per tail of at most m letters, and a longer tail takes its first m letters
+from it.  Two walks keep nothing, :meth:`FollowerGraph.letters` and the
+legality check of a tail longer than m letters: their words are the stored
+words of supports and their prefixes, of any length, which the word memo
+would keep alive after the supports are gone.
 
 An id ``i`` also names a follower set ``F(i)``, the sequences ``x`` whose
 walk from ``i`` never leaves the table: ``F(v) = {x : v.x in X}`` for the id
@@ -29,6 +34,7 @@ last m letters) and is memoised per pair as it is asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import EmptyShift, ShiftTooLarge, UnknownLetter
 from .words import OMEGA, EpPoint, Word, ep_normalize
@@ -106,10 +112,14 @@ class FollowerGraph:
     iff ``F(i) <= F(j)``.
 
     ``out_degree[i]`` is the number of letters that may follow id ``i``.
-    Two memos fill themselves as they are asked and are never emptied:
-    ``_codes`` the answers of :meth:`follower_code` per pair of ids, and
-    ``_tails`` the tail memo of each pair (:meth:`tails`), whose keys have at
-    most m letters.
+    Four memos fill themselves as they are asked and are never emptied, so
+    each holds one entry per distinct key asked: ``_ids`` the word memo, the
+    id each word passed to :meth:`reach` reaches from the start state (-1
+    for an illegal word); ``_pairs`` the pair memo, the tail memo of each
+    pair of words passed to :meth:`tails`; ``_tails`` the tail memo of each
+    pair of ids, whose keys have at most m letters; and ``_codes`` the
+    answers of :meth:`follower_code` per pair of ids.  The keys of the word
+    and pair memos are the tuples their callers pass.
     """
 
     def __init__(self, spec: SftSpec, delta: list[list[int]]):
@@ -122,25 +132,31 @@ class FollowerGraph:
         self.out_degree = [self.n_letters - row.count(-1) for row in delta] + [0]
         self._inclusion = _inclusions(delta)
         self._codes: dict[tuple[int, int], tuple[Word, ...]] = {}
-        self._tails: dict[tuple[int, int], _TailMemo] = {}
+        self._ids: dict[Word, int] = _Memo(partial(_walk, delta))
+        self._tails: dict[tuple[int, int], _TailMemo] = _Memo(lambda ids: _TailMemo(self, *ids))
+        self._pairs: dict[tuple[Word, Word], _TailMemo] = _Memo(
+            lambda uv: self._tails[self._ids[uv[0]], self._ids[uv[1]]])
 
     def reach(self, w: Word, state: int = 0) -> int:
         """The id that ``w`` reaches from id ``state``, or -1 if its walk
-        leaves the table: one table step per letter."""
-        delta = self._delta
-        for a in w:
-            if state < 0:
-                return -1
-            state = delta[state][a]
-        return state
+        leaves the table: one table step per letter, and from the start
+        state one lookup in the word memo once ``w`` has been walked."""
+        if state:
+            return _walk(self._delta, w, state)
+        try:
+            return self._ids[w]
+        except TypeError:  # an unhashable sequence of letters, such as a list
+            return self._ids[tuple(w)]
 
     def is_prefix_legal(self, w: Word) -> bool:
         """True iff the cylinder of ``w`` is non-empty."""
         return self.reach(w) >= 0
 
     def letters(self, w: Word) -> list[int]:
-        """The letters ``a`` with ``w.a`` legal, in ascending order."""
-        i = self.reach(w)
+        """The letters ``a`` with ``w.a`` legal, in ascending order.  ``w``
+        is walked without the word memo, which would keep every prefix of a
+        stored word that a caller enumerates."""
+        i = _walk(self._delta, w)
         return [a for a, t in enumerate(self._delta[i]) if t >= 0] if i >= 0 else []
 
     def follower_subset(self, i: int, j: int) -> bool:
@@ -149,14 +165,13 @@ class FollowerGraph:
         return i < 0 or j >= 0 and self._inclusion[i] >> j & 1 == 1
 
     def tails(self, u: Word, v: Word) -> _TailMemo:
-        """The tail memo of the pair of ids that ``u`` and ``v`` reach,
-        walking each word once: ``memo[q]`` answers a tail ``q``
-        (:class:`_TailMemo`)."""
-        key = self.reach(u), self.reach(v)
-        memo = self._tails.get(key)
-        if memo is None:
-            memo = self._tails[key] = _TailMemo(self, *key)
-        return memo
+        """The tail memo of the pair of ids that ``u`` and ``v`` reach:
+        ``memo[q]`` answers a tail ``q`` (:class:`_TailMemo`).  One lookup
+        in the pair memo once the pair has been asked."""
+        try:
+            return self._pairs[u, v]
+        except TypeError:  # an unhashable sequence of letters, such as a list
+            return self._pairs[tuple(u), tuple(v)]
 
     def follower_code(self, i: int, j: int) -> tuple[Word, ...]:
         """The shortest words ``t`` whose sets ``t.F(j.t)`` partition
@@ -251,6 +266,31 @@ class FollowerGraph:
         return ep_normalize(w + tuple(letters[:j]), tuple(letters[j:]))
 
 
+class _Memo(dict):
+    """A dict that fills itself: a missing key gets ``make(key)``, which is
+    kept.  It is never emptied, so it holds one entry per distinct key
+    asked."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _walk(delta: list[list[int]], w: Word, state: int = 0) -> int:
+    """The id that ``w`` reaches from id ``state`` in the table ``delta``, or
+    -1 if its walk leaves the table: one table step per letter."""
+    for a in w:
+        if state < 0:
+            return -1
+        state = delta[state][a]
+    return state
+
+
 class _TailMemo(dict):
     """The tail memo of a pair of ids ``i`` and ``j``, reached by words
     ``a`` and ``b``: ``memo[q]`` is ``False`` unless ``F(a.q) <= F(b.q)``,
@@ -259,8 +299,9 @@ class _TailMemo(dict):
     tail of at most m letters is walked from both ids at once and its answer
     kept.  A longer one takes the answer of its first m letters while
     ``a.q`` stays legal, i.e. while ``q`` walks from the start state (those
-    m letters fix the id), and empty otherwise.  So no key has more than m
-    letters."""
+    m letters fix the id), and empty otherwise; that walk is not kept in the
+    word memo, which would then hold every long stored word.  So no key has
+    more than m letters."""
 
     __slots__ = ("graph", "i", "j")
 
@@ -273,7 +314,7 @@ class _TailMemo(dict):
         if len(q) > m:
             head = q[:m]
             code = self[head]
-            if code == () or g.reach(q) >= 0:
+            if code == () or _walk(g._delta, q) >= 0:
                 return code
             return ()
         delta, a, b = g._delta, self.i, self.j

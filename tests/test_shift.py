@@ -19,6 +19,16 @@ from conftest import (DIFFERENTIAL_SHIFTS, W, brute_follower_graph, brute_forbid
                       random_specs)
 
 
+def _walk(g, w, state=0):
+    """The id ``w`` reaches from id ``state``: a plain loop over the table,
+    sharing no memo with the graph."""
+    for a in w:
+        if state < 0:
+            return -1
+        state = g._delta[state][a]
+    return state
+
+
 def _edges(g):
     """The edges of the graph, read off its states (the m-blocks) and the
     letters that may follow each: ``(state, letter) -> last m letters``."""
@@ -67,6 +77,15 @@ def test_prefix_legal_examples(g_gold, g_full):
     assert not g_gold.is_prefix_legal(W("abba"))
     assert g_gold.is_prefix_legal(OMEGA)
     assert g_full.is_prefix_legal(OMEGA)
+
+
+def test_list_words_are_answered_as_tuples(g_gold):
+    # The graph is public: any sequence of letters is a word.
+    assert g_gold.is_prefix_legal([0, 1]) is True
+    assert g_gold.reach([1, 1]) == -1
+    assert g_gold.reach([0, 1], 1) == g_gold.reach((0, 1), 1)
+    assert g_gold.letters([0]) == [0, 1]
+    assert g_gold.tails([0], [1]) is g_gold.tails((0,), (1,))
 
 
 def test_enumerate_examples(g_gold, g_full, g_y):
@@ -145,6 +164,38 @@ def test_graph_matches_its_definition_on_random_shifts():
                     with pytest.raises(ValueError):
                         g.unique_extension(w)
         _check_tail_memo(g, spec, rng)
+        _check_word_and_pair_memos(g, language, rng)
+
+
+def test_word_and_pair_memos_match_a_plain_walk_on_fixtures(all_graphs):
+    rng = random.Random(5)
+    for g in all_graphs.values():
+        top = g.m + 2
+        language = {n: brute_legal_words(g.spec, n) for n in range(top + 1)}
+        _check_word_and_pair_memos(g, language, rng)
+
+
+def _check_word_and_pair_memos(g, language, rng):
+    """Every word of at most m+2 letters, legal or not, asked twice, the
+    second time as an equal tuple that is another object: ``reach`` from the
+    start state agrees with a plain walk and with the brute-force language
+    (``language[n]``, the legal words of length n), ``reach`` from every
+    other id with a plain walk, and ``tails(u, v)`` is the tail memo of the
+    ids that plain walks of ``u`` and ``v`` reach."""
+    words = [w for n in language for w in product(range(g.n_letters), repeat=n)]
+    for w in words:
+        again = tuple(list(w))
+        assert again == w and (again is not w or not w)
+        expected = _walk(g, w)
+        assert (expected >= 0) == (w in language[len(w)]), (g.spec, w)
+        assert g.reach(w) == expected == g.reach(again), (g.spec, w)
+        for state in range(-1, g.n_states):
+            assert g.reach(w, state) == _walk(g, w, state), (g.spec, w, state)
+    for u in words:
+        for v in rng.sample(words, min(4, len(words))):
+            memo = g._tails[_walk(g, u), _walk(g, v)]
+            assert g.tails(u, v) is memo, (g.spec, u, v)
+            assert g.tails(tuple(list(u)), tuple(list(v))) is memo, (g.spec, u, v)
 
 
 def _check_tail_memo(g, spec, rng):
@@ -178,11 +229,11 @@ def _check_tail_memo(g, spec, rng):
     for _ in ("cold", "warm"):
         for a, b in pairs:
             memo = g.tails(a, b)
-            assert (memo.i, memo.j) == (g.reach(a), g.reach(b)), (spec, a, b)
+            assert (memo.i, memo.j) == (_walk(g, a), _walk(g, b)), (spec, a, b)
             for q in tails:
                 code = memo[q]
                 if extensions(a + q) <= extensions(b + q):
-                    assert code == g.follower_code(g.reach(a + q), g.reach(b + q)), \
+                    assert code == g.follower_code(_walk(g, a + q), _walk(g, b + q)), \
                         (spec, a, b, q)
                     assert bool(code) == bool(extensions(a + q)), (spec, a, b, q)
                 else:
@@ -367,19 +418,26 @@ def test_follower_subset_and_code_match_brute_force():
 
 
 def test_pair_memos_hold_only_asked_pairs():
-    # The memos start empty; after some questions every key is an asked
-    # pair or one that a letter walked from both ids leads to, and every
-    # asked pair of distinct legal ids is kept.
+    # The memos start empty; after some questions the word memo holds the
+    # words asked, the pair memo the pair of words asked, the tail memos
+    # the pair of ids they reach and the tail asked, and every key of the
+    # code memo is an asked pair or one that a letter walked from both ids
+    # leads to; every asked pair of distinct legal ids is kept.
     g = build_follower_graph(SftSpec.make("ab", ["aaa", "bba"]))
-    assert g._codes == {} and g._tails == {}
-    asked = [(g.reach(a), g.reach(b)) for a, b in
-             [(W("a"), W("b")), (W("ab"), W("b")), (OMEGA, W("bb")), (W("b"), W("aa"))]]
+    assert g._codes == {} and g._tails == {} and g._ids == {} and g._pairs == {}
+    words = [(W("a"), W("b")), (W("ab"), W("b")), (OMEGA, W("bb")), (W("b"), W("aa"))]
+    asked = [(g.reach(a), g.reach(b)) for a, b in words]
+    assert g._ids == {w: _walk(g, w) for pair in words for w in pair}
     for i, j in asked:
         g.follower_code(i, j)
     memo = g.tails(W("a"), W("b"))
     assert (memo.i, memo.j) == asked[0]
     memo[W("a")]
     assert set(memo) == {W("a")} and set(g._tails) == {asked[0]}
+    assert g._pairs == {(W("a"), W("b")): memo}
+    g.letters(W("abb"))
+    memo[W("abab")]  # a tail longer than m is walked without being kept
+    assert set(g._ids) == {w for pair in words for w in pair}
     reachable, frontier = set(), set(asked)
     while frontier:
         reachable |= frontier
