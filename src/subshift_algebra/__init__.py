@@ -15,9 +15,8 @@ from .structure import (LaurentPoly, RelationReport, corner_project,
                         corner_to_laurent, find_cycles_without_exit,
                         laurent_to_corner, relations_selftest,
                         square_nonzero_check)
-from .words import (EpPoint, Word, commuting_root, common_power_root,
-                    ep_normalize, ep_shift, is_minimal_cycle_word,
-                    multi_common_root, primitive_root)
+from .words import (EpPoint, Word, commuting_root, ep_normalize, ep_shift,
+                    is_minimal_cycle_word, primitive_root)
 
 __all__ = [
     "AlgebraElement", "SubshiftAlgebra",
@@ -31,8 +30,8 @@ __all__ = [
     "LaurentPoly", "RelationReport", "corner_project", "corner_to_laurent",
     "find_cycles_without_exit", "laurent_to_corner", "relations_selftest",
     "square_nonzero_check",
-    "EpPoint", "Word", "commuting_root", "common_power_root", "ep_normalize",
-    "ep_shift", "is_minimal_cycle_word", "multi_common_root", "primitive_root",
+    "EpPoint", "Word", "commuting_root", "ep_normalize", "ep_shift",
+    "is_minimal_cycle_word", "primitive_root",
 ]
 
 __version__ = "0.1.0"

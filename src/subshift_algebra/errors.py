@@ -34,14 +34,6 @@ class NotCommuting(SubshiftAlgebraError):
     """commuting_root was called on a pair with alpha*beta != beta*alpha."""
 
 
-class PowersDiffer(SubshiftAlgebraError):
-    """common_power_root was called with alpha^p != beta^q."""
-
-
-class Inconsistent(SubshiftAlgebraError):
-    """multi_common_root precondition (pairwise equal powers) fails."""
-
-
 class RingMismatch(ContractViolation):
     """Operands belong to different rings or different shift contexts."""
 

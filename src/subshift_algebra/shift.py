@@ -119,7 +119,8 @@ class FollowerGraph:
     pair of words passed to :meth:`tails`; ``_tails`` the tail memo of each
     pair of ids, whose keys have at most m letters; and ``_codes`` the
     answers of :meth:`follower_code` per pair of ids.  The keys of the word
-    and pair memos are the tuples their callers pass.
+    and pair memos are the words their callers pass: every query takes a
+    word as a tuple of letter indices (``Word``), and a list is not a word.
     """
 
     def __init__(self, spec: SftSpec, delta: list[list[int]]):
@@ -143,10 +144,7 @@ class FollowerGraph:
         state one lookup in the word memo once ``w`` has been walked."""
         if state:
             return _walk(self._delta, w, state)
-        try:
-            return self._ids[w]
-        except TypeError:  # an unhashable sequence of letters, such as a list
-            return self._ids[tuple(w)]
+        return self._ids[w]
 
     def is_prefix_legal(self, w: Word) -> bool:
         """True iff the cylinder of ``w`` is non-empty."""
@@ -168,10 +166,7 @@ class FollowerGraph:
         """The tail memo of the pair of ids that ``u`` and ``v`` reach:
         ``memo[q]`` answers a tail ``q`` (:class:`_TailMemo`).  One lookup
         in the pair memo once the pair has been asked."""
-        try:
-            return self._pairs[u, v]
-        except TypeError:  # an unhashable sequence of letters, such as a list
-            return self._pairs[tuple(u), tuple(v)]
+        return self._pairs[u, v]
 
     def follower_code(self, i: int, j: int) -> tuple[Word, ...]:
         """The shortest words ``t`` whose sets ``t.F(j.t)`` partition

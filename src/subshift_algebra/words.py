@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import (Inconsistent, InternalNonzeroViolation, NotCommuting,
-                     PowersDiffer)
+from .errors import InternalNonzeroViolation, NotCommuting
 
 Word = tuple[int, ...]
 
@@ -42,51 +41,6 @@ def commuting_root(alpha: Word, beta: Word) -> tuple[Word, int, int]:
     if c * n != alpha or c * m != beta or len(c) != gcd(len(alpha), len(beta)):
         raise InternalNonzeroViolation("Euclid descent did not end at the common root")
     return c, n, m
-
-
-def common_power_root(alpha: Word, beta: Word, p: int, q: int) -> tuple[Word, int, int]:
-    """Common root of words with a common power ``alpha^p == beta^q``.
-
-    Returns ``(c, m, n)`` with ``alpha == c*m`` and ``beta == c*n``.  A common
-    power forces the two words to commute, so the search reduces to
-    :func:`commuting_root`.
-    """
-    if not alpha or not beta:
-        raise PowersDiffer("common_power_root requires non-empty words")
-    if alpha * p != beta * q:
-        raise PowersDiffer(f"alpha^{p} != beta^{q}")
-    c, m, n = commuting_root(alpha, beta)
-    return c, m, n
-
-
-def multi_common_root(words: list[Word], powers: list[int]) -> tuple[Word, list[int]]:
-    """Common root ``c`` with ``words[i] == c * exps[i]`` for all ``i``.
-
-    Precondition: all words non-empty, all powers >= 1, and the powered words
-    ``words[i]^powers[i]`` pairwise equal.
-    """
-    if not words or len(words) != len(powers):
-        raise Inconsistent("need matching non-empty word and power lists")
-    if any(not w for w in words):
-        raise Inconsistent("all words must be non-empty")
-    if any(p < 1 for p in powers):
-        raise Inconsistent("all powers must be >= 1")
-    ref = words[0] * powers[0]
-    for w, p in zip(words, powers):
-        if w * p != ref:
-            raise Inconsistent("powered words are not pairwise equal")
-    c = words[0]
-    exps = [1]
-    for i in range(1, len(words)):
-        # c^(len(ref)/len(c)) == ref == words[i]^powers[i], so c and words[i]
-        # share a root.
-        root, m, n = common_power_root(c, words[i], len(ref) // len(c), powers[i])
-        exps = [e * m for e in exps]
-        exps.append(n)
-        c = root
-    if any(c * e != w for w, e in zip(words, exps)):
-        raise InternalNonzeroViolation("common root does not generate every word")
-    return c, exps
 
 
 def primitive_root(alpha: Word) -> tuple[Word, int]:
@@ -144,11 +98,13 @@ class EpPoint:
 
 
 def ep_normalize(pre: Word, per: Word) -> EpPoint:
-    """Canonical :class:`EpPoint` for the sequence ``pre + per^inf``."""
+    """Canonical :class:`EpPoint` for the sequence ``pre + per^inf``.
+
+    Both arguments are words, tuples of letter indices, so both fields of
+    the result are tuples, taken from them by slicing."""
     if not per:
         raise ValueError("period must be non-empty")
     per, _ = primitive_root(per)
-    pre = tuple(pre)
     # Roll the junction: pre.x + (q.x)^inf == pre + (x.q)^inf.
     while pre and pre[-1] == per[-1]:
         pre = pre[:-1]

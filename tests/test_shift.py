@@ -79,15 +79,6 @@ def test_prefix_legal_examples(g_gold, g_full):
     assert g_full.is_prefix_legal(OMEGA)
 
 
-def test_list_words_are_answered_as_tuples(g_gold):
-    # The graph is public: any sequence of letters is a word.
-    assert g_gold.is_prefix_legal([0, 1]) is True
-    assert g_gold.reach([1, 1]) == -1
-    assert g_gold.reach([0, 1], 1) == g_gold.reach((0, 1), 1)
-    assert g_gold.letters([0]) == [0, 1]
-    assert g_gold.tails([0], [1]) is g_gold.tails((0,), (1,))
-
-
 def test_enumerate_examples(g_gold, g_full, g_y):
     assert g_gold.legal_words(2) == (W("aa"), W("ab"), W("ba"))
     assert g_full.legal_words(1) == (W("a"), W("b"))

@@ -7,12 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from subshift_algebra import words
-from subshift_algebra.errors import (Inconsistent, InternalNonzeroViolation,
-                                     NotCommuting, PowersDiffer)
-from subshift_algebra.words import (OMEGA, EpPoint, commuting_root,
-                                    common_power_root, ep_normalize, ep_shift,
-                                    is_minimal_cycle_word, multi_common_root,
-                                    primitive_root)
+from subshift_algebra.errors import InternalNonzeroViolation, NotCommuting
+from subshift_algebra.words import (OMEGA, EpPoint, commuting_root, ep_normalize,
+                                    ep_shift, is_minimal_cycle_word, primitive_root)
 
 from conftest import W
 
@@ -62,38 +59,6 @@ class TestCommutingRoot:
         alpha, beta = c * n, c * m
         root, i, j = commuting_root(alpha, beta)
         assert root * i == alpha and root * j == beta
-
-
-class TestCommonPowerRoot:
-    def test_examples(self):
-        assert common_power_root(W("ab"), W("abab"), 2, 1) == (W("ab"), 1, 2)
-        assert common_power_root(W("aba"), W("aba"), 1, 1) == (W("aba"), 1, 1)
-        assert common_power_root(W("aab"), W("aabaab"), 4, 2) == (W("aab"), 1, 2)
-
-    def test_powers_differ(self):
-        with pytest.raises(PowersDiffer):
-            common_power_root(W("ab"), W("ba"), 2, 2)
-
-    @given(c=words2, p=st.integers(1, 3), q=st.integers(1, 3))
-    def test_shared_power(self, c, p, q):
-        alpha, beta = c * q, c * p
-        root, m, n = common_power_root(alpha, beta, p, q)
-        assert root * m == alpha and root * n == beta
-        assert len(root) == gcd(len(alpha), len(beta))
-
-
-class TestMultiCommonRoot:
-    def test_examples(self):
-        assert multi_common_root([W("ab"), W("abab")], [2, 1]) == (W("ab"), [1, 2])
-        assert multi_common_root([W("a")], [5]) == (W("a"), [1])
-        assert multi_common_root([W("aa"), W("aaaa"), W("a")], [4, 2, 8]) \
-            == (W("a"), [2, 4, 1])
-
-    def test_inconsistent(self):
-        with pytest.raises(Inconsistent):
-            multi_common_root([W("ab"), W("ba")], [1, 1])
-        with pytest.raises(Inconsistent):
-            multi_common_root([W("a"), W("b")], [0, 0])
 
 
 class TestPrimitiveRoot:
@@ -176,10 +141,10 @@ class TestEpPoints:
 # -- cross-checks are explicit raises, kept under python -O --------------------------
 
 
-def test_multi_common_root_rechecks_the_root(monkeypatch):
-    monkeypatch.setattr(words, "common_power_root", lambda a, b, p, q: (W("ba"), 1, 2))
+def test_commuting_root_rechecks_the_root_length(monkeypatch):
+    monkeypatch.setattr(words, "gcd", lambda a, b: 1)
     with pytest.raises(InternalNonzeroViolation):
-        multi_common_root([W("ab"), W("abab")], [2, 1])
+        commuting_root(W("abab"), W("ab"))
 
 
 def test_minimality_rechecks_primitivity(monkeypatch):
