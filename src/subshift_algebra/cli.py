@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .algebra import SubshiftAlgebra
 from .errors import ContractViolation, ShiftParseError, SubshiftAlgebraError
-from .parsing import eval_set, evaluate, parse_set, parse_shift
+from .parsing import evaluate, evaluate_set, parse_shift
 from .reduction import (ProjectionMultiple, reduce as reduce_element,
                         verify as verify_witness)
 from .rings import ring_from_name
@@ -81,8 +81,9 @@ def _cmd_reduce(args) -> int:
     witness = reduce_element(x, record_trace=args.trace)
     form = witness.form
     ring = algebra.ring
-    # The lines are formatted before any is printed, so that a coefficient
-    # too long to print leaves no partial output.
+    # The lines are formatted, and the checks run, before any is printed, so
+    # that a coefficient too long to print or a refused check leaves no
+    # partial output.
     if isinstance(form, ProjectionMultiple):
         form_line = f"PROJ {ring.format(form.gamma)} {form.proj_set.format()}"
     else:
@@ -91,19 +92,20 @@ def _cmd_reduce(args) -> int:
         exps = " ".join(str(q) for q in form.exps)
         form_line = (f"CYCLE {form.cycle_set.format()} {spec.word_to_str(form.beta)} "
                      f"[{gammas}] [{exps}]")
+    verified = not args.verify or verify_witness(witness, x)
+    square_ok = verified and args.check_square and square_nonzero_check(x)
     print(f"mu: {_element_line(witness.mu)}\nnu: {_element_line(witness.nu)}\n{form_line}")
     if args.trace:
         for step in witness.trace:
             print(f"trace: {step}")
     if args.verify:
-        if not verify_witness(witness, x):
+        if not verified:
             print("verification failed", file=sys.stderr)
             return CONTRACT_ERROR
         print("verified")
     if args.check_square:
-        ok = square_nonzero_check(x)
-        print(f"square nonzero: {'true' if ok else 'false'}")
-        if not ok:
+        print(f"square nonzero: {'true' if square_ok else 'false'}")
+        if not square_ok:
             return CONTRACT_ERROR
     return 0
 
@@ -133,7 +135,7 @@ def _cmd_cycles(args, none: str = "none", prefix: str = "", found: int = 0) -> i
 def _cmd_corner(args) -> int:
     algebra = _load_algebra(args.shift, args.ring)
     spec = algebra.graph.spec
-    a_set = eval_set(parse_set(args.set, spec), algebra)
+    a_set = evaluate_set(args.set, algebra)
     word = spec.str_to_word(args.word)
     x = evaluate(args.expr, algebra)
     projected = corner_project(x, a_set)

@@ -31,9 +31,11 @@ positions are found only for an error, by scanning again.  The parser
 hash-conses (Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006):
 its table holds each distinct node once, keyed by its tag, words or scalar
 text and the table positions of its children, so a node comes after its
-children.  ``evaluate`` builds the table's values front to back in one pass,
-dropping each after its last use; ``parse_expr`` builds the AST, in which
-equal subtrees are one object, from the same table.
+children.  One evaluator serves expressions and sets: ``evaluate`` and
+``evaluate_set`` build the table's values front to back in one pass,
+dropping each after its last use.  The AST is for parsing and printing only:
+``parse_expr`` and ``parse_set`` build it from the same table, with equal
+subtrees one object, and ``format_expr`` prints it back.
 """
 
 from __future__ import annotations
@@ -279,30 +281,6 @@ def _parse(text: str, spec: SftSpec, start: str):
             forms, ops, tight_ops, expected = chain
 
 
-def _table(root: ExprAst):
-    """The node table of an AST built elsewhere, as ``_parse`` makes it: one
-    entry per node object, in post-order, left to right."""
-    positions, nodes, uses, fractions = {}, [], [], []  # positions by node id
-    stack = [(root, False)]
-    while stack:
-        node, ready = stack.pop()
-        if id(node) in positions:
-            continue
-        cut = len(node) - _KIDS.get(node[0], 0)
-        if ready:
-            key = node[:cut] + tuple(positions[id(child)] for child in node[cut:])
-            for child in key[cut:]:
-                uses[child] += 1
-            positions[id(node)] = len(nodes)
-            nodes.append(key)
-            uses.append(0)
-        else:
-            if node[0] == "scale" and "/" in node[1]:
-                fractions.append((len(nodes), node[1]))
-            stack += [(node, True)] + [(child, False) for child in reversed(node[cut:])]
-    return nodes, uses, fractions
-
-
 def _run(nodes, uses, makers: dict):
     """Make each entry's value front to back by ``makers[tag]``, from its words
     or scalar text and its children's values, dropped after their last use."""
@@ -355,15 +333,12 @@ def parse_set(text: str, spec: SftSpec) -> ExprAst:
     return _run(*_parse(text, spec, "set")[:2], _AST_MAKERS)
 
 
-def eval_expr(node: ExprAst, algebra: SubshiftAlgebra) -> AlgebraElement | ClopenSet:
-    return _evaluate(*_table(node), algebra)
-
-
-eval_set = eval_expr
-
-
 def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:
     return _evaluate(*_parse(text, algebra.graph.spec, "expr"), algebra)
+
+
+def evaluate_set(text: str, algebra: SubshiftAlgebra) -> ClopenSet:
+    return _evaluate(*_parse(text, algebra.graph.spec, "set"), algebra)
 
 
 # The printed form of each tag, filled with its arguments in order.

@@ -79,7 +79,11 @@ class SftSpec:
     def make(alphabet: str | list[str], forbidden_words: list[str] = ()) -> "SftSpec":
         symbols = tuple(alphabet)
         index = {s: i for i, s in enumerate(symbols)}
-        forb = frozenset(tuple(index[ch] for ch in w) for w in forbidden_words)
+        try:
+            forb = frozenset(tuple(index[ch] for ch in w) for w in forbidden_words)
+        except KeyError as exc:
+            w = next(w for w in forbidden_words if exc.args[0] in w)
+            raise UnknownLetter(f"unknown letter {exc.args[0]!r} in word {w!r}") from None
         return SftSpec(symbols, forb)
 
     @property

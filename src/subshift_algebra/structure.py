@@ -195,9 +195,9 @@ class RelationReport:
 MAX_SELFTEST_WORDS = 32
 
 
-def relations_selftest(g: FollowerGraph, max_len: int,
-                       ring=None) -> RelationReport:
-    """Exhaustively check the defining relations up to the given word length.
+def relations_selftest(g: FollowerGraph, max_len: int) -> RelationReport:
+    """Exhaustively check the defining relations over the integers up to the
+    given word length.
 
     Family (i): projection identities over cylinders, followers and their
     complements; family (ii): the partial-isometry identities per letter;
@@ -214,7 +214,7 @@ def relations_selftest(g: FollowerGraph, max_len: int,
         if len(words) > MAX_SELFTEST_WORDS:
             raise BadArgument(f"more than {MAX_SELFTEST_WORDS} legal words "
                               f"have length at most {max_len}")
-    algebra = SubshiftAlgebra(g, ring if ring is not None else ZZ)
+    algebra = SubshiftAlgebra(g, ZZ)
     checks = 0
     failures: list[str] = []
     spec = g.spec

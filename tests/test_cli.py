@@ -7,7 +7,6 @@ import sys
 import weakref
 from collections import Counter
 from contextlib import redirect_stdout
-from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -15,13 +14,14 @@ import pytest
 
 from subshift_algebra.algebra import MAX_PRODUCT_PAIRS, AlgebraElement, SubshiftAlgebra
 from subshift_algebra.cli import main
-from subshift_algebra.clopen import MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS
+from subshift_algebra.clopen import (MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS, ClopenSet,
+                                     c_set, cylinder, full_set)
 from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
 from subshift_algebra.parsing import (MAX_NESTING, MAX_WORD_LETTERS, RESERVED_SYMBOLS,
-                                      eval_expr, evaluate, format_expr, format_shift,
+                                      evaluate, format_expr, format_shift,
                                       parse_expr, parse_set, parse_shift)
 from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
 from subshift_algebra.shift import FollowerGraph, build_follower_graph
@@ -101,8 +101,6 @@ def test_shift_print_round_trip():
 
 def test_expr_examples(g_gold, g_y):
     a_gold = SubshiftAlgebra(g_gold, ZZ)
-    from subshift_algebra.clopen import cylinder
-
     assert evaluate("s(a)*st(a)", a_gold) == a_gold.gen_p(cylinder(g_gold, W("a")))
     a_y = SubshiftAlgebra(g_y, ZZ)
     demo = evaluate("p(Z(b)) + s(b)*p(Z(b))", a_y)
@@ -177,8 +175,6 @@ def test_long_coefficient_is_refused_by_the_printer(ring, capsys):
 
 def test_set_expressions(g_gold):
     algebra = SubshiftAlgebra(g_gold, ZZ)
-    from subshift_algebra.clopen import c_set, cylinder, full_set
-
     assert evaluate("p(X)", algebra) == algebra.one()
     assert evaluate("p(!Z(a))", algebra) == algebra.gen_p(
         cylinder(g_gold, W("a")).complement())
@@ -196,8 +192,6 @@ def test_precedence(g_full):
     rhs = algebra.one() + evaluate("s(a)*st(a)", algebra)
     assert lhs == rhs
     mixed = evaluate("p(Z(a) | Z(b) & Z(bb))", algebra)
-    from subshift_algebra.clopen import cylinder
-
     expected = cylinder(g_full, W("a")).union(
         cylinder(g_full, W("b")).intersect(cylinder(g_full, W("bb"))))
     assert mixed == algebra.gen_p(expected)
@@ -257,6 +251,23 @@ def _node_ids(ast, into):
     return into
 
 
+def _reference_value(node, algebra):
+    """The value of an expression or set AST by plain recursion, folding the
+    algebra's own constructors and operators over the values of its children:
+    a reference that shares no code with ``evaluate``."""
+    g, ring = algebra.graph, algebra.ring
+    args = [_reference_value(a, algebra) if _is_node(a) else a for a in node[1:]]
+    return {
+        "s": algebra.elem_s, "st": algebra.elem_s_star, "p": algebra.gen_p,
+        "one": algebra.one, "zero": algebra.zero,
+        "scale": lambda k, x: x.scale(ring.parse_scalar(k)),
+        "add": lambda x, y: x + y, "sub": lambda x, y: x - y, "mul": lambda x, y: x * y,
+        "Z": lambda w: cylinder(g, w), "F": lambda w: c_set(g, w, OMEGA),
+        "C": lambda u, w: c_set(g, u, w), "X": lambda: full_set(g),
+        "not": ClopenSet.complement, "and": ClopenSet.intersect, "or": ClopenSet.union,
+    }[node[0]](*args)
+
+
 def test_expression_print_parse_round_trip(g_gold):
     spec = g_gold.spec
     for ring in ("z", "q", "zmod:6"):
@@ -273,8 +284,8 @@ def test_expression_print_parse_round_trip(g_gold):
             assert reparsed == ast, text
             ids = _node_ids(reparsed, [])
             shared += len(set(ids)) < len(ids)
-            # The unshared AST is evaluated as a tree: the reference value.
-            assert eval_expr(reparsed, algebra) == eval_expr(ast, algebra), (ring, text)
+            # The printed text evaluates to the AST's value folded as a tree.
+            assert evaluate(text, algebra) == _reference_value(ast, algebra), (ring, text)
         assert shared >= 25, ring
     # A long chain prints flat, so its printed form parses back.
     sum_text = " - ".join(" + ".join(["s(a)", "st(b)", "2.(s(ab))"]) for _ in range(400))
@@ -326,14 +337,6 @@ def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
     for calls in (1, 2):
         assert evaluate(text, algebra).is_zero()
         assert built == Counter({key: calls * n for key, n in once.items()})
-    # So does the parsed AST, whose equal subtrees are one object.
-    built.clear()
-    assert eval_expr(parse_expr(text, g_gold.spec), algebra).is_zero()
-    assert built == once
-    # The same identity as an AST built by hand shares nothing.
-    built.clear()
-    assert eval_expr(_unshared(parse_expr(text, g_gold.spec)), algebra).is_zero()
-    assert built == Counter({("s", W("a")): 3, ("s", W("b")): 3, ("st", W("ab")): 2, "p": 2})
 
 
 def _left_spine(ast):
@@ -366,14 +369,16 @@ def test_reduce_zero_input_is_contract_error(capsys):
     assert code == 3
 
 
-def test_reduce_check_square():
+def test_reduce_check_square(capsys):
     code, out = run_cli(["reduce", SHIFT_PATHS["y"], "-e",
                          "p(Z(b)) + s(b)*p(Z(b))", "--check-square"])
     assert code == 0
     assert "square nonzero: true" in out
-    code, _ = run_cli(["reduce", SHIFT_PATHS["y"], "-e", "s(b)",
-                       "--ring", "zmod:6", "--check-square"])
-    assert code == 3
+    # A refused check leaves no partial output.
+    code, out = run_cli(["reduce", SHIFT_PATHS["y"], "-e", "s(b)",
+                         "--ring", "zmod:6", "--check-square"])
+    assert (code, out, capsys.readouterr().err) == (
+        3, "", "error: square check requires a coefficient domain\n")
 
 
 def test_usage_error_exit_code():
@@ -382,9 +387,17 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_bad_expression_exit_code():
+def test_bad_expression_exit_code(capsys):
     code, _ = run_cli(["nf", SHIFT_PATHS["full2"], "-e", "s(ab"])
-    assert code == 2
+    assert (code, capsys.readouterr().err) == (2, "error: expected ')' (at position 4)\n")
+    # A set expression's errors read as an expression's do.
+    for text, message in (("Z(b", "expected ')' (at position 3)"),
+                          ("s(b)", "expected a set expression (at position 0)"),
+                          ("Z(c)", "unknown letter 'c' at position 2"),
+                          ("C(b,)", "expected a word (at position 4)")):
+        code, out = run_cli(["corner", SHIFT_PATHS["y"], "--set", text, "--word", "b",
+                             "-e", "1"])
+        assert (code, out, capsys.readouterr().err) == (2, "", f"error: {message}\n"), text
 
 
 def test_missing_file_exit_code():
@@ -596,13 +609,9 @@ def test_errors_come_in_evaluation_order(g_full, monkeypatch):
             (f"1/2.({digits}.1)", "fraction scalar '1/2' needs the rational ring"),
             (f"1 + 1/2.({digits}.1)", "fraction scalar '1/2' needs the rational ring"),
             (f"2.({digits}.1 * 1/2.1)", too_long)):
-        # The same order holds for an AST built elsewhere, shared or not.
-        ast = parse_expr(text, g_full.spec)
-        for run in (partial(evaluate, text), partial(eval_expr, ast),
-                    partial(eval_expr, _unshared(ast))):
-            with pytest.raises(BadScalarForRing) as err:
-                run(algebra)
-            assert str(err.value) == message, text
+        with pytest.raises(BadScalarForRing) as err:
+            evaluate(text, algebra)
+        assert str(err.value) == message, text
     # A repeated subexpression that fails is evaluated once.
     parse_scalar, calls = type(ZZ).parse_scalar, []
 

@@ -5,9 +5,9 @@ the parser's own form tables (``parsing._PRIMARY_FORMS`` and
 ``parsing._SET_FORMS``), and both are then mutated character by character.
 Every subcommand runs in-process on what is drawn.  Whatever the input, the
 CLI must answer with a documented exit code (1 only for the negative answers
-of ``iszero``, ``check-exits`` and ``selftest``), print no traceback, and
-finish in bounded time.  The runs are seeded and derandomized, so a failure
-repeats.
+of ``iszero``, ``check-exits`` and ``selftest``), print no traceback, leave
+no partial output on stdout when it reports an error, and finish in bounded
+time.  The runs are seeded and derandomized, so a failure repeats.
 """
 
 import io
@@ -181,3 +181,5 @@ def test_cli_answers_every_drawn_input_with_a_documented_exit_code(shift_path, d
         assert out.getvalue() == "nonzero\n"
     if code in (2, 3) and not err.getvalue().startswith("usage:"):
         assert err.getvalue().startswith("error:"), err.getvalue()
+    if err.getvalue().startswith("error:"):
+        assert out.getvalue() == "", (argv, out.getvalue())

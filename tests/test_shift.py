@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from subshift_algebra.algebra import SubshiftAlgebra
-from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge
+from subshift_algebra.errors import ContractViolation, EmptyShift, ShiftTooLarge, UnknownLetter
 from subshift_algebra.parsing import evaluate
 from subshift_algebra.reduction import reduce, verify
 from subshift_algebra.rings import ZZ
@@ -63,6 +63,9 @@ def test_forbidden_normalization():
     spec = SftSpec.make("ab", ["bb", "abb", "bb"])
     assert spec.forbidden == frozenset({W("bb")})
     assert spec.memory == 1
+    # A letter outside the alphabet is named with its word, as str_to_word does.
+    with pytest.raises(UnknownLetter, match="^unknown letter 'c' in word 'ac'$"):
+        SftSpec.make("ab", ["bb", "ac"])
 
 
 def test_memory_floor_is_one():
