@@ -27,10 +27,10 @@ zero-divisor products can arise even over rings with zero divisors; the
 nonzero checks therefore operate purely on supports.  A broken invariant
 raises :class:`InternalNonzeroViolation`.
 
-:func:`reduce` verifies its own witness before returning it and is the one
-verification point: a witness it returns is correct.  The public
-:func:`verify`, and the command line's ``reduce --verify``, re-multiply and
-compare for callers that hold a witness from elsewhere or want a re-check.
+:func:`reduce` verifies every witness before returning it and is the one
+verification point: the command line's ``reduce --verify`` and
+``--check-square`` read its witness without checking again.  The public
+:func:`verify` re-multiplies and compares, for a witness from elsewhere.
 """
 
 from __future__ import annotations

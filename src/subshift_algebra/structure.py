@@ -14,8 +14,8 @@ from .algebra import AlgebraElement, SubshiftAlgebra
 from .clopen import (ClopenSet, CycleKind, accumulate, c_set, classify_cycle,
                      cylinder, empty_set, full_set)
 from .errors import (BadArgument, InternalNonzeroViolation, NotADomain,
-                     NotInCorner, NotMinimalCycle, ZeroInput)
-from .reduction import reduce as reduce_element
+                     NotInCorner, NotMinimalCycle)
+from .reduction import ReductionWitness, embed_form
 from .rings import ZZ
 from .shift import FollowerGraph
 from .words import OMEGA, Word
@@ -161,16 +161,14 @@ def laurent_to_corner(poly: LaurentPoly, algebra: SubshiftAlgebra,
     return acc
 
 
-def square_nonzero_check(x: AlgebraElement) -> bool:
-    """Reduce ``x`` and test that the square of the reduced element is
-    nonzero.  Over a domain this always holds, which is the computational
-    content of semiprimeness."""
-    if not x.algebra.ring.is_domain:
+def square_nonzero_check(witness: ReductionWitness) -> bool:
+    """Test that the reduced element of a witness from ``reduce``, which is
+    its embedded form, squares to nonzero.  Over a domain this always holds,
+    which is the computational content of semiprimeness."""
+    algebra = witness.mu.algebra
+    if not algebra.ring.is_domain:
         raise NotADomain("square check requires a coefficient domain")
-    if x.is_zero():
-        raise ZeroInput("square check requires a nonzero element")
-    w = reduce_element(x)
-    y = w.mu * x * w.nu
+    y = embed_form(algebra, witness.form)
     return not (y * y).is_zero()
 
 

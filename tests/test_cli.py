@@ -2,6 +2,7 @@
 
 import io
 import random
+import shlex
 import subprocess
 import sys
 import weakref
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from subshift_algebra import reduction
 from subshift_algebra.algebra import MAX_PRODUCT_PAIRS, AlgebraElement, SubshiftAlgebra
 from subshift_algebra.cli import main
 from subshift_algebra.clopen import (MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS, ClopenSet,
@@ -369,11 +371,30 @@ def test_reduce_zero_input_is_contract_error(capsys):
     assert code == 3
 
 
-def test_reduce_check_square(capsys):
+def test_reduce_check_square(capsys, monkeypatch):
     code, out = run_cli(["reduce", SHIFT_PATHS["y"], "-e",
                          "p(Z(b)) + s(b)*p(Z(b))", "--check-square"])
     assert code == 0
     assert "square nonzero: true" in out
+    # reduce is the one verification point: --verify and --check-square read
+    # its witness, so the command runs one pipeline and one check.
+    counts = Counter()
+
+    class CountingPipeline(reduction._Pipeline):
+        def __init__(self, *args, **kwargs):
+            counts["pipeline"] += 1
+            super().__init__(*args, **kwargs)
+
+    def counting_verify(*args, _verify=reduction.verify):
+        counts["verify"] += 1
+        return _verify(*args)
+
+    monkeypatch.setattr(reduction, "_Pipeline", CountingPipeline)
+    monkeypatch.setattr(reduction, "verify", counting_verify)
+    code, out = run_cli(["reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
+                         "--verify", "--check-square"])
+    assert f"exit={code}\n{out}" == (GOLDEN / "reduce_square_y.txt").read_text(encoding="utf-8")
+    assert counts == {"pipeline": 1, "verify": 1}
     # A refused check leaves no partial output.
     code, out = run_cli(["reduce", SHIFT_PATHS["y"], "-e", "s(b)",
                          "--ring", "zmod:6", "--check-square"])
@@ -677,6 +698,9 @@ for _name, _path in SHIFT_PATHS.items():
 GOLDEN_COMMANDS["reduce_cycle_y"] = [
     "reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
     "--verify", "--trace"]
+GOLDEN_COMMANDS["reduce_square_y"] = [
+    "reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
+    "--verify", "--check-square"]
 GOLDEN_COMMANDS["nf_ring_q"] = [
     "nf", SHIFT_PATHS["full2"], "-e", "1/2.s(a) + 1/2.s(a)", "--ring", "q"]
 GOLDEN_COMMANDS["corner_y"] = [
@@ -705,7 +729,7 @@ def test_outputs_byte_identical_across_runs():
 # -- scripts and README -------------------------------------------------------------------
 
 
-def test_scripts_and_readme_quick_start_run():
+def test_scripts_and_readme_quick_start_run(monkeypatch):
     root = FIXTURES.parent
     demo = subprocess.run([sys.executable, str(root / "scripts" / "demo_reduction.py")],
                           capture_output=True, text=True)
@@ -720,3 +744,12 @@ def test_scripts_and_readme_quick_start_run():
     readme = (root / "README.md").read_text(encoding="utf-8")
     quick_start = readme.split("## Library quick start")[1].split("```python\n")[1]
     exec(quick_start.split("```")[0], {})
+    # Each "$ subshift-algebra ..." line of the Examples block prints the
+    # lines shown under it, up to the next blank line.
+    examples = readme.split("\nExamples:\n\n```\n")[1].split("```")[0]
+    monkeypatch.chdir(root)
+    commands = [block.splitlines() for block in examples.strip().split("\n\n")]
+    assert commands and all(lines[0].startswith("$ subshift-algebra ") for lines in commands)
+    for command, *shown in commands:
+        code, out = run_cli(shlex.split(command)[2:])
+        assert (code, out.splitlines()) == (0, shown), command

@@ -13,6 +13,7 @@ operations, the coefficient-function methods or ``mul``: products, sums and
 reduction witnesses must agree with composition and sum of operators.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -20,12 +21,14 @@ from hypothesis import given, settings, strategies as st
 
 from subshift_algebra.algebra import SubshiftAlgebra
 from subshift_algebra.clopen import cylinder, full_set
-from subshift_algebra.reduction import embed_form, reduce
+from subshift_algebra.errors import EmptyShift
+from subshift_algebra.reduction import CycleForm, embed_form, reduce
 from subshift_algebra.rings import ZZ, Zmod
 from subshift_algebra.shift import SftSpec, build_follower_graph
+from subshift_algebra.structure import find_cycles_without_exit
 from subshift_algebra.words import OMEGA, ep_normalize
 
-from conftest import in_shift, l_spec
+from conftest import in_shift, l_spec, random_specs, words_up_to
 
 SHIFTS = {
     "full2": SftSpec.make("ab", []),
@@ -148,3 +151,72 @@ def test_reduction_witness_acts_as_its_form(setups, name, ring, xs):
         return
     w = reduce(x)
     assert rep(w.mu * x * w.nu, points) == rep(embed_form(algebra, w.form), points)
+
+
+# -- reductions around cycles without exit ---------------------------------------------
+
+
+def cycle_shifts(count: int, seed: int) -> list:
+    """The first ``count`` seeded random shifts that have a minimal cycle
+    without exit, each with its graph and its ``(A, c)`` pairs."""
+    out = []
+    for spec in random_specs(10 * count, seed):
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            continue
+        cycles = find_cycles_without_exit(g)
+        if cycles:
+            out.append((g, cycles))
+            if len(out) == count:
+                return out
+    raise AssertionError(f"fewer than {count} shifts with a cycle without exit")
+
+
+def cycle_points(spec, c) -> list:
+    """``c^inf``, and ``w.c^inf`` and ``w.a^inf`` for the words ``w`` of at
+    most two letters, where they are points of X; ``a`` is the first
+    letter."""
+    words = [w for n in range(3) for w in product(range(len(spec.alphabet)), repeat=n)]
+    points = {ep_normalize(w, period) for w in words for period in (c, (0,))}
+    return sorted((p for p in points if in_shift(p, spec.forbidden)),
+                  key=lambda p: (p.preperiod, p.period))
+
+
+def test_reductions_around_cycles_act_as_their_forms():
+    """Elements ``g0 p_A + sum_i g_i s_{c^q} p_A`` at a cycle ``(A, c)``
+    without exit, in half of the draws plus a noise monomial
+    ``s_alpha st_beta``, reduce to witnesses whose operator
+    ``mu o x o nu`` is the operator of the form, composed point by point
+    without ``mul``."""
+    rng = random.Random(5)
+    reductions = cycle_forms = 0
+    for g, cycles in cycle_shifts(40, seed=5):
+        noise = words_up_to(g, 2)
+        for a_set, c in cycles:
+            points = cycle_points(g.spec, c)
+            assert ep_normalize(OMEGA, c) in points
+            for ring in RINGS:
+                algebra = SubshiftAlgebra(g, ring)
+                one, p_a = ring.one(), algebra.gen_p(a_set)
+
+                def draw_coefficient():
+                    return ring.from_int(rng.choice([-3, -2, -1, 1, 2, 3, 4]))
+
+                for _ in range(3):
+                    x = p_a.scale(draw_coefficient())
+                    for q in sorted(rng.sample(range(1, 4), rng.randint(0, 2))):
+                        x = x + (algebra.elem_s(c * q) * p_a).scale(draw_coefficient())
+                    if rng.random() < 0.5:
+                        x = x + algebra.mono(rng.choice(noise), full_set(g),
+                                             rng.choice(noise)).scale(draw_coefficient())
+                    if x.is_zero():
+                        continue
+                    w = reduce(x)
+                    reductions += 1
+                    cycle_forms += isinstance(w.form, CycleForm)
+                    form = embed_form(algebra, w.form)
+                    for point in points:
+                        composed = act(w.mu, act(x, act(w.nu, {point: one})))
+                        assert composed == act(form, {point: one}), (g.spec, c, point)
+    assert reductions >= 200 and cycle_forms >= 150, (reductions, cycle_forms)
