@@ -2,8 +2,9 @@
 """Randomized reduction census.
 
 Reduces a batch of random monomial sums on each fixture shift (and a few
-extra presentations), verifies every witness, and tabulates how often each
-reduced shape appears together with witness sizes and timing.
+extra presentations) and tabulates how often each reduced shape appears
+together with witness sizes and timing.  ``reduce`` verifies each witness
+before returning it and raises if the check fails.
 
 Usage: reduction_census.py [COUNT] [SEED]
 """
@@ -17,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from subshift_algebra import (CycleForm, SftSpec, SubshiftAlgebra, ZZ,
                               build_follower_graph, cylinder, full_set,
-                              reduce, verify)
+                              reduce)
 
 
 def random_element(algebra, rng, max_word=3, max_terms=3):
@@ -58,8 +59,6 @@ def main():
         for _ in range(count):
             x = random_element(algebra, rng)
             w = reduce(x, record_trace=True)
-            if not verify(w, x):
-                sys.exit(f"reduction_census: a witness on {name} failed verification")
             longest_trace = max(longest_trace, len(w.trace))
             if isinstance(w.form, CycleForm):
                 cycles += 1

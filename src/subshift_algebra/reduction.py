@@ -12,20 +12,35 @@ The reduction is one loop over the ``_phase_*`` functions, which share a
 * ``_phase_positive`` right-multiplies by letters until every component is
   positive, and ``_phase_prefix_nest`` nests the positive words into a chain;
 * the loop then repeats ``_phase_common_projection`` (scalar coefficients
-  over one common set), ``_phase_strip_z`` (strip the shortest word and
-  normalise the cylinder containments), ``_phase_pump`` (shrink the set into
-  its relative range under the second word) and ``_phase_power_align``
-  (kill the words that are not powers of one root) until either a projection
-  multiple appears or ``_extract_root`` finds a common root, when
-  ``_phase_exit_kill`` decides the cycle dichotomy.
+  over one common set), ``_phase_strip_z`` (strip the shortest word),
+  ``_phase_pump`` (shrink the set into its relative range under the second
+  word) and ``_phase_power_align`` (kill the words that are not powers of one
+  root) until either a projection multiple appears or ``_extract_root`` finds
+  a common root, when ``_phase_exit_kill`` decides the cycle dichotomy.
 
-The pipeline keeps two running invariants, re-checked after every single
-multiplication: the element stays nonzero, and each phase strictly decreases
-a termination measure (total negative length, then term count, then maximal
-word length).  All multiplier factors have coefficient 1, so no new
-zero-divisor products can arise even over rings with zero divisors; the
-nonzero checks therefore operate purely on supports.  A broken invariant
-raises :class:`InternalNonzeroViolation`.
+From the nest on, the loop keeps the *nest invariant*: every word is a
+prefix of the longest word ``beta``, and every support lies inside
+``Z(beta)`` (killing a term keeps it: ``Z(beta)`` lies in every cylinder of
+the chain).  Nest: ``p(Z(beta))`` on the left cuts every support into
+``Z(beta)`` and kills the words not comparable with ``beta``.  Right
+projections, the one-cylinder collapse among them, only shrink supports.
+``st(alpha_1)`` removes a prefix that every word shares.  Pump, with
+``b_i = b_2 c_i``: a surviving term has a point ``y`` of ``B`` with
+``c_i y`` in ``B``; both start with ``beta``, hence with ``b_2 c_i``, so
+``c_i b_2 = b_2 c_i`` and every surviving word is a power of one root.
+Power alignment: ``B`` inside ``r(B, alpha)`` puts ``alpha^n B`` inside
+``Z(beta)``, so every ``b_i`` is a prefix of ``alpha^inf``; write
+``b_i = rho^q p`` with ``rho`` the primitive root of ``alpha`` and ``p`` a
+nonempty proper prefix of ``rho``.  Then ``st(alpha^n)`` kills the term, or
+its new word starts with a nontrivial rotation of ``rho``, not ``rho`` by
+Fine and Wilf, and ``p(Z(alpha))`` kills it.
+
+Nonzero-ness is re-checked after every single multiplication; progress is
+checked in the positive phase and the pump, and the loop guard bounds the
+rest.  All multiplier factors have coefficient 1, so no new zero-divisor
+products can arise even over rings with zero divisors, and the nonzero
+checks operate purely on supports.  A broken invariant raises
+:class:`InternalNonzeroViolation`.
 
 :func:`reduce` verifies every witness before returning it and is the one
 verification point: the command line's ``reduce --verify`` and
@@ -199,53 +214,28 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
     return common
 
 
-# -- phase: strip the shortest word, then normalize the Z-containments ----------
+# -- phase: strip the shortest word ---------------------------------------------
 
 
 def _phase_strip_z(p: _Pipeline) -> ProjectionMultiple | ClopenSet:
     """Reach either a plain projection multiple or the shape
     ``gamma_1 p_B + sum gamma_i s_{b_i} p_B`` with ``B`` inside every
-    ``F_{b_i}`` and ``Z_{b_i}``.
-
-    A single cylinder cut does not always kill the terms whose cylinder
-    misses the set (their follower part may still meet it), so the cut is
-    iterated with an extra left projection; each round strictly lowers the
-    term count or the maximal word length.
-    """
-    g = p.alg.graph
-    while True:
-        keys = _sorted_keys(p.x)
-        if len(keys) == 1:
-            (u, _v) = keys[0]
-            if u == OMEGA:
-                gamma = _scalar_of(p.x, keys[0])
-                return ProjectionMultiple(gamma, p.x.support_set(keys[0]))
-            p.left(p.alg.elem_s_star(u), f"st({p.fmt_word(u)})")
-            continue
-        alpha1 = keys[0][0]
-        if alpha1 != OMEGA:
-            # Strip the shortest word; every term survives with its set intact.
-            p.left(p.alg.elem_s_star(alpha1), f"st({p.fmt_word(alpha1)})")
-            continue
-        a_set = p.x.tail_set(keys[0])
-        positives = keys[1:]
-        meets = [k for k in positives
-                 if not a_set.intersect(cylinder(g, k[0])).is_empty()]
-        if not meets:
-            p.left(p.alg.gen_p(a_set), "p(const)")
-            continue
-        kmax = meets[-1]
-        cyl = cylinder(g, kmax[0])
-        b_set = a_set.intersect(cyl)
-        if not a_set.is_subset(cyl):
-            p.right(p.alg.gen_p(cyl), f"p(Z({p.fmt_word(kmax[0])}))")
-        if kmax == positives[-1]:
-            return b_set
-        terms = len(p.x.components)
-        p.left(p.alg.gen_p(b_set), "p(cut)")
-        if len(p.x.components) >= terms:
-            raise InternalNonzeroViolation("Z-normalization made no progress")
-        _phase_common_projection(p)
+    ``F_{b_i}`` and ``Z_{b_i}``.  Under the nest invariant (every word a
+    prefix of the longest word ``beta``, every support inside ``Z(beta)``)
+    one ``st`` of the shortest word does this; the invariant is guarded,
+    not repaired."""
+    alpha1 = _sorted_keys(p.x)[0][0]
+    if alpha1 != OMEGA:
+        p.left(p.alg.elem_s_star(alpha1), f"st({p.fmt_word(alpha1)})")
+    keys = _sorted_keys(p.x)
+    if keys[0][0] != OMEGA:
+        raise InternalNonzeroViolation("stripping left no constant term")
+    if len(keys) == 1:
+        return ProjectionMultiple(_scalar_of(p.x, keys[0]), p.x.support_set(keys[0]))
+    b_set = p.x.tail_set(keys[0])
+    if not b_set.is_subset(cylinder(p.alg.graph, keys[-1][0])):
+        raise InternalNonzeroViolation("the common set left the longest cylinder")
+    return b_set
 
 
 # -- phase: pump the common set into its relative range -------------------------
@@ -294,8 +284,6 @@ def _extract_root(x: AlgebraElement) -> tuple[Word, list[int]] | None:
     the exponent list (in chain order)."""
     keys = _sorted_keys(x)
     words = [u for (u, _) in keys if u != OMEGA]
-    if not words:
-        return None
     c, _ = primitive_root(words[0])
     exps = []
     for w in words:

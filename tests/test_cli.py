@@ -698,6 +698,9 @@ for _name, _path in SHIFT_PATHS.items():
 GOLDEN_COMMANDS["reduce_cycle_y"] = [
     "reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
     "--verify", "--trace"]
+GOLDEN_COMMANDS["reduce_align_full2"] = [
+    "reduce", SHIFT_PATHS["full2"], "-e",
+    "p(Z(aba)) + s(ab)*p(Z(aba)) + s(aba)*p(Z(aba))", "--verify", "--trace"]
 GOLDEN_COMMANDS["reduce_square_y"] = [
     "reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
     "--verify", "--check-square"]

@@ -17,7 +17,7 @@ from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
                                         _scalar_of, _sorted_keys, embed_form,
                                         reduce, verify)
 from subshift_algebra.rings import QQ, ZZ, Zmod
-from subshift_algebra.shift import FollowerGraph, build_follower_graph
+from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
 
 from conftest import W, l_spec, random_nonzero_element
@@ -182,22 +182,19 @@ def test_strip_y_shape(alg_y, g_y):
     assert p.mu * x * p.nu == p.x
 
 
-def test_strip_kills_terms_beyond_the_cut(alg_full, g_full):
-    # A = Z_aa meets Z_a but misses Z_aba, yet the aba-term survives a plain
-    # cylinder cut (its follower part still meets the set), so the extra
-    # left projection round must remove it.
+def test_strip_guards_the_nest_invariant(alg_full, g_full):
+    # The set A = Z_aa misses Z_aba, so the words _, a, aba do not nest
+    # with their supports: the strip phase refuses the element instead of
+    # cutting it.  reduce nests first, and then one strip suffices.
     zaa = cylinder(g_full, W("aa"))
     x = alg_full.gen_p(zaa) \
         + alg_full.elem_s((0,)) * alg_full.gen_p(zaa) \
         + alg_full.elem_s(W("aba")) * alg_full.gen_p(zaa)
-    assert not (alg_full.elem_s(W("aba")) * alg_full.gen_p(zaa)).is_zero()
-    p = _Pipeline(x)
-    _phase_strip_z(p)
-    words = sorted(u for (u, _) in p.x.f_grade_support())
-    assert words == [OMEGA, W("a")]
-    assert p.mu * x * p.nu == p.x
-    b_set = p.x.tail_set((OMEGA, OMEGA))
-    assert b_set.is_subset(cylinder(g_full, W("a")))
+    with pytest.raises(InternalNonzeroViolation, match="longest cylinder"):
+        _phase_strip_z(_Pipeline(x))
+    w = reduce(x, record_trace=True)
+    assert w.trace == ("L p(Z(aba))", "R p(common)", "L st(aba)")
+    assert w.form == ProjectionMultiple(1, cylinder(g_full, W("aa")))
 
 
 # -- _phase_pump --------------------------------------------------------------------
@@ -277,6 +274,35 @@ def test_align_kills_misaligned_term(alg_full, g_full):
     words = sorted(u for (u, _) in x2.f_grade_support())
     assert W("ab") not in words
     assert not x2.is_zero()
+
+
+def test_reduce_runs_power_alignment():
+    # p(Z(w)) + s(rho) p(Z(w)) + 2 s(u) p(Z(w)), with u and w prefixes of
+    # rho^inf one root apart: the words _, rho, u nest, and u need not be a
+    # power of rho, so a share of these reach reduce's power alignment.
+    # The shifts are the census script's five.
+    runs = aligned = 0
+    for alphabet, forbidden in (("ab", []), ("ab", ["bb"]), ("ab", ["ba"]),
+                                ("ab", ["aa", "bb"]), ("abc", ["cc", "ab"])):
+        g = build_follower_graph(SftSpec.make(alphabet, forbidden))
+        for ring in (ZZ, Zmod(6)):
+            algebra = SubshiftAlgebra(g, ring)
+            for n in (1, 2, 3):
+                for rho in g.legal_words(n):
+                    for j in range(n + 1, 3 * n + 1):
+                        u, w = (rho * 8)[:j], (rho * 8)[:j + n]
+                        if not g.is_prefix_legal(w):
+                            continue
+                        pz = algebra.gen_p(cylinder(g, w))
+                        x = pz + algebra.elem_s(rho) * pz \
+                            + (algebra.elem_s(u) * pz).scale(2)
+                        if x.is_zero():
+                            continue
+                        trace = reduce(x, record_trace=True).trace
+                        runs += 1
+                        aligned += any(t.endswith(" p(B)") for t in trace)
+    assert runs == 464
+    assert aligned >= 100
 
 
 # -- _extract_root ------------------------------------------------------------------------
