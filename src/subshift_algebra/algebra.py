@@ -6,8 +6,12 @@ from reduced free-group word pairs ``(u, v)`` (meaning the group element
 component at ``(u, v)`` must be supported inside ``C(v, u)``: it is stored
 as the canonical prefix code of legal words ``u.q`` (none shorter than
 ``u``), and each satisfies ``F(u.q) <= F(v.q)``, which for ``|q| >= m``
-says that ``v.q`` is legal.  The constructor checks the pair and drops zero
-values; ``clopen.canonical``, the check that sets share, does the rest.
+says that ``v.q`` is legal.  A support is checked once, where it enters:
+the constructor checks the pair, drops zero values and runs
+``clopen.canonical``, the check that sets share.  The operations keep the
+invariant, so their results take the merge-only path
+(:meth:`AlgebraElement._merged`): a sum or product can complete a family of
+siblings, which is merged, but nothing is checked again.
 
 Multiplication follows the partial-action formula: to multiply a component
 ``f`` at ``s = (u, v)`` with ``g`` at ``t = (u', v')``, translate the support
@@ -33,7 +37,7 @@ from __future__ import annotations
 from functools import partial
 
 from .clopen import (MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS, ClopenSet, CoeffFn, canonical,
-                     full_set, relative_range, translate_into)
+                     full_set, merge_siblings, relative_range, translate_into)
 from .errors import BadArgument, ElementTooLarge, RingMismatch
 from .rings import Ring
 from .shift import FollowerGraph
@@ -87,10 +91,11 @@ class SubshiftAlgebra:
         return self.gen_p(full_set(self.graph))
 
     def gen_p(self, a: ClopenSet) -> "AlgebraElement":
+        """``p_A``; the set was checked when it was built."""
         if a.graph is not self.graph:
             raise RingMismatch("clopen set belongs to a different shift")
         fn = CoeffFn(a.graph, dict.fromkeys(a.coeffs, self.ring.one()))
-        return AlgebraElement(self, {(OMEGA, OMEGA): fn})
+        return AlgebraElement._merged(self, {(OMEGA, OMEGA): fn})
 
     def elem_s(self, alpha: Word) -> "AlgebraElement":
         """The monomial ``s_alpha``, one entry ``alpha`` (``s_omega`` is the
@@ -98,7 +103,7 @@ class SubshiftAlgebra:
         if not self.graph.is_prefix_legal(alpha):
             return self.zero()
         fn = CoeffFn(self.graph, {alpha: self.ring.one()})
-        return AlgebraElement(self, {(alpha, OMEGA): fn})
+        return AlgebraElement._merged(self, {(alpha, OMEGA): fn})
 
     def elem_s_star(self, beta: Word) -> "AlgebraElement":
         """``s_beta^*``, the star of :meth:`elem_s`: one entry ``beta`` at
@@ -106,7 +111,7 @@ class SubshiftAlgebra:
         if not self.graph.is_prefix_legal(beta):
             return self.zero()
         fn = CoeffFn(self.graph, {beta: self.ring.one()}).translate(beta, OMEGA)
-        return AlgebraElement(self, {(OMEGA, beta): fn})
+        return AlgebraElement._merged(self, {(OMEGA, beta): fn})
 
     def mono(self, alpha: Word, a: ClopenSet, beta: Word) -> "AlgebraElement":
         """``s_alpha p_A s_beta^*``; zero exactly when A, F_alpha and F_beta
@@ -123,9 +128,12 @@ class SubshiftAlgebra:
 class AlgebraElement:
     """An element in canonical skew-ring form: each component is stored as
     its canonical prefix code, with ``u`` as the floor of the component at
-    ``(u, v)`` (:func:`~.clopen.canonical`).  Immutable by convention."""
+    ``(u, v)``.  Immutable by convention."""
 
     def __init__(self, algebra: SubshiftAlgebra, components: dict[Pair, CoeffFn]):
+        """The checked entry point: raises ``ValueError`` for a pair that is
+        not reduced or a support that :func:`~.clopen.canonical` rejects,
+        and drops zero values; ``canonical`` then takes the merge-only path."""
         self.algebra = algebra
         g, ring = algebra.graph, algebra.ring
         clean: dict[Pair, CoeffFn] = {}
@@ -135,13 +143,26 @@ class AlgebraElement:
             coeffs = fn.coeffs
             if any(map(ring.is_zero, coeffs.values())):
                 coeffs = {w: c for w, c in coeffs.items() if not ring.is_zero(c)}
-            if not coeffs:
-                continue
-            coeffs = canonical(g, coeffs, u, v)
-            if coeffs is not fn.coeffs or type(fn) is not CoeffFn or fn.graph is not g:
-                fn = CoeffFn(g, coeffs)
-            clean[(u, v)] = fn
+            if coeffs:
+                clean[(u, v)] = CoeffFn(g, canonical(g, coeffs, u, v))
         self.components = clean
+
+    @classmethod
+    def _merged(cls, algebra: SubshiftAlgebra,
+                components: dict[Pair, CoeffFn]) -> "AlgebraElement":
+        """The element of an operation's result: components at reduced pairs,
+        built from checked ones, with nonzero values on prefix codes that
+        keep the W-constraint.  Each is only merged (:func:`merge_siblings`
+        above ``|u|``), not checked again; an empty one is dropped."""
+        g = algebra.graph
+        clean: dict[Pair, CoeffFn] = {}
+        for t, fn in components.items():
+            if fn.coeffs:
+                coeffs = merge_siblings(g, fn.coeffs, len(t[0]))
+                clean[t] = fn if coeffs is fn.coeffs else CoeffFn(g, coeffs)
+        x = cls.__new__(cls)
+        x.algebra, x.components = algebra, clean
+        return x
 
     # -- basic structure -------------------------------------------------------
 
@@ -154,13 +175,11 @@ class AlgebraElement:
     def z_grade_component(self, n: int) -> "AlgebraElement":
         comps = {t: fn for t, fn in self.components.items()
                  if len(t[0]) - len(t[1]) == n}
-        return AlgebraElement(self.algebra, comps)
-
-    def component_element(self, t: Pair) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, {t: self.components[t]})
+        return AlgebraElement._merged(self.algebra, comps)
 
     def support_set(self, t: Pair) -> ClopenSet:
-        return ClopenSet(self.algebra.graph, self.components[t].coeffs)
+        words = self.components[t].coeffs
+        return ClopenSet._merged(self.algebra.graph, dict.fromkeys(words, True))
 
     def tail_set(self, t: Pair) -> ClopenSet:
         """For a positive component ``(u, omega)``: the set of tails, i.e.
@@ -187,15 +206,17 @@ class AlgebraElement:
             if neg is not None:
                 fn = CoeffFn(g, {w: neg(c) for w, c in fn.coeffs.items()})
             _add_into(out, t, fn, ring)
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement._merged(self.algebra, out)
 
     def add(self, other: "AlgebraElement") -> "AlgebraElement":
         return self._sum(other)
 
     def _map_values(self, f) -> "AlgebraElement":
-        """``f`` applied to every coefficient value; zero values are dropped."""
-        return AlgebraElement(self.algebra, {
-            t: CoeffFn(fn.graph, {w: f(c) for w, c in fn.coeffs.items()})
+        """``f`` applied to every coefficient value; zero values are dropped
+        (a ring with zero divisors can send a nonzero value to zero)."""
+        g, is_zero = self.algebra.graph, self.algebra.ring.is_zero
+        return AlgebraElement._merged(self.algebra, {
+            t: CoeffFn(g, {w: y for w, c in fn.coeffs.items() if not is_zero(y := f(c))})
             for t, fn in self.components.items()})
 
     def negate(self) -> "AlgebraElement":
@@ -236,11 +257,11 @@ class AlgebraElement:
                 else:
                     pair = (u, v2 + v1)
                 _add_into(out, pair, CoeffFn(g, coeffs), ring)
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement._merged(self.algebra, out)
 
     def star(self) -> "AlgebraElement":
         out = {(v, u): fn.translate(u, v) for (u, v), fn in self.components.items()}
-        return AlgebraElement(self.algebra, out)
+        return AlgebraElement._merged(self.algebra, out)
 
     def equals(self, other: "AlgebraElement") -> bool:
         self._check(other)

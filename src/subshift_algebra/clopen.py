@@ -5,13 +5,20 @@ A support is a :class:`CoeffFn`: a prefix code of legal words, each standing
 for its cylinder, mapped to nonzero values.  It is kept canonical: the
 shortest words on whose cylinders the function is constant, so that no full
 family of legal siblings shares one value above a floor (the word ``u`` of a
-component at ``(u, v)``; a set has none).  :func:`canonical` is the one
-place that checks a stored support (legal words in a prefix code, each
-``u.q`` with ``F(u.q) <= F(v.q)``) and makes it canonical, for sets and
-element components alike, and equal functions have equal dicts.  A clopen
-set is the Boolean-valued coefficient function (:class:`ClopenSet`, its one
-value ``True``): union is the sum, intersection the product, and difference the
-part of the common refinement that the other set misses.  So the common
+component at ``(u, v)``; a set has none), and equal functions have equal
+dicts.
+
+A support is checked once, where it enters: :func:`canonical`, the check of
+the public constructors of sets and elements, tests that the words are
+legal, form a prefix code and satisfy ``F(u.q) <= F(v.q)``, then merges.
+Operations keep that invariant (a translation raises on a word outside
+``C(new, old)``, and the common refinement emits only legal extensions of
+checked words), so their results are only merged (:func:`merge_siblings`):
+a sum or product can complete a family of siblings.
+
+A clopen set is the Boolean-valued coefficient function (:class:`ClopenSet`,
+its one value ``True``): union is the sum, intersection the product, and
+difference the part of the common refinement that the other set misses.  So the common
 refinement of two codes (:meth:`CoeffFn._overlay`) exists once, in
 ``CoeffFn``, and refines no operand past the finer of its words.
 
@@ -47,11 +54,11 @@ class CoeffFn:
     """A locally constant function: a prefix code of legal words mapped to
     nonzero values, constant on each word's cylinder and zero off the
     stored words.  Sets and the components of algebra elements hold it in
-    canonical form (:func:`merge_siblings`); the operations below return
-    prefix codes that those holders normalise.  Immutable by convention: a
-    frozen dataclass is built several times slower, on ``mul``'s hot path.
-    Results are built by ``type(self)``, so a set's are sets (a map iterates
-    as its words)."""
+    canonical form; the operations below return plain functions on prefix
+    codes of legal words, which those holders merge
+    (:func:`merge_siblings`) without checking them again.  Immutable by
+    convention: a frozen dataclass is built several times slower, on
+    ``mul``'s hot path."""
 
     graph: FollowerGraph
     coeffs: dict[Word, object]
@@ -152,7 +159,7 @@ class CoeffFn:
             s = y if x is None else x if y is None else ring.add(x, y)
             if not ring.is_zero(s):
                 out[w] = s
-        return type(self)(self.graph, out)
+        return CoeffFn(self.graph, out)
 
     def times(self, other: "CoeffFn", ring) -> "CoeffFn":
         """The pointwise product, without its zero values."""
@@ -161,7 +168,7 @@ class CoeffFn:
             p = ring.mul(x, y)
             if not ring.is_zero(p):
                 prod[w] = p
-        return type(self)(self.graph, prod)
+        return CoeffFn(self.graph, prod)
 
     def translate(self, old: Word, new: Word) -> "CoeffFn":
         """Support translation ``old.p -> new.p`` (the partial action on
@@ -172,7 +179,7 @@ class CoeffFn:
         not legal, raises :class:`InternalNonzeroViolation`."""
         g, out = self.graph, {}
         translate_into(out, self.coeffs.items(), old, new, g.tails(old, new))
-        return type(self)(g, out)
+        return CoeffFn(g, out)
 
 
 def translate_into(out: dict[Word, object], items, old: Word, new: Word, memo) -> None:
@@ -209,11 +216,21 @@ _BOOLEANS = SimpleNamespace(add=operator.or_, mul=operator.and_, is_zero=operato
 
 class ClopenSet(CoeffFn):
     """A clopen set: its indicator, ``True`` on the stored words, built from
-    any prefix code of legal words and stored canonically (:func:`canonical`
-    at ``(omega, omega)``).  Equality is semantic, so sets are not hashable."""
+    any prefix code of legal words, which the constructor checks, and stored
+    canonically (:func:`canonical` at ``(omega, omega)``).  Equality is
+    semantic, so sets are not hashable."""
 
     def __init__(self, graph: FollowerGraph, words):
         super().__init__(graph, canonical(graph, dict.fromkeys(words, True)))
+
+    @classmethod
+    def _merged(cls, graph: FollowerGraph, coeffs: dict[Word, bool]) -> "ClopenSet":
+        """The set of an operation's result: a prefix code of legal words,
+        each mapped to ``True``, that the operation built from checked sets.
+        It is only merged, not checked again."""
+        s = cls.__new__(cls)
+        CoeffFn.__init__(s, graph, merge_siblings(graph, coeffs, 0))
+        return s
 
     @property
     def words(self):  # a read-only set view
@@ -231,18 +248,19 @@ class ClopenSet(CoeffFn):
     # -- Boolean operations: the coefficient-function operations -------------
 
     def union(self, other: "ClopenSet") -> "ClopenSet":
-        return self.add(other, _BOOLEANS)
+        return ClopenSet._merged(self.graph, self.add(other, _BOOLEANS).coeffs)
 
     def intersect(self, other: "ClopenSet") -> "ClopenSet":
-        return self.times(other, _BOOLEANS)
+        return ClopenSet._merged(self.graph, self.times(other, _BOOLEANS).coeffs)
 
     def difference(self, other: "ClopenSet") -> "ClopenSet":
-        return ClopenSet(self.graph, [w for w, _x, y in self._overlay(other, left=True)
-                                      if y is None])
+        return ClopenSet._merged(self.graph, {w: True for w, _x, y in
+                                              self._overlay(other, left=True) if y is None})
 
     def complement(self) -> "ClopenSet":
         g = self.graph
-        return ClopenSet(g, _carve(g, OMEGA, list(self.coeffs)) if self.coeffs else [OMEGA])
+        words = _carve(g, OMEGA, list(self.coeffs)) if self.coeffs else [OMEGA]
+        return ClopenSet._merged(g, dict.fromkeys(words, True))
 
     def is_subset(self, other: "ClopenSet") -> bool:
         """Whether the difference is empty, decided without building it."""
@@ -267,61 +285,45 @@ class ClopenSet(CoeffFn):
         return f"ClopenSet({self.format()})"
 
 
-def accumulate(out: dict, items, add, is_zero) -> dict:
-    """Add the ``(key, value)`` pairs into ``out`` with ``add``, dropping a
-    key whose sum ``is_zero``; returns ``out``."""
-    for key, value in items:
-        if key in out:
-            value = add(out[key], value)
-            if is_zero(value):
-                del out[key]
-                continue
-        out[key] = value
-    return out
-
-
 def canonical(g: FollowerGraph, coeffs: dict[Word, object],
               u: Word = OMEGA, v: Word = OMEGA) -> dict[Word, object]:
     """The canonical form of the support ``coeffs`` (words to nonzero
     values) of a component at ``(u, v)``; a set is one at ``(omega,
-    omega)``.  Raises ``ValueError`` unless every word is ``u.q`` with
-    ``u.q`` legal and ``F(u.q) <= F(v.q)`` (the W-constraint; for a set,
-    legality) and the words form a prefix code.  Then merges with
-    :func:`merge_siblings` above ``|u|``, if a merge is possible at all.
+    omega)``.  The check of the public constructors: raises ``ValueError``
+    unless every word is ``u.q`` with ``u.q`` legal and ``F(u.q) <= F(v.q)``
+    (the W-constraint; for a set, legality) and the words form a prefix
+    code.  Then merges with :func:`merge_siblings` above ``|u|``, the
+    merge-only path that operation results take without this check.
     Returns ``coeffs`` itself when nothing merges."""
     k, memo = len(u), g.tails(u, v)
     for w in coeffs:
         if w[:k] != u or not memo[w[k:]]:
             raise ValueError(f"support word {w} violates the W-constraint of {(u, v)}")
-    if len(coeffs) > 1:
-        if len(set(map(len, coeffs))) > 1:
-            # In sorted order a word's extensions follow it directly.
-            words = sorted(coeffs)
-            for a, b in zip(words, words[1:]):
-                if b[:len(a)] == a:
-                    raise ValueError(f"support words are not a prefix code: {b}")
-        return merge_siblings(g, coeffs, k)
-    # One word merges only while it is the only legal child of its parent.
-    if coeffs and len(w) > k and g.out_degree[g.reach(w[:-1][-g.m:])] == 1:
-        return merge_siblings(g, coeffs, k)
-    return coeffs
+    if len(set(map(len, coeffs))) > 1:
+        # In sorted order a word's extensions follow it directly.
+        words = sorted(coeffs)
+        for a, b in zip(words, words[1:]):
+            if b[:len(a)] == a:
+                raise ValueError(f"support words are not a prefix code: {b}")
+    return merge_siblings(g, coeffs, k)
 
 
 def merge_siblings(g: FollowerGraph, values: dict[Word, object],
                    floor: int) -> dict[Word, object]:
-    """The canonical form of a function given on a prefix code: every full
-    family of legal siblings (a word's legal one-letter extensions, all
-    stored) with one common value is replaced by the word, at any depth and
-    again for the families that this completes, but never by a word shorter
-    than ``floor``.  A set is the constant map.  Returns ``values`` itself
-    when nothing merges."""
-    degree, m, reach = g.out_degree, g.m, g.reach
+    """The canonical form of a function given on a prefix code of legal
+    words: every full family of legal siblings (a word's legal one-letter
+    extensions, all stored) with one common value is replaced by the word,
+    at any depth and again for the families that this completes, but never
+    by a word shorter than ``floor``.  A set is the constant map.  Nothing
+    is checked: it is the whole of the path that operation results take.
+    Returns ``values`` itself when nothing merges."""
     if len(values) == 1:  # the common case: a word merges while it is an only child
         (w, c), = values.items()
         n = len(w)
-        while n > floor and degree[reach(w[:n - 1][-m:])] == 1:
+        while n > floor and g.out_degree[g.reach(w[:n - 1][-g.m:])] == 1:
             n -= 1
         return values if n == len(w) else {w[:n]: c}
+    degree, m, reach = g.out_degree, g.m, g.reach
     family: dict[Word, int] = {}  # a word -> the number of its stored children
     for w in values:
         if len(w) > floor:
@@ -330,13 +332,15 @@ def merge_siblings(g: FollowerGraph, values: dict[Word, object],
     full = [p for p, n in family.items() if n == degree[reach(p[-m:])]]
     if not full:
         return values
-    out = dict(values)
+    out = values  # copied at the first merge
     while full:
         p = full.pop()
         kids = [p + (a,) for a in range(g.n_letters) if p + (a,) in out]
         c = out[kids[0]]
         if any(out[w] != c for w in kids):
             continue
+        if out is values:
+            out = dict(values)
         for w in kids:
             del out[w]
         out[p] = c
@@ -385,7 +389,7 @@ def relative_range(a: CoeffFn, alpha: Word) -> ClopenSet:
     if any(alpha[:len(w)] == w for w in a.coeffs if len(w) < k):
         out = dict.fromkeys(memo[OMEGA], True)
     translate_into(out, ((w, True) for w in a.coeffs if w[:k] == alpha), alpha, OMEGA, memo)
-    return ClopenSet(g, out)
+    return ClopenSet._merged(g, out)
 
 
 def as_singleton(a: ClopenSet) -> EpPoint | None:

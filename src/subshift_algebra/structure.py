@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraElement, SubshiftAlgebra
-from .clopen import (ClopenSet, CycleKind, accumulate, c_set, classify_cycle,
-                     cylinder, empty_set, full_set)
+from .clopen import (ClopenSet, CycleKind, c_set, classify_cycle, cylinder, empty_set,
+                     full_set)
 from .errors import (BadArgument, InternalNonzeroViolation, NotADomain,
                      NotInCorner, NotMinimalCycle)
 from .reduction import ReductionWitness, embed_form
@@ -50,6 +50,19 @@ def find_cycles_without_exit(g: FollowerGraph) -> list[tuple[ClopenSet, Word]]:
                 "a forced graph cycle is not a minimal cycle without exit")
         results.append((a_set, alpha))
     return results
+
+
+def accumulate(out: dict, items, add, is_zero) -> dict:
+    """Add the ``(key, value)`` pairs into ``out`` with ``add``, dropping a
+    key whose sum ``is_zero``; returns ``out``."""
+    for key, value in items:
+        if key in out:
+            value = add(out[key], value)
+            if is_zero(value):
+                del out[key]
+                continue
+        out[key] = value
+    return out
 
 
 @dataclass(frozen=True)

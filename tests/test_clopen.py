@@ -2,6 +2,7 @@
 
 import random
 import re
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -16,7 +17,7 @@ from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA, EpPoint, ep_normalize
 
 from subshift_algebra.algebra import SubshiftAlgebra
-from subshift_algebra.rings import ZZ, Zmod
+from subshift_algebra.rings import QQ, ZZ, Zmod
 
 from conftest import (W, covering_points, in_shift, is_canonical, l_spec, random_code,
                       random_monomial_sum, random_specs, stores_canonically, value_at,
@@ -447,3 +448,64 @@ def test_canonical_form_is_unique():
                 assert is_canonical(spec, canon, floor) and min(map(len, canon), default=floor) >= floor
                 merged += len(canon) < len(fine)
     assert merged > 100
+
+
+# -- the support invariant: checked where it enters, kept by every operation ---------
+
+
+def _operation_results(algebra, rng):
+    """Every element and set that an operation builds without the public
+    check (only merged), on seeded operands, by name."""
+    g, ring = algebra.graph, algebra.ring
+    x, y = (random_monomial_sum(algebra, rng, max_word=2, max_terms=3) for _ in "xy")
+    if ring is QQ:
+        y = y.scale(Fraction(1, 2))
+    a, b = (ClopenSet(g, random_code(g, rng, g.m + 1)) for _ in "ab")
+    word = rng.choice(words_up_to(g, 2))
+    elements = {
+        "x * y": x * y, "x + y": x + y, "x - y": x - y, "star": x.star(),
+        "scale": (x + y).scale(ring.from_int(3)), "negate": -x,
+        "grade": (x * y).z_grade_component(rng.randint(-2, 2)),
+        "s": algebra.elem_s(word), "st": algebra.elem_s_star(word), "p": algebra.gen_p(a),
+    }
+    sets = {"union": a | b, "intersect": a & b, "difference": a - b,
+            "complement": a.complement(), "range": relative_range(a, word)}
+    for t in x.components:
+        sets[f"support {t}"] = x.support_set(t)
+        if t[1] == OMEGA:
+            sets[f"tails {t}"] = x.tail_set(t)
+    return elements, sets
+
+
+def test_operation_results_pass_the_public_check():
+    # Operation results are merged but not checked again, because the
+    # operations keep the invariant that the public constructors check.
+    # This is the guard for that: every result passes the check again
+    # unchanged (the same dict back, so nothing was left to merge), at
+    # reduced pairs with nonzero values.
+    graphs = [build_follower_graph(SftSpec.make(*spec)) for spec in
+              [("ab", []), ("ab", ["bb"]), ("ab", ["ba"])]]
+    for spec in random_specs(40, seed=26):
+        if len(graphs) == 23:
+            break
+        try:
+            graphs.append(build_follower_graph(spec))
+        except EmptyShift:
+            continue
+    assert len(graphs) == 23
+    seen = 0
+    for g in graphs:
+        for ring in (ZZ, QQ, Zmod(6)):
+            algebra, rng = SubshiftAlgebra(g, ring), random.Random(f"{g.spec}/{ring.name}")
+            for _ in range(6):
+                elements, sets = _operation_results(algebra, rng)
+                for name, e in elements.items():
+                    for (u, v), fn in e.components.items():
+                        assert not (u and v and u[-1] == v[-1]), (g.spec, name, (u, v))
+                        assert fn.coeffs and not any(map(ring.is_zero, fn.coeffs.values()))
+                        assert clopen.canonical(g, fn.coeffs, u, v) is fn.coeffs, \
+                            (g.spec, ring.name, name, (u, v), fn.coeffs)
+                        seen += 1
+                for name, a in sets.items():
+                    assert clopen.canonical(g, a.coeffs) is a.coeffs, (g.spec, name, a.coeffs)
+    assert seen > 5000

@@ -81,7 +81,7 @@ def test_positive_letter_is_first_letter_of_negative_word(all_graphs, ring):
             for t in x.f_grade_support():
                 if t[1] == OMEGA:
                     continue
-                comp = x.component_element(t)
+                comp = AlgebraElement(x.algebra, {t: x.components[t]})
                 for a in range(g.n_letters):
                     assert (not (comp * algebra.elem_s((a,))).is_zero()) == (a == t[1][0])
 

@@ -37,3 +37,43 @@ def test_package_exports_what_it_imports():
     assert len(listed) == len(set(listed))
     assert set(imported) == set(listed)
     assert all(hasattr(subshift_algebra, name) for name in listed)
+
+
+def _callers(name: str) -> set[str]:
+    """``module:Class.function`` of every package function that calls
+    ``name``, as a plain name or as an attribute."""
+    found = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
+                    found.add(f"{module}:{'.'.join(scope)}")
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return found
+
+
+def test_only_operations_skip_the_support_check():
+    # The public constructors check a support where it enters; the
+    # merge-only constructors (``_merged``) skip that check, which is sound
+    # only for results that operations build from checked supports.  A new
+    # caller, such as an entry point in parsing, cli, structure or
+    # reduction, must be added here on purpose.
+    assert _callers("_merged") == {
+        "algebra:SubshiftAlgebra.gen_p", "algebra:SubshiftAlgebra.elem_s",
+        "algebra:SubshiftAlgebra.elem_s_star", "algebra:AlgebraElement.z_grade_component",
+        "algebra:AlgebraElement.support_set", "algebra:AlgebraElement._sum",
+        "algebra:AlgebraElement._map_values", "algebra:AlgebraElement.mul",
+        "algebra:AlgebraElement.star", "clopen:ClopenSet.union", "clopen:ClopenSet.intersect",
+        "clopen:ClopenSet.difference", "clopen:ClopenSet.complement", "clopen:relative_range",
+    }
+    # The merge itself runs behind the check or inside a merge-only constructor.
+    assert _callers("merge_siblings") == {
+        "clopen:canonical", "clopen:ClopenSet._merged", "algebra:AlgebraElement._merged"}
