@@ -107,12 +107,6 @@ def parse_shift(text: str) -> SftSpec:
     return SftSpec.make(symbols, forbidden)
 
 
-def format_shift(spec: SftSpec) -> str:
-    alpha = " ".join(spec.alphabet)
-    forb = ", ".join(spec.word_to_str(w) for w in sorted(spec.forbidden))
-    return f"alphabet: {alpha}\nforbidden:{' ' + forb if forb else ''}\n"
-
-
 # -- expressions ------------------------------------------------------------------
 
 # AST nodes are tagged tuples:

@@ -6,19 +6,20 @@ projection, or a cycle form ``gamma_1 p_A + sum_i gamma_i s_{beta^{q_i}} p_A``
 over a minimal cycle without exit.  :func:`reduce` produces the factors
 together with the classified shape as a :class:`ReductionWitness`.
 
-The reduction is one loop over the ``_phase_*`` functions, which share a
-:class:`_Pipeline` accumulating the factors ``mu`` and ``nu``:
+The reduction is a fixed sequence of the ``_phase_*`` functions, which
+share a :class:`_Pipeline` accumulating the factors ``mu`` and ``nu``:
 
 * ``_phase_positive`` right-multiplies by letters until every component is
   positive, and ``_phase_prefix_nest`` nests the positive words into a chain;
-* the loop then repeats ``_phase_common_projection`` (scalar coefficients
-  over one common set), ``_phase_strip_z`` (strip the shortest word),
+* ``_settle`` repeats ``_phase_common_projection`` (scalar coefficients over
+  one common set), ``_phase_strip_z`` (strip the shortest word) and
   ``_phase_pump`` (shrink the set into its relative range under the second
-  word) and ``_phase_power_align`` (kill the words that are not powers of one
-  root) until either a projection multiple appears or ``_extract_root`` finds
-  a common root, when ``_phase_exit_kill`` decides the cycle dichotomy.
+  word) until a projection multiple appears or the pump does not run;
+* if the words are not powers of one root, ``_phase_power_align`` kills the
+  ones that are not, once, and ``_settle`` runs again; then
+  ``_phase_exit_kill`` decides the cycle dichotomy.
 
-From the nest on, the loop keeps the *nest invariant*: every word is a
+From the nest on, the sequence keeps the *nest invariant*: every word is a
 prefix of the longest word ``beta``, and every support lies inside
 ``Z(beta)`` (killing a term keeps it: ``Z(beta)`` lies in every cylinder of
 the chain).  Nest: ``p(Z(beta))`` on the left cuts every support into
@@ -36,11 +37,12 @@ its new word starts with a nontrivial rotation of ``rho``, not ``rho`` by
 Fine and Wilf, and ``p(Z(alpha))`` kills it.
 
 Nonzero-ness is re-checked after every single multiplication; progress is
-checked in the positive phase and the pump, and the loop guard bounds the
-rest.  All multiplier factors have coefficient 1, so no new zero-divisor
-products can arise even over rings with zero divisors, and the nonzero
-checks operate purely on supports.  A broken invariant raises
-:class:`InternalNonzeroViolation`.
+checked in the positive phase and the pump.  Under the nest invariant the
+projections and the strip never add a term, and each pump that runs removes
+one (a pump can need another), which bounds ``_settle``.  All multiplier
+factors have coefficient 1, so no new zero-divisor products can arise even
+over rings with zero divisors, and the nonzero checks operate purely on
+supports.  A broken invariant raises :class:`InternalNonzeroViolation`.
 
 :func:`reduce` verifies every witness before returning it and is the one
 verification point: the command line's ``reduce --verify`` and
@@ -352,11 +354,22 @@ def _phase_exit_kill(p: _Pipeline, b_set: ClopenSet, c: Word,
 # -- the full reduction ------------------------------------------------------------
 
 
+def _settle(p: _Pipeline) -> ProjectionMultiple | ClopenSet:
+    """Common projection, strip and pump, until the strip returns a
+    projection multiple or the pump does not run; returns the strip's."""
+    while True:
+        _phase_common_projection(p)
+        res = _phase_strip_z(p)
+        if isinstance(res, ProjectionMultiple) or not _phase_pump(p, res):
+            return res
+
+
 def reduce(x: AlgebraElement, record_trace: bool = False) -> ReductionWitness:
     """Produce multipliers ``(mu, nu)`` and the classified reduced form of a
     nonzero element.
 
-    Runs the phases in the order the module docstring gives; with
+    Runs the nest, ``_settle``, at most one power alignment and ``_settle``
+    again, then the exit kill, as the module docstring gives; with
     ``record_trace`` the witness also lists every factor as ``L label`` or
     ``R label``.  Before returning, the witness is checked with
     :func:`verify`; a failure raises :class:`InternalNonzeroViolation`, so
@@ -368,27 +381,16 @@ def reduce(x: AlgebraElement, record_trace: bool = False) -> ReductionWitness:
     p = _Pipeline(x, record_trace)
     _phase_positive(p)
     _phase_prefix_nest(p)
-    size0 = sum(len(fn.coeffs) for fn in x.components.values())
-    len0 = max((len(u) + len(v) for (u, v) in x.components), default=1)
-    guard = 8 * (size0 + 4) * (len0 + 4)
-    form: ReducedForm | None = None
-    while form is None:
-        guard -= 1
-        if guard < 0:
-            raise InternalNonzeroViolation("reduction loop exceeded its bound")
-        _phase_common_projection(p)
-        res = _phase_strip_z(p)
-        if isinstance(res, ProjectionMultiple):
-            form = res
-            break
-        b_set = res
-        if _phase_pump(p, b_set):
-            continue
-        rooted = _extract_root(p.x)
-        if rooted is not None:
-            form = _phase_exit_kill(p, b_set, *rooted)
-            break
-        _phase_power_align(p, b_set)
+    form = _settle(p)
+    # ``rooted`` is bound whenever a set reaches the exit kill.
+    if isinstance(form, ClopenSet) and (rooted := _extract_root(p.x)) is None:
+        _phase_power_align(p, form)
+        form = _settle(p)
+        if isinstance(form, ClopenSet) and (rooted := _extract_root(p.x)) is None:
+            raise InternalNonzeroViolation(
+                "power alignment left a word that is not a power of the root")
+    if isinstance(form, ClopenSet):
+        form = _phase_exit_kill(p, form, *rooted)
     witness = ReductionWitness(
         mu=p.mu, nu=p.nu, form=form,
         trace=tuple(p.trace) if p.trace is not None else None)

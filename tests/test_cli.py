@@ -23,10 +23,10 @@ from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
 from subshift_algebra.parsing import (MAX_NESTING, MAX_WORD_LETTERS, RESERVED_SYMBOLS,
-                                      evaluate, format_expr, format_shift,
+                                      evaluate, format_expr,
                                       parse_expr, parse_set, parse_shift)
 from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
-from subshift_algebra.shift import FollowerGraph, build_follower_graph
+from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
 
 from conftest import W, l_spec
@@ -89,13 +89,14 @@ def test_parse_shift_errors():
         assert (err.value.line, err.value.column) == position, text
 
 
-def test_shift_print_round_trip():
-    for text in ("alphabet: a b\nforbidden: bb, bb, abb\n",
-                 "alphabet: a b\nforbidden:\n",
-                 "alphabet: b a c\nforbidden: aa , cb\n"):
-        spec = parse_shift(text)
-        printed = format_shift(spec)
-        assert format_shift(parse_shift(printed)) == printed
+def test_parse_shift_normalizes():
+    # A repeated forbidden word counts once, spaces around a word are dropped,
+    # and the alphabet keeps the order it is written in.
+    for text, alphabet, forbidden in (
+            ("alphabet: a b\nforbidden: bb, bb, abb\n", "ab", ["bb", "abb"]),
+            ("alphabet: a b\nforbidden:\n", "ab", []),
+            ("alphabet: b a c\nforbidden: aa , cb\n", "bac", ["aa", "cb"])):
+        assert parse_shift(text) == SftSpec.make(alphabet, forbidden)
 
 
 # -- expressions --------------------------------------------------------------------
@@ -701,6 +702,10 @@ GOLDEN_COMMANDS["reduce_cycle_y"] = [
 GOLDEN_COMMANDS["reduce_align_full2"] = [
     "reduce", SHIFT_PATHS["full2"], "-e",
     "p(Z(aba)) + s(ab)*p(Z(aba)) + s(aba)*p(Z(aba))", "--verify", "--trace"]
+GOLDEN_COMMANDS["reduce_pump_y"] = [
+    "reduce", SHIFT_PATHS["y"], "-e",
+    "p(Z(aaa)) - s(aa)*p(Z(aaa)) + s(aa)*p(Z(aaaaaaaa)) + 3.s(aaa)*p(Z(aaa))",
+    "--verify", "--trace"]
 GOLDEN_COMMANDS["reduce_square_y"] = [
     "reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
     "--verify", "--check-square"]

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from subshift_algebra import reduction
 from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
 from subshift_algebra.clopen import (CoeffFn, CycleKind, c_set, classify_cycle,
                                      cylinder, full_set, relative_range)
@@ -14,8 +15,8 @@ from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
                                         _phase_exit_kill, _phase_positive,
                                         _phase_power_align, _phase_prefix_nest,
                                         _phase_pump, _phase_strip_z, _Pipeline,
-                                        _scalar_of, _sorted_keys, embed_form,
-                                        reduce, verify)
+                                        _scalar_of, _settle, _sorted_keys,
+                                        embed_form, reduce, verify)
 from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
@@ -200,24 +201,18 @@ def test_strip_guards_the_nest_invariant(alg_full, g_full):
 # -- _phase_pump --------------------------------------------------------------------
 
 
-def pump_until_stable(x):
-    """Alternate the strip, pump and common-projection phases as ``reduce``
-    does until ``B`` lies inside ``r(B, b_2)``.  Returns ``(x', B)``, or
-    ``(x', None)`` when the element collapsed to a projection multiple."""
+def settle(x):
+    """Run ``_settle`` on ``x``.  Returns ``(x', B)``, or ``(x', None)`` when
+    the element collapsed to a projection multiple."""
     p = _Pipeline(x)
-    while True:
-        b_set = _phase_strip_z(p)
-        if isinstance(b_set, ProjectionMultiple):
-            return p.x, None
-        if not _phase_pump(p, b_set):
-            return p.x, b_set
-        _phase_common_projection(p)
+    res = _settle(p)
+    return p.x, (None if isinstance(res, ProjectionMultiple) else res)
 
 
 def test_pump_not_needed(alg_y, g_y):
     zb = cylinder(g_y, W("b"))
     x = alg_y.gen_p(zb) + alg_y.elem_s((1,)) * alg_y.gen_p(zb)
-    x2, c_set_out = pump_until_stable(x)
+    x2, c_set_out = settle(x)
     assert c_set_out is not None
     assert c_set_out == zb
     assert x2 == x
@@ -233,7 +228,7 @@ def test_pump_runs_and_collapses(alg_full, g_full):
     p = _Pipeline(x, record_trace=True)
     assert _phase_pump(p, zab)
     assert p.trace == ["L p(D) st(a)"]
-    x2, c_set_out = pump_until_stable(x)
+    x2, c_set_out = settle(x)
     assert not x2.is_zero()
     if c_set_out is None:
         words = [u for (u, _) in x2.f_grade_support()]
@@ -241,6 +236,16 @@ def test_pump_runs_and_collapses(alg_full, g_full):
     else:
         b2 = min((u for (u, _) in x2.f_grade_support() if u != OMEGA), key=len)
         assert c_set_out.is_subset(relative_range(c_set_out, b2))
+
+
+def test_pump_requires_progress(alg_full, g_full):
+    # B = Z_ab is not the tail set Z_a of the element, so the factor
+    # p(Z_ab) st(a) keeps both terms: the progress check, which bounds
+    # _settle, refuses the pass.
+    za = cylinder(g_full, W("a"))
+    x = alg_full.gen_p(za) + alg_full.elem_s((0,)) * alg_full.gen_p(za)
+    with pytest.raises(InternalNonzeroViolation, match="^pump pass made no progress$"):
+        _phase_pump(_Pipeline(x), cylinder(g_full, W("ab")))
 
 
 # -- _phase_power_align ---------------------------------------------------------------------
@@ -303,6 +308,17 @@ def test_reduce_runs_power_alignment():
                         aligned += any(t.endswith(" p(B)") for t in trace)
     assert runs == 464
     assert aligned >= 100
+
+
+def test_reduce_guards_the_alignment(monkeypatch, alg_full):
+    # An alignment that kills nothing leaves the word ab, which is not a power
+    # of the root of aba: the guard after the one alignment names the premise.
+    monkeypatch.setattr(reduction, "_phase_power_align",
+                        lambda p, b_set: _phase_common_projection(p))
+    x = evaluate("p(Z(aba)) + s(ab)*p(Z(aba)) + s(aba)*p(Z(aba))", alg_full)
+    with pytest.raises(InternalNonzeroViolation,
+                       match="^power alignment left a word that is not a power of the root$"):
+        reduce(x)
 
 
 # -- _extract_root ------------------------------------------------------------------------
