@@ -32,7 +32,7 @@ def random_element(algebra, rng, max_word=3, max_terms=3):
         for _ in range(rng.randint(1, max_terms)):
             coeff = rng.choice([-3, -2, -1, 1, 2, 3])
             x = x + algebra.mono(rng.choice(words), rng.choice(sets),
-                                 rng.choice(words)).scale(coeff)
+                                 rng.choice(words), coeff)
         if not x.is_zero():
             return x
 

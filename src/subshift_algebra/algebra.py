@@ -113,10 +113,29 @@ class SubshiftAlgebra:
         fn = CoeffFn(self.graph, {beta: self.ring.one()}).translate(beta, OMEGA)
         return AlgebraElement._merged(self, {(OMEGA, beta): fn})
 
-    def mono(self, alpha: Word, a: ClopenSet, beta: Word) -> "AlgebraElement":
-        """``s_alpha p_A s_beta^*``; zero exactly when A, F_alpha and F_beta
-        have empty intersection."""
-        return self.elem_s(alpha) * self.gen_p(a) * self.elem_s_star(beta)
+    def mono(self, alpha: Word, a: ClopenSet | None, beta: Word, k=None) -> "AlgebraElement":
+        """``k s_alpha p_A s_beta^*`` (``k`` one by default, and ``a=None``
+        the whole space), built as its one component: the value ``k`` on the
+        words ``alpha.q``, for ``q`` in the common refinement of ``A`` with
+        the code of ``F(alpha) & F(beta)`` below ``alpha``
+        (:meth:`~.shift.FollowerGraph.follower_code`), that are legal.  They
+        keep the W-constraint: at each word ``t`` of that code
+        ``F(alpha.t) <= F(beta.t)``, and an inclusion of follower sets passes
+        to every extension.  The component sits at the reduced pair of
+        ``(alpha, beta)``.  Zero exactly when ``k`` is zero or ``A``,
+        ``F_alpha`` and ``F_beta`` have empty intersection."""
+        g, ring = self.graph, self.ring
+        if a is not None and a.graph is not g:
+            raise RingMismatch("clopen set belongs to a different shift")
+        k = ring.one() if k is None else ring.mul(ring.one(), k)  # an int becomes a ring value
+        if ring.is_zero(k):
+            return self.zero()
+        words = g.follower_code(g.reach(beta), g.reach(alpha))
+        if a is not None:
+            words =[q for q, _x, _y in CoeffFn(g, dict.fromkeys(words, k))._overlay(a)]
+        memo = g.tails(alpha, beta)
+        fn = CoeffFn(g, {alpha + q: k for q in words if memo[q]})
+        return AlgebraElement._merged(self, {_strip_common_suffix(alpha, beta): fn})
 
     def __eq__(self, other):
         return isinstance(other, SubshiftAlgebra) and \

@@ -33,7 +33,10 @@ its table holds each distinct node once, keyed by its tag, words or scalar
 text and the table positions of its children, so a node comes after its
 children.  One evaluator serves expressions and sets: ``evaluate`` and
 ``evaluate_set`` build the table's values front to back in one pass,
-dropping each after its last use.  The AST is for parsing and printing only:
+dropping each after its last use.  A monomial ``k.s(u)*p(S)*st(v)`` is not
+multiplied out: its generators fold into one unbuilt chain, which
+:meth:`SubshiftAlgebra.mono` builds as its one component where it is used
+otherwise, once.  The AST is for parsing and printing only:
 ``parse_expr`` and ``parse_set`` build it from the same table, with equal
 subtrees one object, and ``format_expr`` prints it back.
 """
@@ -301,22 +304,62 @@ def _run(nodes, uses, makers: dict):
     return value
 
 
+class _Chain:
+    """An unbuilt monomial ``k.s(alpha)*p(A)*st(beta)``: its factors, which
+    came in the order s, p, st, from stage ``first`` to stage ``last`` (0, 1
+    and 2), with ``None`` for a missing scalar or set.  It is built by one
+    :meth:`SubshiftAlgebra.mono` call, at most once."""
+
+    __slots__ = ("alpha", "a", "beta", "k", "first", "last", "element")
+
+    def __init__(self, alpha, a, beta, k, first, last):
+        self.alpha, self.a, self.beta, self.k = alpha, a, beta, k
+        self.first, self.last, self.element = first, last, None
+
+    def build(self, algebra: SubshiftAlgebra) -> AlgebraElement:
+        if self.element is None:
+            self.element = algebra.mono(self.alpha, self.a, self.beta, self.k)
+        return self.element
+
+
 def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
     """The value of a node table.  A fraction scalar outside the rationals is
     refused where its operand's entries would start, so errors come in the order
-    of a walk of the expression: a scalar's ring check before its operand's."""
+    of a walk of the expression: a scalar's ring check before its operand's.
+
+    The generators are unbuilt chains (:class:`_Chain`).  A product of two
+    chains is one chain when the right one has no scalar and its first factor
+    comes after the left one's last, so a monomial's factors never meet in a
+    product; any other use builds a chain."""
     g, ring = algebra.graph, algebra.ring
-    makers = {"s": algebra.elem_s, "st": algebra.elem_s_star, "p": algebra.gen_p,
-              "one": algebra.one, "zero": algebra.zero, "add": operator.add,
-              "sub": operator.sub, "mul": operator.mul, "and": operator.and_, "or": operator.or_,
-              "scale": lambda scalar, x: x.scale(ring.parse_scalar(scalar)),
+
+    def built(x):
+        return x.build(algebra) if type(x) is _Chain else x
+
+    def scale(scalar, x):
+        k = ring.parse_scalar(scalar)
+        if type(x) is _Chain and x.k is None:
+            return _Chain(x.alpha, x.a, x.beta, k, x.first, x.last)
+        return built(x).scale(k)
+
+    def mul(x, y):
+        if type(x) is _Chain and type(y) is _Chain and y.k is None and x.last < y.first:
+            return _Chain(x.alpha, y.a if x.a is None else x.a, y.beta, x.k, x.first, y.last)
+        return built(x) * built(y)
+
+    makers = {"s": lambda w: _Chain(w, None, OMEGA, None, 0, 0),
+              "p": lambda a: _Chain(OMEGA, a, OMEGA, None, 1, 1),
+              "st": lambda w: _Chain(OMEGA, None, w, None, 2, 2),
+              "one": algebra.one, "zero": algebra.zero, "scale": scale, "mul": mul,
+              "add": lambda x, y: built(x) + built(y), "sub": lambda x, y: built(x) - built(y),
+              "and": operator.and_, "or": operator.or_,
               "Z": partial(cylinder, g), "F": lambda w: c_set(g, w, OMEGA),
               "C": partial(c_set, g), "X": partial(full_set, g), "not": ClopenSet.complement}
     if fractions and ring != QQ:
         stop, scalar = fractions[0]
         _run(islice(nodes, stop), uses, makers)
         raise BadScalarForRing(f"fraction scalar {scalar!r} needs the rational ring")
-    return _run(nodes, uses, makers)
+    return built(_run(nodes, uses, makers))
 
 
 def parse_expr(text: str, spec: SftSpec) -> ExprAst:

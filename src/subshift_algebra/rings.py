@@ -70,9 +70,6 @@ class Ring:
     def is_zero(self, a) -> bool:
         return a == self.zero()
 
-    def from_int(self, k: int):
-        raise NotImplementedError
-
     def parse_scalar(self, text: str):
         raise NotImplementedError
 
@@ -116,9 +113,6 @@ class IntegerRing(Ring):
     def is_zero(self, a) -> bool:
         return not a
 
-    def from_int(self, k: int):
-        return k
-
     def parse_scalar(self, text: str):
         return _parse_scalar(int, text, "an integer")
 
@@ -133,9 +127,6 @@ class RationalRing(IntegerRing):
 
     def one(self):
         return Fraction(1)
-
-    def from_int(self, k: int):
-        return Fraction(k)
 
     def parse_scalar(self, text: str):
         return _parse_scalar(Fraction, text, "a rational")
@@ -169,9 +160,6 @@ class IntegerModRing(Ring):
 
     def is_zero(self, a) -> bool:
         return not a
-
-    def from_int(self, k: int):
-        return k % self.modulus
 
     def parse_scalar(self, text: str):
         return _parse_scalar(int, text, "a residue") % self.modulus

@@ -250,7 +250,7 @@ def random_monomial_sum(algebra, rng: random.Random, max_word=3, max_terms=3,
         coeff = 0
         while coeff == 0:
             coeff = rng.randint(coeff_lo, coeff_hi)
-        x = x + algebra.mono(alpha, a_set, beta).scale(algebra.ring.from_int(coeff))
+        x = x + algebra.mono(alpha, a_set, beta, coeff)
     return x
 
 

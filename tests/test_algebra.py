@@ -420,7 +420,7 @@ def test_elem_s_star_is_the_star_of_elem_s():
 def test_difference_is_the_sum_with_the_negation():
     for label, algebra in _parity_algebras():
         rng = random.Random(label)
-        seven = algebra.ring.from_int(7)
+        seven = algebra.ring.parse_scalar("7")
         for _ in range(30):
             x, y = _small_element(algebra, rng), _small_element(algebra, rng)
             for a, b in [(x, y), (y, x), (x, x), (x, x.scale(seven))]:

@@ -312,34 +312,91 @@ def test_parse_shares_equal_subtrees(g_full):
 
 
 def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
-    # (X)*((Y)+(Z)) - (X)*(Y) - (X)*(Z) builds X, Y and Z once each; a
-    # second call builds them again, so nothing is kept between calls.
+    # (X)*((Y)+(Z)) - (X)*(Y) - (X)*(Z) builds X, Y and Z once each, each
+    # monomial by one ``mono`` call; a second call builds them again, so
+    # nothing is kept between calls.
     algebra = SubshiftAlgebra(g_gold, ZZ)
     built = Counter()
-    elem_s, elem_s_star = SubshiftAlgebra.elem_s, SubshiftAlgebra.elem_s_star
-    gen_p = SubshiftAlgebra.gen_p
+    mono = SubshiftAlgebra.mono
 
-    def counted_elem_s(self, alpha):
-        built["s", alpha] += 1
-        return elem_s(self, alpha)
+    def counted_mono(self, alpha, a, beta, k=None):
+        built[alpha, a is not None, beta, k] += 1
+        return mono(self, alpha, a, beta, k)
 
-    def counted_elem_s_star(self, beta):
-        built["st", beta] += 1
-        return elem_s_star(self, beta)
-
-    def counted_gen_p(self, a):
-        built["p"] += 1
-        return gen_p(self, a)
-
-    monkeypatch.setattr(SubshiftAlgebra, "elem_s", counted_elem_s)
-    monkeypatch.setattr(SubshiftAlgebra, "elem_s_star", counted_elem_s_star)
-    monkeypatch.setattr(SubshiftAlgebra, "gen_p", counted_gen_p)
+    monkeypatch.setattr(SubshiftAlgebra, "mono", counted_mono)
     x, y, z = "s(a) + 2.s(b)", "p(Z(a))", "st(ab)"
     text = f"({x})*(({y})+({z})) - ({x})*({y}) - ({x})*({z})"
-    once = Counter({("s", W("a")): 1, ("s", W("b")): 1, ("st", W("ab")): 1, "p": 1})
+    once = Counter({(W("a"), False, OMEGA, None): 1, (W("b"), False, OMEGA, 2): 1,
+                    (OMEGA, True, OMEGA, None): 1, (OMEGA, False, W("ab"), None): 1})
     for calls in (1, 2):
         assert evaluate(text, algebra).is_zero()
         assert built == Counter({key: calls * n for key, n in once.items()})
+
+
+# Products of generators that ``evaluate`` folds into one monomial, and those
+# it must not fold: a right operand whose first factor does not come after
+# the left one's last (in the order s, p, st), or that carries a scalar.  The
+# first two read wrong if the fold compared the right operand's last factor.
+FOLD_SHAPES = [
+    "(s(a)*p(Z(a)))*(p(Z(ab))*st(a))", "s(b)*(s(a)*p(X))", "s(a)*(p(Z(b))*st(a))",
+    "(2.s(a)*p(Z(a)))*st(ba)", "s(a)*2.p(X)", "st(a)*s(a)", "p(Z(a))*p(Z(b))", "s(a)*s(b)",
+    "s(bb)*p(X)*st(a)", "2.(3.s(a)*p(Z(b)))*st(b)", "s(a)*st(b)*s(b)",
+]
+
+
+@pytest.mark.parametrize("text", FOLD_SHAPES)
+def test_evaluate_folds_only_ordered_generators(all_graphs, text):
+    for g, ring in product(all_graphs.values(), ("z", "q", "zmod:6")):
+        algebra = SubshiftAlgebra(g, ring_from_name(ring))
+        value = evaluate(text, algebra)
+        assert value == _reference_value(parse_expr(text, g.spec), algebra), (g.spec, ring)
+        if text in FOLD_SHAPES[:2] and g is all_graphs["full"]:
+            assert not value.is_zero()
+    # bb is not legal on the golden mean shift, so the monomial is zero.
+    assert evaluate("s(bb)*p(X)*st(a)", SubshiftAlgebra(all_graphs["gold"], ZZ)).is_zero()
+
+
+def test_evaluate_builds_a_shared_chain_once(g_full, monkeypatch):
+    # One chain, three parents: a sum, a longer chain and a scaled chain.
+    algebra = SubshiftAlgebra(g_full, ZZ)
+    built = Counter()
+    mono = SubshiftAlgebra.mono
+
+    def counted_mono(self, alpha, a, beta, k=None):
+        built[alpha, a is not None, beta, k] += 1
+        return mono(self, alpha, a, beta, k)
+
+    monkeypatch.setattr(SubshiftAlgebra, "mono", counted_mono)
+    chain = "(s(a)*p(Z(b)))"
+    text = f"{chain} + {chain}*st(ab) - 2.{chain}"
+    assert evaluate(text, algebra) == _reference_value(parse_expr(text, g_full.spec), algebra)
+    assert built == Counter({(W("a"), True, OMEGA, None): 1, (W("a"), True, W("ab"), None): 1,
+                             (W("a"), True, OMEGA, 2): 1})
+
+
+def _random_product(rng, depth, scalars):
+    """A random AST of sums, products and scalars of generators, in every
+    order and grouping, with words that may be illegal."""
+    op = rng.choice(["mul", "mul", "mul", "add", "scale"]) if depth else "leaf"
+    if op == "scale":
+        return ("scale", rng.choice(scalars), _random_product(rng, depth - 1, scalars))
+    if op != "leaf":
+        return (op, *(_random_product(rng, rng.randint(0, depth - 1), scalars) for _ in "xy"))
+    tag = rng.choice(["s", "p", "st"])
+    if tag == "p":
+        return ("p", _random_set(rng, rng.randint(0, 1)))
+    return (tag, W(rng.choice(["", "a", "b", "ab", "ba", "bb"])))
+
+
+def test_evaluate_matches_the_reference_on_random_products(all_graphs):
+    rng = random.Random(5)
+    for g, ring in product(all_graphs.values(), ("z", "q", "zmod:6")):
+        algebra = SubshiftAlgebra(g, ring_from_name(ring))
+        scalars = ["2", "-1", "3"] + (["1/2"] if ring == "q" else ["6"])
+        for _ in range(150):
+            ast = _random_product(rng, rng.randint(1, 4), scalars)
+            text = format_expr(ast, g.spec)
+            assert evaluate(text, algebra) == _reference_value(ast, algebra), (g.spec, ring, text)
 
 
 def _left_spine(ast):
@@ -709,6 +766,14 @@ GOLDEN_COMMANDS["reduce_pump_y"] = [
 GOLDEN_COMMANDS["reduce_square_y"] = [
     "reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
     "--verify", "--check-square"]
+# A sum of monomials in every shape the evaluator folds or builds, one with
+# an illegal word.
+MONOMIALS = ("2.s(a)*p(Z(a))*st(ba) + s(ab)*st(b) - p(F(a))*st(a) + st(a)*s(a)"
+             " + (3.s(b)*p(!Z(bb)))*st(_) - s(a)*2.p(X) + s(ab)*p(Z(a)) + s(bb)*p(X)*st(a)")
+GOLDEN_COMMANDS["nf_monomials_golden_mean"] = [
+    "nf", SHIFT_PATHS["golden_mean"], "-e", MONOMIALS]
+GOLDEN_COMMANDS["reduce_monomials_golden_mean"] = [
+    "reduce", SHIFT_PATHS["golden_mean"], "-e", MONOMIALS, "--verify", "--trace"]
 GOLDEN_COMMANDS["nf_ring_q"] = [
     "nf", SHIFT_PATHS["full2"], "-e", "1/2.s(a) + 1/2.s(a)", "--ring", "q"]
 GOLDEN_COMMANDS["corner_y"] = [

@@ -464,7 +464,7 @@ def _operation_results(algebra, rng):
     word = rng.choice(words_up_to(g, 2))
     elements = {
         "x * y": x * y, "x + y": x + y, "x - y": x - y, "star": x.star(),
-        "scale": (x + y).scale(ring.from_int(3)), "negate": -x,
+        "scale": (x + y).scale(ring.parse_scalar("3")), "negate": -x,
         "grade": (x * y).z_grade_component(rng.randint(-2, 2)),
         "s": algebra.elem_s(word), "st": algebra.elem_s_star(word), "p": algebra.gen_p(a),
     }

@@ -14,13 +14,14 @@ reduction witnesses must agree with composition and sum of operators.
 """
 
 import random
+from functools import partial
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from subshift_algebra.algebra import SubshiftAlgebra
-from subshift_algebra.clopen import cylinder, full_set
+from subshift_algebra.clopen import c_set, cylinder, full_set
 from subshift_algebra.errors import EmptyShift
 from subshift_algebra.reduction import CycleForm, embed_form, reduce
 from subshift_algebra.rings import ZZ, Zmod
@@ -113,9 +114,62 @@ def build(algebra, sets, draw_terms):
     """The sum of ``k.s(alpha) p(A) st(beta)`` over the drawn terms."""
     x = algebra.zero()
     for k, alpha, i, beta in draw_terms:
-        term = algebra.mono(alpha, sets[i], beta).scale(algebra.ring.from_int(k))
-        x = x + term
+        x = x + algebra.mono(alpha, sets[i], beta, k)
     return x
+
+
+def test_monomial_acts_by_its_definition(setups):
+    # ``build`` takes its terms from ``mono``, so ``mono`` is checked here
+    # against the definition of ``k s_alpha p_A s_beta^*``: it sends the
+    # point mass at ``beta.y`` to ``k`` times the one at ``alpha.y`` when
+    # ``y`` is in A and both are points of X, and kills the others.  A is
+    # the cylinder of ``SHORT_WORDS[i]``, the word of ``sets[i]``.
+    for name, (g, sets, points) in setups.items():
+        forbidden = g.spec.forbidden
+        for alpha, (i, a_word), beta in product(SHORT_WORDS, enumerate(SHORT_WORDS), SHORT_WORDS):
+            expected = []
+            for point in points:
+                image = None
+                if point.prefix(len(beta)) == beta:
+                    y = drop(point, len(beta))
+                    image = ep_normalize(alpha + y.preperiod, y.period)
+                    if y.prefix(len(a_word)) != a_word or not in_shift(image, forbidden):
+                        image = None
+                expected.append(image)
+            for ring, k in [(ZZ, 1), (ZZ, -2), (Zmod(6), 2), (Zmod(6), 3), (Zmod(6), -1),
+                            (Zmod(6), 6)]:
+                value = ring.parse_scalar(str(k))
+                want = [{} if image is None or ring.is_zero(value) else {image: value}
+                        for image in expected]
+                x = SubshiftAlgebra(g, ring).mono(alpha, sets[i], beta, k)
+                assert rep(x, points) == want, (name, ring, k, alpha, a_word, beta)
+
+
+def test_monomial_is_the_product_of_its_factors():
+    # ``mono`` builds one component; the product of the generators, which
+    # ``elem_s``, ``gen_p`` and ``elem_s_star`` build, is the same element.
+    # The shifts are the five census shifts and L_2..L_4; the ring and the
+    # scalar cycle through every pair.
+    ks = [None, 2, -1, 3, 6]
+    census = [SHIFTS[name] for name in ("full2", "golden_mean", "y", "period2")]
+    n = 0
+    for spec in [*census, SftSpec.make("abc", ["cc", "ab"]), *(l_spec(m) for m in (2, 3, 4))]:
+        g = build_follower_graph(spec)
+        words = [w for size in range(3) for w in product(range(len(spec.alphabet)), repeat=size)]
+        sets = [None, full_set(g)] + [f(w) for w in words if w for f in (
+            partial(cylinder, g), lambda w: c_set(g, w, OMEGA),
+            lambda w: cylinder(g, w).complement())]
+        algebras = [SubshiftAlgebra(g, ZZ), SubshiftAlgebra(g, Zmod(6))]
+        for alpha, a_set, beta in product(words, sets, words):
+            n += 1
+            algebra, k = algebras[n % 2], ks[n % len(ks)]
+            ring = algebra.ring
+            scalar = ring.one() if k is None else ring.parse_scalar(str(k))
+            factors = (algebra.elem_s(alpha).scale(scalar)
+                       * algebra.gen_p(full_set(g) if a_set is None else a_set)
+                       * algebra.elem_s_star(beta))
+            assert algebra.mono(alpha, a_set, beta, k).components == factors.components, \
+                (spec, ring, k, alpha, a_set, beta)
 
 
 @pytest.mark.parametrize("name", SHIFTS)
@@ -177,7 +231,7 @@ def cycle_points(spec, c) -> list:
     """``c^inf``, and ``w.c^inf`` and ``w.a^inf`` for the words ``w`` of at
     most two letters, where they are points of X; ``a`` is the first
     letter."""
-    words = [w for n in range(3) for w in product(range(len(spec.alphabet)), repeat=n)]
+    words = [w for size in range(3) for w in product(range(len(spec.alphabet)), repeat=size)]
     points = {ep_normalize(w, period) for w in words for period in (c, (0,))}
     return sorted((p for p in points if in_shift(p, spec.forbidden)),
                   key=lambda p: (p.preperiod, p.period))
@@ -201,7 +255,7 @@ def test_reductions_around_cycles_act_as_their_forms():
                 one, p_a = ring.one(), algebra.gen_p(a_set)
 
                 def draw_coefficient():
-                    return ring.from_int(rng.choice([-3, -2, -1, 1, 2, 3, 4]))
+                    return ring.parse_scalar(str(rng.choice([-3, -2, -1, 1, 2, 3, 4])))
 
                 for _ in range(3):
                     x = p_a.scale(draw_coefficient())

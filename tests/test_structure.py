@@ -184,7 +184,7 @@ def random_laurent(rng, ring, span=5, lo=-2, hi=2):
             c = 0
             while c == 0:
                 c = rng.randint(lo, hi)
-            coeffs[n] = ring.from_int(c)
+            coeffs[n] = ring.parse_scalar(str(c))
     return LaurentPoly(ring, coeffs)
 
 
