@@ -246,8 +246,13 @@ class AlgebraElement:
 
     def mul(self, other: "AlgebraElement") -> "AlgebraElement":
         """One pass over the component pairs, in order; a pair that two of
-        them reach holds the sum of their contributions."""
-        self._check(other)
+        them reach holds the sum of their contributions.  A left component
+        at ``(omega, omega)`` skips both translations: there each is the
+        identity, since a legal word ``q`` follows all that ``q`` does and
+        the tail memo's code is the empty word alone.  The operands are
+        checked only when their algebras are not the same object."""
+        if other.algebra is not self.algebra:
+            self._check(other)
         pairs = len(self.components) * len(other.components)
         if pairs > MAX_PRODUCT_PAIRS:
             raise ElementTooLarge(
@@ -256,7 +261,8 @@ class AlgebraElement:
         times, is_zero = ring.mul, ring.is_zero
         out: dict[Pair, CoeffFn] = {}
         for (u, v), f in self.components.items():
-            moved = None  # f translated by u.p -> v.p, and the memo back: made once
+            same = u == v  # only at (omega, omega), in a reduced pair
+            moved = f if same else None  # f translated by u.p -> v.p, and the memo back: made once
             for (u2, v2), h in other.components.items():
                 k = _common_prefix_len(v, u2)
                 v1, u21 = v[k:], u2[k:]
@@ -267,7 +273,11 @@ class AlgebraElement:
                 coeffs = {}
                 for w, x, y in moved._overlay(h):
                     p = times(x, y)
-                    if not is_zero(p):
+                    if is_zero(p):
+                        continue
+                    if same:
+                        coeffs[w] = p
+                    else:
                         translate_into(coeffs, ((w, p),), v, u, back)
                 if not coeffs:
                     continue

@@ -36,13 +36,17 @@ nonempty proper prefix of ``rho``.  Then ``st(alpha^n)`` kills the term, or
 its new word starts with a nontrivial rotation of ``rho``, not ``rho`` by
 Fine and Wilf, and ``p(Z(alpha))`` kills it.
 
-Nonzero-ness is re-checked after every single multiplication; progress is
-checked in the positive phase and the pump.  Under the nest invariant the
-projections and the strip never add a term, and each pump that runs removes
-one (a pump can need another), which bounds ``_settle``.  All multiplier
-factors have coefficient 1, so no new zero-divisor products can arise even
-over rings with zero divisors, and the nonzero checks operate purely on
-supports.  A broken invariant raises :class:`InternalNonzeroViolation`.
+Nonzero-ness is re-checked after every multiplication of the element but
+one, which is skipped: when the element is one component ``c s_u p_A`` with
+a scalar ``c``, its common-projection factor is ``p_A``, ``A`` its own tail
+set, and ``c s_u p_A p_A`` is the element itself, nonzero as before; only
+``nu`` takes that factor.  Progress is checked in the positive phase and the
+pump.  Under the nest invariant the projections and the strip never add a
+term, and each pump that runs removes one (a pump can need another), which
+bounds ``_settle``.  All multiplier factors have coefficient 1, so no new
+zero-divisor products can arise even over rings with zero divisors, and the
+nonzero checks operate purely on supports.  A broken invariant raises
+:class:`InternalNonzeroViolation`.
 
 :func:`reduce` verifies every witness before returning it and is the one
 verification point: the command line's ``reduce --verify`` and
@@ -100,30 +104,43 @@ def embed_form(algebra: SubshiftAlgebra, form: ReducedForm) -> AlgebraElement:
 
 
 class _Pipeline:
-    """Accumulates left/right factors while keeping the element nonzero."""
+    """Accumulates left/right factors while keeping the element nonzero.  A
+    side with no factor yet is unset and reads as the unit; its first factor
+    is taken as it is, not multiplied by the unit."""
 
     def __init__(self, x: AlgebraElement, record_trace: bool = False):
         self.alg = x.algebra
         self.x = x
-        self.mu = self.alg.one()
-        self.nu = self.alg.one()
+        self._mu: AlgebraElement | None = None
+        self._nu: AlgebraElement | None = None
         self.trace: list[str] | None = [] if record_trace else None
+
+    @property
+    def mu(self) -> AlgebraElement:
+        return self.alg.one() if self._mu is None else self._mu
+
+    @property
+    def nu(self) -> AlgebraElement:
+        return self.alg.one() if self._nu is None else self._nu
 
     def left(self, factor: AlgebraElement, label: str):
         nx = factor * self.x
         if nx.is_zero():
             raise InternalNonzeroViolation(f"left factor zeroed the element: {label}")
         self.x = nx
-        self.mu = factor * self.mu
+        self._mu = factor if self._mu is None else factor * self._mu
         if self.trace is not None:
             self.trace.append(f"L {label}")
 
-    def right(self, factor: AlgebraElement, label: str):
-        nx = self.x * factor
-        if nx.is_zero():
-            raise InternalNonzeroViolation(f"right factor zeroed the element: {label}")
-        self.x = nx
-        self.nu = self.nu * factor
+    def right(self, factor: AlgebraElement, label: str, idle: bool = False):
+        """With ``idle`` the caller knows that ``x * factor`` is ``x``: only
+        ``nu`` takes the factor."""
+        if not idle:
+            nx = self.x * factor
+            if nx.is_zero():
+                raise InternalNonzeroViolation(f"right factor zeroed the element: {label}")
+            self.x = nx
+        self._nu = factor if self._nu is None else self._nu * factor
         if self.trace is not None:
             self.trace.append(f"R {label}")
 
@@ -193,16 +210,20 @@ def _phase_common_projection(p: _Pipeline) -> ClopenSet:
     # word of the printed form: the least extension of the least stored word
     # to the longer of |u| + m and the longest stored word); the rest
     # contribute their own tail set.  The targeted component always survives
-    # its own factor, so the element stays nonzero.
+    # its own factor, so the element stays nonzero.  A lone component
+    # ``c s_u p_A`` with a scalar ``c`` and its own tail set ``A`` is left as
+    # it is by ``p_A``: only ``nu`` takes that factor.
     for key in _sorted_keys(p.x):
         if key not in p.x.components:
             continue
         fn = p.x.components[key]
-        if fn.scalar() is None:
+        scalar = fn.scalar() is not None
+        if not scalar:
             g, least = fn.graph, min(fn.coeffs)
             w = g.least_extension(least, max(len(key[0]) + g.m, fn.longest()))
             fn = CoeffFn(g, {w: fn.coeffs[least]})
-        p.right(p.alg.gen_p(relative_range(fn, key[0])), "p(common)")
+        p.right(p.alg.gen_p(relative_range(fn, key[0])), "p(common)",
+                idle=scalar and len(p.x.components) == 1)
     # Follower projections are subsumed: a tail set r(support, alpha) sits
     # inside the follower set of alpha by definition, so the common set
     # already lands inside every surviving F_{alpha_i}.

@@ -763,6 +763,9 @@ GOLDEN_COMMANDS["reduce_pump_y"] = [
     "reduce", SHIFT_PATHS["y"], "-e",
     "p(Z(aaa)) - s(aa)*p(Z(aaa)) + s(aa)*p(Z(aaaaaaaa)) + 3.s(aaa)*p(Z(aaa))",
     "--verify", "--trace"]
+GOLDEN_COMMANDS["reduce_monomial_full2"] = [
+    "reduce", SHIFT_PATHS["full2"], "-e", "3.s(ab)*p(Z(b))*st(ba)",
+    "--verify", "--trace"]
 GOLDEN_COMMANDS["reduce_square_y"] = [
     "reduce", SHIFT_PATHS["y"], "-e", "p(Z(b)) + s(b)*p(Z(b))",
     "--verify", "--check-square"]

@@ -8,7 +8,7 @@ from subshift_algebra import reduction
 from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
 from subshift_algebra.clopen import (CoeffFn, CycleKind, c_set, classify_cycle,
                                      cylinder, full_set, relative_range)
-from subshift_algebra.errors import InternalNonzeroViolation, ZeroInput
+from subshift_algebra.errors import EmptyShift, InternalNonzeroViolation, ZeroInput
 from subshift_algebra.parsing import evaluate
 from subshift_algebra.reduction import (CycleForm, ProjectionMultiple,
                                         _extract_root, _phase_common_projection,
@@ -21,7 +21,7 @@ from subshift_algebra.rings import QQ, ZZ, Zmod
 from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
 
-from conftest import W, l_spec, random_nonzero_element
+from conftest import W, l_spec, random_nonzero_element, random_specs
 
 
 def test_scalar_of_rejects_non_constant_component(alg_full, g_full):
@@ -30,6 +30,64 @@ def test_scalar_of_rejects_non_constant_component(alg_full, g_full):
         + alg_full.gen_p(cylinder(g_full, W("ab"))).scale(2)
     with pytest.raises(InternalNonzeroViolation):
         _scalar_of(x, (OMEGA, OMEGA))
+
+
+# -- _Pipeline ---------------------------------------------------------------------
+
+
+def test_fresh_pipeline_reads_the_unit(alg_full):
+    p = _Pipeline(alg_full.elem_s((0,)))
+    assert p.mu == alg_full.one() and p.nu == alg_full.one()
+
+
+def test_reduce_without_a_left_factor_has_the_unit_as_mu(alg_full, g_full):
+    x = alg_full.gen_p(cylinder(g_full, W("a")))
+    w = reduce(x, record_trace=True)
+    assert w.trace == ("R p(common)",)
+    assert w.mu == alg_full.one()
+    assert w.mu.format() == "_ _^-1 | 1 a ; 1 b"
+    assert w.nu.format() == "_ _^-1 | 1 a"
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)])
+def test_skipped_products_change_nothing(monkeypatch, all_graphs, ring):
+    # The pipeline skips x * p(A) for a lone scalar component whose own tail
+    # set is A, and mul skips both translations at (omega, omega): each
+    # product is computed here anyway and must be x, each translation f.
+    skips, identities = [], []
+
+    class CheckingPipeline(_Pipeline):
+        def right(self, factor, label, idle=False):
+            if idle:
+                skips.append(label)
+                assert self.x * factor == self.x
+            super().right(factor, label, idle)
+
+    mul = AlgebraElement.mul
+
+    def checking_mul(self, other):
+        f = self.components.get((OMEGA, OMEGA))
+        if f is not None:
+            identities.append(f)
+            assert f.translate(OMEGA, OMEGA) == f
+        return mul(self, other)
+
+    monkeypatch.setattr(reduction, "_Pipeline", CheckingPipeline)
+    monkeypatch.setattr(AlgebraElement, "mul", checking_mul)
+    monkeypatch.setattr(AlgebraElement, "__mul__", checking_mul)
+    graphs = list(all_graphs.values())
+    for spec in random_specs(12, seed=29):
+        try:
+            graphs.append(build_follower_graph(spec))
+        except EmptyShift:
+            pass
+    rng = random.Random(31)
+    for g in graphs:
+        algebra = SubshiftAlgebra(g, ring)
+        for _ in range(60):
+            reduce(random_nonzero_element(algebra, rng, max_word=3, max_terms=3))
+    assert len(skips) >= 500 and set(skips) == {"p(common)"}
+    assert len(identities) >= 500
 
 
 # -- _phase_positive -------------------------------------------------------------
