@@ -1,12 +1,11 @@
-"""Parsers and printers for shift files and algebra/set expressions.
+"""Parsers for shift files and algebra/set expressions.
 
 Shift file format (two lines, order fixed)::
 
     alphabet: a b
     forbidden: bb, ba
 
-The printer emits the normalized form (deduplicated, factor-pruned, sorted),
-and parsing its own output reproduces it byte-identically.
+:class:`SftSpec` normalizes the forbidden words (deduplicated, factor-pruned).
 
 Expression grammar (LL(1), whitespace-insensitive)::
 
@@ -31,14 +30,13 @@ positions are found only for an error, by scanning again.  The parser
 hash-conses (Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006):
 its table holds each distinct node once, keyed by its tag, words or scalar
 text and the table positions of its children, so a node comes after its
-children.  One evaluator serves expressions and sets: ``evaluate`` and
+children.  The table is the parse; no other form of it is built.  One
+evaluator serves expressions and sets: ``evaluate`` and
 ``evaluate_set`` build the table's values front to back in one pass,
 dropping each after its last use.  A monomial ``k.s(u)*p(S)*st(v)`` is not
 multiplied out: its generators fold into one unbuilt chain, which
 :meth:`SubshiftAlgebra.mono` builds as its one component where it is used
-otherwise, once.  The AST is for parsing and printing only:
-``parse_expr`` and ``parse_set`` build it from the same table, with equal
-subtrees one object, and ``format_expr`` prints it back.
+otherwise, once.
 """
 
 from __future__ import annotations
@@ -112,14 +110,12 @@ def parse_shift(text: str) -> SftSpec:
 
 # -- expressions ------------------------------------------------------------------
 
-# AST nodes are tagged tuples:
+# The keys of the node table are tagged tuples, a child given by its position:
 #   ('s', word) ('st', word) ('p', set) ('one',) ('zero',)
 #   ('scale', scalar_text, node) ('add'|'sub'|'mul', left, right)
 # set nodes:
 #   ('Z', word) ('F', word) ('C', w1, w2) ('X',) ('not', s) ('and'|'or', l, r)
 # A node's child nodes come last; _KIDS counts them, by tag.
-
-ExprAst = tuple
 
 _KIDS = {"p": 1, "not": 1, "scale": 1, "add": 2, "sub": 2, "mul": 2, "and": 2, "or": 2}
 
@@ -143,8 +139,8 @@ _CHAINS = {"expr": (_PRIMARY_FORMS, {"+": "add", "-": "sub"}, {"*": "mul"},
                     "expected s(..), st(..), p(..), 1, 0 or '('"),
            "set": (_SET_FORMS, {"|": "or"}, {"&": "and"}, "expected a set expression")}
 
-# Forms (s(, p(, Z(, a parenthesis, !, X, 1, ...) nest at most this deep, so
-# that format_expr, which recurses into them, stays inside the recursion limit.
+# Forms (s(, p(, Z(, a parenthesis, !, X, 1, ...) nest at most this deep.  It
+# bounds the input only: nothing recurses over a parse.
 MAX_NESTING = 100
 # The most letters, over all its words, that one expression or set expression
 # may hold.  The cost of a reduction grows faster than the length of its words
@@ -362,14 +358,6 @@ def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
     return built(_run(nodes, uses, makers))
 
 
-def parse_expr(text: str, spec: SftSpec) -> ExprAst:
-    return _run(*_parse(text, spec, "expr")[:2], _AST_MAKERS)
-
-
-def parse_set(text: str, spec: SftSpec) -> ExprAst:
-    return _run(*_parse(text, spec, "set")[:2], _AST_MAKERS)
-
-
 def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:
     return _evaluate(*_parse(text, algebra.graph.spec, "expr"), algebra)
 
@@ -377,41 +365,3 @@ def evaluate(text: str, algebra: SubshiftAlgebra) -> AlgebraElement:
 def evaluate_set(text: str, algebra: SubshiftAlgebra) -> ClopenSet:
     return _evaluate(*_parse(text, algebra.graph.spec, "set"), algebra)
 
-
-# The printed form of each tag, filled with its arguments in order.
-_FORMATS = {
-    "s": "s({})", "st": "st({})", "p": "p({})", "one": "1", "zero": "0", "scale": "{}.({})",
-    "add": "{} + {}", "sub": "{} - {}", "mul": "{} * {}", "Z": "Z({})", "F": "F({})",
-    "C": "C({},{})", "X": "X", "not": "!({})", "and": "{} & {}", "or": "{} | {}",
-}
-# How tightly each chain link binds; every other node is a unit (3).
-_LEVEL = {"add": 1, "sub": 1, "or": 1, "mul": 2, "and": 2}
-
-
-def _operand(node: ExprAst, level: int, spec: SftSpec) -> str:
-    text = format_expr(node, spec)
-    return text if _LEVEL.get(node[0], 3) >= level else f"({text})"
-
-
-def format_expr(node: ExprAst, spec: SftSpec) -> str:
-    """Re-emit an expression or set AST; parsing the output yields an equal
-    AST.  A left-deep chain prints flat, one link at a time, and an operand
-    is parenthesised only where its level or its place on the right needs
-    it.  An argument is the scalar text, a child node or a word."""
-    level = _LEVEL.get(node[0], 3)
-    if level == 3:
-        parts = (a if isinstance(a, str) else
-                 format_expr(a, spec) if a and isinstance(a[0], str) else
-                 spec.word_to_str(a) for a in node[1:])
-        return _FORMATS[node[0]].format(*parts)
-    links = []
-    while _LEVEL.get(node[0]) == level:
-        links.append(node)
-        node = node[1]
-    text = _operand(node, level, spec)
-    for tag, _, right in reversed(links):
-        text = _FORMATS[tag].format(text, _operand(right, level + 1, spec))
-    return text
-
-
-_AST_MAKERS = {tag: lambda *args, tag=tag: (tag, *args) for tag in _FORMATS}

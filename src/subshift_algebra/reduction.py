@@ -37,16 +37,18 @@ its new word starts with a nontrivial rotation of ``rho``, not ``rho`` by
 Fine and Wilf, and ``p(Z(alpha))`` kills it.
 
 Nonzero-ness is re-checked after every multiplication of the element but
-one, which is skipped: when the element is one component ``c s_u p_A`` with
-a scalar ``c``, its common-projection factor is ``p_A``, ``A`` its own tail
-set, and ``c s_u p_A p_A`` is the element itself, nonzero as before; only
-``nu`` takes that factor.  Progress is checked in the positive phase and the
-pump.  Under the nest invariant the projections and the strip never add a
-term, and each pump that runs removes one (a pump can need another), which
-bounds ``_settle``.  All multiplier factors have coefficient 1, so no new
-zero-divisor products can arise even over rings with zero divisors, and the
-nonzero checks operate purely on supports.  A broken invariant raises
-:class:`InternalNonzeroViolation`.
+two, which are skipped because the element is left as it is, nonzero as
+before; only ``mu`` or ``nu`` takes the factor.  When the element is one
+component ``c s_u p_A`` with a scalar ``c``, its common-projection factor is
+``p_A``, ``A`` its own tail set, and ``c s_u p_A p_A`` is the element.  When
+the nest meets one component ``(beta, omega)``, its support lies in
+``Z(beta)``, so ``p(Z(beta))`` on the left leaves it whole.  Progress is
+checked in the positive phase and the pump.  Under the nest invariant the
+projections and the strip never add a term, and each pump that runs removes
+one (a pump can need another), which bounds ``_settle``.  All multiplier
+factors have coefficient 1, so no new zero-divisor products can arise even
+over rings with zero divisors, and the nonzero checks operate purely on
+supports.  A broken invariant raises :class:`InternalNonzeroViolation`.
 
 :func:`reduce` verifies every witness before returning it and is the one
 verification point: the command line's ``reduce --verify`` and
@@ -123,11 +125,14 @@ class _Pipeline:
     def nu(self) -> AlgebraElement:
         return self.alg.one() if self._nu is None else self._nu
 
-    def left(self, factor: AlgebraElement, label: str):
-        nx = factor * self.x
-        if nx.is_zero():
-            raise InternalNonzeroViolation(f"left factor zeroed the element: {label}")
-        self.x = nx
+    def left(self, factor: AlgebraElement, label: str, idle: bool = False):
+        """With ``idle`` the caller knows that ``factor * x`` is ``x``: only
+        ``mu`` takes the factor."""
+        if not idle:
+            nx = factor * self.x
+            if nx.is_zero():
+                raise InternalNonzeroViolation(f"left factor zeroed the element: {label}")
+            self.x = nx
         self._mu = factor if self._mu is None else factor * self._mu
         if self.trace is not None:
             self.trace.append(f"L {label}")
@@ -196,7 +201,7 @@ def _phase_prefix_nest(p: _Pipeline):
     if beta == OMEGA:
         return
     p.left(p.alg.gen_p(cylinder(p.alg.graph, beta)),
-           f"p(Z({p.fmt_word(beta)}))")
+           f"p(Z({p.fmt_word(beta)}))", idle=len(p.x.components) == 1)
 
 
 # -- phase: common projection (scalar coefficients over one common set) ---------

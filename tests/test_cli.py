@@ -22,9 +22,9 @@ from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
                                      EmptyAlphabet, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
-from subshift_algebra.parsing import (MAX_NESTING, MAX_WORD_LETTERS, RESERVED_SYMBOLS,
-                                      evaluate, format_expr,
-                                      parse_expr, parse_set, parse_shift)
+from subshift_algebra.parsing import (_KIDS, MAX_NESTING, MAX_WORD_LETTERS,
+                                      RESERVED_SYMBOLS, _parse, evaluate, evaluate_set,
+                                      parse_shift)
 from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
 from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
@@ -112,20 +112,20 @@ def test_expr_examples(g_gold, g_y):
 
 
 def test_expr_syntax_errors(g_gold):
-    spec = g_gold.spec
+    algebra = SubshiftAlgebra(g_gold, ZZ)
     with pytest.raises(ExprSyntaxError) as err:
-        parse_expr("s(ab", spec)
+        evaluate("s(ab", algebra)
     assert err.value.position == 4
     with pytest.raises(ExprSyntaxError):
-        parse_expr("s(a) +", spec)
+        evaluate("s(a) +", algebra)
     with pytest.raises(ExprSyntaxError):
-        parse_expr("", spec)
+        evaluate("", algebra)
     with pytest.raises(ExprSyntaxError):
-        parse_expr("s(a) s(b)", spec)
+        evaluate("s(a) s(b)", algebra)
     with pytest.raises(UnknownLetter):
-        parse_expr("s(ac)", spec)
+        evaluate("s(ac)", algebra)
     with pytest.raises(ExprSyntaxError):
-        parse_set("Z(a) + Z(b)", spec)
+        evaluate_set("Z(a) + Z(b)", algebra)
 
 
 def test_scalar_parsing(g_full):
@@ -135,7 +135,7 @@ def test_scalar_parsing(g_full):
     assert evaluate("1 - 2.1", algebra) == algebra.one().scale(-1)
     assert evaluate("\u0663.s(a)", algebra) == algebra.elem_s((0,)).scale(3)  # Arabic-Indic 3
     with pytest.raises(ExprSyntaxError):
-        parse_expr("\u00b2.s(a)", g_full.spec)  # superscript 2: a digit to isdigit only
+        evaluate("\u00b2.s(a)", algebra)  # superscript 2: a digit to isdigit only
     with pytest.raises(BadScalarForRing):
         evaluate("1/2.s(a)", algebra)
     rational = SubshiftAlgebra(g_full, QQ)
@@ -242,16 +242,35 @@ def _is_node(a):
     return isinstance(a, tuple) and a and isinstance(a[0], str)
 
 
-def _unshared(ast):
-    """An equal AST in which no two nodes are one object."""
-    return tuple(_unshared(a) if _is_node(a) else a for a in ast)
+# Each tag's text, every operand of an operator in parentheses.
+_TEXTS = {
+    "s": "s({})", "st": "st({})", "p": "p({})", "one": "1", "zero": "0", "scale": "{}.({})",
+    "add": "({}) + ({})", "sub": "({}) - ({})", "mul": "({}) * ({})", "Z": "Z({})",
+    "F": "F({})", "C": "C({},{})", "X": "X", "not": "!({})", "and": "({}) & ({})",
+    "or": "({}) | ({})",
+}
 
 
-def _node_ids(ast, into):
-    into.append(id(ast))
-    for a in filter(_is_node, ast[1:]):
-        _node_ids(a, into)
-    return into
+def _text(node, spec):
+    """The text of an expression or set AST, every operand of an operator in
+    parentheses.  An argument is the scalar text, a child node or a word."""
+    return _TEXTS[node[0]].format(*(a if isinstance(a, str) else _text(a, spec) if _is_node(a)
+                                    else spec.word_to_str(a) for a in node[1:]))
+
+
+def _size(node):
+    """The number of nodes of an AST, a repeated subtree counted each time."""
+    return 1 + sum(_size(a) for a in node[1:] if _is_node(a))
+
+
+def _tree(text, spec):
+    """The AST of the expression ``text``: the parser's node table, with each
+    child position replaced by the child's tree."""
+    trees = []
+    for key in _parse(text, spec, "expr")[0]:
+        cut = len(key) - _KIDS.get(key[0], 0)
+        trees.append(key[:cut] + tuple(trees[j] for j in key[cut:]))
+    return trees[-1]
 
 
 def _reference_value(node, algebra):
@@ -279,36 +298,28 @@ def test_expression_print_parse_round_trip(g_gold):
         rng = random.Random(43)
         shared = 0
         for _ in range(50):
-            ast = _unshared(_random_ast(rng, rng.randint(1, 3), scalars))
-            ids = _node_ids(ast, [])
-            assert len(set(ids)) == len(ids)
-            text = format_expr(ast, spec)
-            reparsed = parse_expr(text, spec)
-            assert reparsed == ast, text
-            ids = _node_ids(reparsed, [])
-            shared += len(set(ids)) < len(ids)
+            ast = _random_ast(rng, rng.randint(1, 3), scalars)
+            text = _text(ast, spec)
+            assert _tree(text, spec) == ast, text
+            # Equal subtrees are one entry of the parser's table.
+            shared += len(_parse(text, spec, "expr")[0]) < _size(ast)
             # The printed text evaluates to the AST's value folded as a tree.
             assert evaluate(text, algebra) == _reference_value(ast, algebra), (ring, text)
         assert shared >= 25, ring
-    # A long chain prints flat, so its printed form parses back.
-    sum_text = " - ".join(" + ".join(["s(a)", "st(b)", "2.(s(ab))"]) for _ in range(400))
-    union_text = " | ".join(["Z(a)", "Z(b) & F(a)", "!(Z(ab))"] * 400)
-    for text, parse in ((sum_text, parse_expr), (union_text, parse_set)):
-        ast = parse(text, spec)
-        assert format_expr(ast, spec) == text
-        assert _left_spine(parse(format_expr(ast, spec), spec)) == _left_spine(ast)
 
 
 def test_parse_shares_equal_subtrees(g_full):
     spec = g_full.spec
-    ast = parse_expr("(s(a)+p(X))*(s(a)+p(X))", spec)
-    assert ast[1] is ast[2]
-    operand = ("add", ("s", W("a")), ("p", ("X",)))
-    assert ast == ("mul", operand, _unshared(operand))
-    union = parse_set("(Z(a) & !F(b)) | (Z(a) & !F(b))", spec)
-    assert union[1] is union[2] and union[1][2][1] == ("F", W("b"))
+    nodes, uses, _ = _parse("(s(a)+p(X))*(s(a)+p(X))", spec, "expr")
+    assert list(nodes) == [("s", W("a")), ("X",), ("p", 1), ("add", 0, 2), ("mul", 3, 3)]
+    # Each entry counts the uses of its children: the sum is used twice.
+    assert uses[:5] == [1, 1, 1, 2, 0]
+    union = _parse("(Z(a) & !F(b)) | (Z(a) & !F(b))", spec, "set")[0]
+    assert list(union) == [("Z", W("a")), ("F", W("b")), ("not", 1), ("and", 0, 2),
+                           ("or", 3, 3)]
     # Equal words under different tags stay apart.
-    assert parse_expr("s(a) - st(a)", spec) == ("sub", ("s", W("a")), ("st", W("a")))
+    assert list(_parse("s(a) - st(a)", spec, "expr")[0]) == \
+        [("s", W("a")), ("st", W("a")), ("sub", 0, 1)]
 
 
 def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
@@ -349,7 +360,7 @@ def test_evaluate_folds_only_ordered_generators(all_graphs, text):
     for g, ring in product(all_graphs.values(), ("z", "q", "zmod:6")):
         algebra = SubshiftAlgebra(g, ring_from_name(ring))
         value = evaluate(text, algebra)
-        assert value == _reference_value(parse_expr(text, g.spec), algebra), (g.spec, ring)
+        assert value == _reference_value(_tree(text, g.spec), algebra), (g.spec, ring)
         if text in FOLD_SHAPES[:2] and g is all_graphs["full"]:
             assert not value.is_zero()
     # bb is not legal on the golden mean shift, so the monomial is zero.
@@ -369,7 +380,7 @@ def test_evaluate_builds_a_shared_chain_once(g_full, monkeypatch):
     monkeypatch.setattr(SubshiftAlgebra, "mono", counted_mono)
     chain = "(s(a)*p(Z(b)))"
     text = f"{chain} + {chain}*st(ab) - 2.{chain}"
-    assert evaluate(text, algebra) == _reference_value(parse_expr(text, g_full.spec), algebra)
+    assert evaluate(text, algebra) == _reference_value(_tree(text, g_full.spec), algebra)
     assert built == Counter({(W("a"), True, OMEGA, None): 1, (W("a"), True, W("ab"), None): 1,
                              (W("a"), True, OMEGA, 2): 1})
 
@@ -395,18 +406,8 @@ def test_evaluate_matches_the_reference_on_random_products(all_graphs):
         scalars = ["2", "-1", "3"] + (["1/2"] if ring == "q" else ["6"])
         for _ in range(150):
             ast = _random_product(rng, rng.randint(1, 4), scalars)
-            text = format_expr(ast, g.spec)
+            text = _text(ast, g.spec)
             assert evaluate(text, algebra) == _reference_value(ast, algebra), (g.spec, ring, text)
-
-
-def _left_spine(ast):
-    """The base and the (tag, right operand) links of a left-deep chain,
-    which compare without recursing once per link."""
-    links = []
-    while ast[0] in ("add", "sub", "or"):
-        links.append((ast[0], ast[2]))
-        ast = ast[1]
-    return [ast, *reversed(links)]
 
 
 # -- commands ---------------------------------------------------------------------------
@@ -618,11 +619,12 @@ def test_printed_forms_hold_bounded_words_and_letters(tmp_path, monkeypatch, cap
 
 
 def test_deep_expressions(g_full):
-    # Deep nesting is refused at a position, within the recursion limit.
+    # Deep nesting is refused at a position.
     depth = MAX_NESTING - 1  # parentheses around s(a), itself a form
-    assert parse_expr("(" * depth + "s(a)" + ")" * depth, g_full.spec) == ("s", W("a"))
+    algebra = SubshiftAlgebra(g_full, ZZ)
+    assert evaluate("(" * depth + "s(a)" + ")" * depth, algebra) == algebra.elem_s(W("a"))
     with pytest.raises(ExprSyntaxError, match="nested") as err:
-        parse_expr("(" * (depth + 1) + "s(a)" + ")" * (depth + 1), g_full.spec)
+        evaluate("(" * (depth + 1) + "s(a)" + ")" * (depth + 1), algebra)
     assert err.value.position == MAX_NESTING
     # A long sum is evaluated without recursing once per term.
     terms = " + ".join(["s(a)"] * 1200)
@@ -707,13 +709,15 @@ def test_errors_come_in_evaluation_order(g_full, monkeypatch):
 def test_word_letters_bound(g_full):
     # The words of one expression hold at most MAX_WORD_LETTERS letters; the
     # word that crosses the bound is refused at its position.
+    algebra = SubshiftAlgebra(g_full, ZZ)
     head = "s(" + "a" * (MAX_WORD_LETTERS - 2) + ") * st(_) + "
-    assert parse_expr(head + "s(ab)", g_full.spec)[2] == ("s", W("ab"))
+    assert evaluate(head + "s(ab)", algebra) == \
+        algebra.elem_s(W("a" * (MAX_WORD_LETTERS - 2))) + algebra.elem_s(W("ab"))
     with pytest.raises(ExprSyntaxError, match="letters") as err:
-        parse_expr(head + "s(aba)", g_full.spec)
+        evaluate(head + "s(aba)", algebra)
     assert err.value.position == len(head) + 2
     with pytest.raises(ExprSyntaxError, match="letters") as err:
-        parse_set("Z(a) | Z(" + "a" * MAX_WORD_LETTERS + ")", g_full.spec)
+        evaluate_set("Z(a) | Z(" + "a" * MAX_WORD_LETTERS + ")", algebra)
     assert err.value.position == 9
 
 

@@ -1,14 +1,17 @@
 """The outcome of parsing a fixed corpus of seeded texts, pinned.
 
 ``parse_corpus.jsonl`` holds one JSON list per line: a text, its outcome
-under ``parse_expr`` and its outcome under ``parse_set``, on the golden mean
-shift.  An outcome is ``ok `` and the ``format_expr`` of the AST, or the
-exception type and its message, position included.  The texts are drawn
-from the grammar's own pieces by :func:`corpus_texts`, and the outcomes were
-recorded from the character-stepping parser that the token parser replaced.
+read as an expression and its outcome read as a set expression, on the
+golden mean shift.  An outcome is ``ok `` and the parser's node table as
+JSON, or the exception type and its message, position included.  The texts
+are drawn from the grammar's own pieces by :func:`corpus_texts`.
 
     python tests/test_parse_corpus.py           # check, without pytest
     python tests/test_parse_corpus.py --write   # record today's outcomes
+
+``--write`` writes only if today's outcomes split the texts into the same
+classes as the recorded ones and leave every error outcome as it is; else it
+names the first text that does not match and exits nonzero.
 """
 
 import json
@@ -17,7 +20,7 @@ import sys
 from pathlib import Path
 
 from subshift_algebra.errors import SubshiftAlgebraError
-from subshift_algebra.parsing import format_expr, parse_expr, parse_set
+from subshift_algebra.parsing import _parse
 from subshift_algebra.shift import SftSpec
 
 CORPUS = Path(__file__).resolve().parent / "parse_corpus.jsonl"
@@ -117,9 +120,10 @@ def corpus_texts() -> list[str]:
 SPEC = SftSpec.make("ab", ["bb"])  # the golden mean shift
 
 
-def outcome(parse, text: str) -> str:
+def outcome(start: str, text: str) -> str:
+    """The outcome of ``text`` read as chain ``start``, "expr" or "set"."""
     try:
-        return "ok " + format_expr(parse(text, SPEC), SPEC)
+        return "ok " + json.dumps(list(_parse(text, SPEC, start)[0]))
     except SubshiftAlgebraError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -129,6 +133,26 @@ def recorded() -> list[list[str]]:
         return [json.loads(line) for line in f]
 
 
+def today() -> list[list[str]]:
+    return [[text, outcome("expr", text), outcome("set", text)] for text in corpus_texts()]
+
+
+def first_mismatch(old_rows, new_rows):
+    """The first text whose new outcomes split the texts otherwise than the old
+    ones, or change an error outcome, or that the old rows do not hold in its
+    place; None if there is none."""
+    links = [({}, {}), ({}, {})]  # per reading: old outcome -> new, new -> old
+    for k, new in enumerate(new_rows):
+        old = old_rows[k] if k < len(old_rows) else [None]
+        if old[0] != new[0]:
+            return new[0]
+        for a, b, (forward, back) in zip(old[1:], new[1:], links):
+            changed_error = a != b and not (a.startswith("ok ") and b.startswith("ok "))
+            if changed_error or forward.setdefault(a, b) != b or back.setdefault(b, a) != a:
+                return new[0]
+    return old_rows[len(new_rows)][0] if len(old_rows) > len(new_rows) else None
+
+
 def test_corpus_is_the_generated_one():
     assert [text for text, _, _ in recorded()] == corpus_texts()
 
@@ -136,9 +160,7 @@ def test_corpus_is_the_generated_one():
 def test_parse_outcomes_match_the_corpus():
     rows = recorded()
     assert len(rows) > 3000
-    got = [[text, outcome(parse_expr, text), outcome(parse_set, text)]
-           for text, _, _ in rows]
-    mismatched = [(old, new) for old, new in zip(rows, got) if old != new]
+    mismatched = [(old, new) for old, new in zip(rows, today()) if old != new]
     assert not mismatched, mismatched[:5]
     # The corpus reaches every outcome: both parses succeed and fail, with
     # each kind of error.
@@ -146,12 +168,34 @@ def test_parse_outcomes_match_the_corpus():
     assert outcomes == {"ok", "ExprSyntaxError:", "UnknownLetter:"}
 
 
+def test_first_mismatch_finds_a_changed_class():
+    ok, error = "ok [[\"X\"]]", "ExprSyntaxError: expected ')' (at position 2)"
+    old = [["a", "ok 1", error], ["b", "ok 2", error], ["c", "ok 2", "ok 3"]]
+    assert first_mismatch(old, [["a", "ok 7", error], ["b", "ok 8", error],
+                                ["c", "ok 8", ok]]) is None
+    assert first_mismatch(old, [["a", "ok 7", error], ["b", "ok 7", error],
+                                ["c", "ok 7", ok]]) == "b"  # two classes merged
+    assert first_mismatch(old, [["a", "ok 7", error], ["b", "ok 8", error],
+                                ["c", "ok 9", ok]]) == "c"  # a class split
+    assert first_mismatch(old, [["a", "ok 7", error], ["b", "ok 8", error + " "],
+                                ["c", "ok 8", ok]]) == "b"  # an error changed
+    assert first_mismatch(old, [["a", "ok 7", "ok 9"], ["b", "ok 8", error],
+                                ["c", "ok 8", ok]]) == "a"  # an error became a parse
+    assert first_mismatch(old, old[:2]) == "c"
+    assert first_mismatch(old[:2], old) == "c"
+
+
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
+        rows = today()
+        text = first_mismatch(recorded(), rows)
+        if text is not None:
+            sys.exit(f"not written: the outcomes of {text!r} do not match the recorded ones")
         with CORPUS.open("w", encoding="ascii") as f:
-            for text in corpus_texts():
-                row = [text, outcome(parse_expr, text), outcome(parse_set, text)]
-                f.write(json.dumps(row) + "\n")
+            f.writelines(json.dumps(row) + "\n" for row in rows)
+        classes = [len({row[k] for row in rows}) for k in (1, 2)]
+        print(f"{len(rows)} texts, {classes[0]} expression and {classes[1]} set outcomes: "
+              "the classes and errors are the recorded ones; written")
     else:
         test_corpus_is_the_generated_one()
         test_parse_outcomes_match_the_corpus()
