@@ -98,20 +98,13 @@ class SubshiftAlgebra:
         return AlgebraElement._merged(self, {(OMEGA, OMEGA): fn})
 
     def elem_s(self, alpha: Word) -> "AlgebraElement":
-        """The monomial ``s_alpha``, one entry ``alpha`` (``s_omega`` is the
-        unit); zero if ``alpha`` is not legal."""
-        if not self.graph.is_prefix_legal(alpha):
-            return self.zero()
-        fn = CoeffFn(self.graph, {alpha: self.ring.one()})
-        return AlgebraElement._merged(self, {(alpha, OMEGA): fn})
+        """The monomial ``s_alpha`` (``s_omega`` is the unit), built by
+        :meth:`mono`; zero if ``alpha`` is not legal."""
+        return self.mono(alpha, None, OMEGA)
 
     def elem_s_star(self, beta: Word) -> "AlgebraElement":
-        """``s_beta^*``, the star of :meth:`elem_s`: one entry ``beta`` at
-        ``(beta, omega)`` translated to ``(omega, beta)``."""
-        if not self.graph.is_prefix_legal(beta):
-            return self.zero()
-        fn = CoeffFn(self.graph, {beta: self.ring.one()}).translate(beta, OMEGA)
-        return AlgebraElement._merged(self, {(OMEGA, beta): fn})
+        """``s_beta^*``, the star of :meth:`elem_s`, built by :meth:`mono`."""
+        return self.mono(OMEGA, None, beta)
 
     def mono(self, alpha: Word, a: ClopenSet | None, beta: Word, k=None) -> "AlgebraElement":
         """``k s_alpha p_A s_beta^*`` (``k`` one by default, and ``a=None``

@@ -144,9 +144,9 @@ _CHAINS = {"expr": (_PRIMARY_FORMS, {"+": "add", "-": "sub"}, {"*": "mul"},
 MAX_NESTING = 100
 # The most letters, over all its words, that one expression or set expression
 # may hold.  The cost of a reduction grows faster than the length of its words
-# (on the golden mean shift, reducing s(w) + st(bw) takes seconds for a few
-# thousand letters of w and half a minute for 16,000), so longer input is
-# refused at the word that crosses the bound.
+# (on the golden mean shift, reducing s(w) + st(bw) takes 2.6-3.6 s for most
+# seeded random w of 2,000 letters and 11-14 s for 4,000, on a 2-vCPU Xeon),
+# so longer input is refused at the word that crosses the bound.
 MAX_WORD_LETTERS = 4096
 
 

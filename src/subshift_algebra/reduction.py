@@ -9,8 +9,9 @@ together with the classified shape as a :class:`ReductionWitness`.
 The reduction is a fixed sequence of the ``_phase_*`` functions, which
 share a :class:`_Pipeline` accumulating the factors ``mu`` and ``nu``:
 
-* ``_phase_positive`` right-multiplies by letters until every component is
-  positive, and ``_phase_prefix_nest`` nests the positive words into a chain;
+* ``_phase_positive`` right-multiplies once, by ``s_v`` for the longest
+  negative part ``v``, which makes every component positive, and
+  ``_phase_prefix_nest`` nests the positive words into a chain;
 * ``_settle`` repeats ``_phase_common_projection`` (scalar coefficients over
   one common set), ``_phase_strip_z`` (strip the shortest word) and
   ``_phase_pump`` (shrink the set into its relative range under the second
@@ -43,9 +44,9 @@ component ``c s_u p_A`` with a scalar ``c``, its common-projection factor is
 ``p_A``, ``A`` its own tail set, and ``c s_u p_A p_A`` is the element.  When
 the nest meets one component ``(beta, omega)``, its support lies in
 ``Z(beta)``, so ``p(Z(beta))`` on the left leaves it whole.  Progress is
-checked in the positive phase and the pump.  Under the nest invariant the
-projections and the strip never add a term, and each pump that runs removes
-one (a pump can need another), which bounds ``_settle``.  All multiplier
+checked in the pump.  Under the nest invariant the projections and the
+strip never add a term, and each pump that runs removes one (a pump can
+need another), which bounds ``_settle``.  All multiplier
 factors have coefficient 1, so no new zero-divisor products can arise even
 over rings with zero divisors, and the nonzero checks operate purely on
 supports.  A broken invariant raises :class:`InternalNonzeroViolation`.
@@ -98,11 +99,8 @@ def embed_form(algebra: SubshiftAlgebra, form: ReducedForm) -> AlgebraElement:
     """The algebra element a reduced form denotes."""
     if isinstance(form, ProjectionMultiple):
         return algebra.gen_p(form.proj_set).scale(form.gamma)
-    acc = algebra.gen_p(form.cycle_set).scale(form.gammas[0])
-    for gamma, q in zip(form.gammas[1:], form.exps):
-        term = algebra.elem_s(form.beta * q) * algebra.gen_p(form.cycle_set)
-        acc = acc + term.scale(gamma)
-    return acc
+    return sum((algebra.mono(form.beta * q, form.cycle_set, OMEGA, gamma)
+                for gamma, q in zip(form.gammas, (0, *form.exps))), algebra.zero())
 
 
 class _Pipeline:
@@ -137,17 +135,19 @@ class _Pipeline:
         if self.trace is not None:
             self.trace.append(f"L {label}")
 
-    def right(self, factor: AlgebraElement, label: str, idle: bool = False):
+    def right(self, factor: AlgebraElement, *labels: str, idle: bool = False):
         """With ``idle`` the caller knows that ``x * factor`` is ``x``: only
-        ``nu`` takes the factor."""
+        ``nu`` takes the factor.  A factor traced as several steps has a
+        label for each."""
         if not idle:
             nx = self.x * factor
             if nx.is_zero():
-                raise InternalNonzeroViolation(f"right factor zeroed the element: {label}")
+                raise InternalNonzeroViolation(
+                    f"right factor zeroed the element: {' '.join(labels)}")
             self.x = nx
         self._nu = factor if self._nu is None else self._nu * factor
         if self.trace is not None:
-            self.trace.append(f"R {label}")
+            self.trace.extend(f"R {label}" for label in labels)
 
     def fmt_word(self, w: Word) -> str:
         return self.alg.graph.spec.word_to_str(w)
@@ -170,25 +170,26 @@ def _require_positive(x: AlgebraElement):
         raise InternalNonzeroViolation("a negative component survived the positive phase")
 
 
-# -- phase: make every component positive (right-multiplication by letters) ----
+# -- phase: make every component positive (one right product by s_v) -----------
 
 
 def _phase_positive(p: _Pipeline):
-    while True:
-        negs = [t for t in p.x.components if t[1] != OMEGA]
-        if not negs:
-            return
-        before = sum(len(v) for (_, v) in p.x.components)
-        # Target the component with the longest negative part ``(u, v)``.  Its
-        # letter is forced to be ``v[0]``: the reduced index ``u v^-1 a``
-        # stays in the (positive)(negative)^-1 family for no other letter,
-        # and ``s_u p s_v^* s_{v[0]} s_{v[0]}^* = s_u p s_v^*`` is nonzero.
-        target = min(negs, key=lambda t: (-len(t[1]), t[1], t[0]))
-        letter = target[1][0]
-        p.right(p.alg.elem_s((letter,)), f"s({p.alg.graph.spec.alphabet[letter]})")
-        after = sum(len(v) for (_, v) in p.x.components)
-        if after >= before:
-            raise InternalNonzeroViolation("no progress in positive phase")
+    negs = [t for t in p.x.components if t[1] != OMEGA]
+    if not negs:
+        return
+    # Target the component with the longest negative part ``(u, v)``, least
+    # first.  A letter ``a`` on the right keeps its index ``u v^-1 a`` in the
+    # (positive)(negative)^-1 family only for ``a = v[0]``, and
+    # ``s_u p s_v^* s_{v[0]} s_{v[0]}^* = s_u p s_v^*`` is nonzero.  That
+    # letter drops every negative part not starting with it and shortens the
+    # others by one; stored pairs never share a last letter, so no positive
+    # term lands on the target, and the same component is the target next.
+    # So the letters are exactly ``v``: by associativity the element ends at
+    # ``x * s_v``, one product, traced one letter at a time.  A wrong target
+    # leaves a negative component, which ``_require_positive`` rejects.
+    v = min(negs, key=lambda t: (-len(t[1]), t[1], t[0]))[1]
+    alphabet = p.alg.graph.spec.alphabet
+    p.right(p.alg.elem_s(v), *(f"s({alphabet[a]})" for a in v))
 
 
 # -- phase: nest the positive words into a prefix chain -------------------------
@@ -279,8 +280,7 @@ def _phase_pump(p: _Pipeline, b_set: ClopenSet) -> bool:
     if d_set.is_empty():
         return False
     terms = len(p.x.components)
-    pump = p.alg.gen_p(d_set) * p.alg.elem_s_star(b2)
-    p.left(pump, f"p(D) st({p.fmt_word(b2)})")
+    p.left(p.alg.mono(OMEGA, d_set, b2), f"p(D) st({p.fmt_word(b2)})")
     if len(p.x.components) >= terms:
         raise InternalNonzeroViolation("pump pass made no progress")
     return True
@@ -297,10 +297,9 @@ def _phase_power_align(p: _Pipeline, b_set: ClopenSet):
     alpha = keys[1][0]
     cmax = keys[-1][0]
     n = -(-len(cmax) // len(alpha))
-    left = p.alg.gen_p(cylinder(g, alpha)) * p.alg.elem_s_star(alpha * n)
-    right = p.alg.elem_s(alpha * n) * p.alg.gen_p(b_set)
-    p.right(right, f"s({p.fmt_word(alpha)}^{n}) p(B)")
-    p.left(left, f"p(Z({p.fmt_word(alpha)})) st({p.fmt_word(alpha)}^{n})")
+    p.right(p.alg.mono(alpha * n, b_set, OMEGA), f"s({p.fmt_word(alpha)}^{n}) p(B)")
+    p.left(p.alg.mono(OMEGA, cylinder(g, alpha), alpha * n),
+           f"p(Z({p.fmt_word(alpha)})) st({p.fmt_word(alpha)}^{n})")
     _phase_common_projection(p)
 
 

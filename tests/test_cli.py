@@ -377,10 +377,13 @@ def test_evaluate_builds_a_shared_chain_once(g_full, monkeypatch):
         built[alpha, a is not None, beta, k] += 1
         return mono(self, alpha, a, beta, k)
 
-    monkeypatch.setattr(SubshiftAlgebra, "mono", counted_mono)
     chain = "(s(a)*p(Z(b)))"
     text = f"{chain} + {chain}*st(ab) - 2.{chain}"
-    assert evaluate(text, algebra) == _reference_value(_tree(text, g_full.spec), algebra)
+    # The reference reaches ``mono`` through the generators: it is built
+    # before the count starts.
+    reference = _reference_value(_tree(text, g_full.spec), algebra)
+    monkeypatch.setattr(SubshiftAlgebra, "mono", counted_mono)
+    assert evaluate(text, algebra) == reference
     assert built == Counter({(W("a"), True, OMEGA, None): 1, (W("a"), True, W("ab"), None): 1,
                              (W("a"), True, OMEGA, 2): 1})
 
@@ -781,6 +784,9 @@ GOLDEN_COMMANDS["nf_monomials_golden_mean"] = [
     "nf", SHIFT_PATHS["golden_mean"], "-e", MONOMIALS]
 GOLDEN_COMMANDS["reduce_monomials_golden_mean"] = [
     "reduce", SHIFT_PATHS["golden_mean"], "-e", MONOMIALS, "--verify", "--trace"]
+GOLDEN_COMMANDS["reduce_positive_golden_mean"] = [
+    "reduce", SHIFT_PATHS["golden_mean"], "-e",
+    "s(b)*st(abaa) + 2.st(ab) - 3.s(ab)*st(ba) + s(a)", "--verify", "--trace"]
 GOLDEN_COMMANDS["nf_ring_q"] = [
     "nf", SHIFT_PATHS["full2"], "-e", "1/2.s(a) + 1/2.s(a)", "--ring", "q"]
 GOLDEN_COMMANDS["corner_y"] = [

@@ -20,8 +20,8 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from subshift_algebra.algebra import SubshiftAlgebra
-from subshift_algebra.clopen import c_set, cylinder, full_set
+from subshift_algebra.algebra import AlgebraElement, SubshiftAlgebra
+from subshift_algebra.clopen import CoeffFn, c_set, cylinder, full_set
 from subshift_algebra.errors import EmptyShift
 from subshift_algebra.reduction import CycleForm, embed_form, reduce
 from subshift_algebra.rings import ZZ, Zmod
@@ -145,11 +145,20 @@ def test_monomial_acts_by_its_definition(setups):
                 assert rep(x, points) == want, (name, ring, k, alpha, a_word, beta)
 
 
+def _s(algebra, alpha):
+    """``s_alpha`` by the checked constructor, not by ``mono``: one entry
+    ``alpha`` at ``(alpha, omega)``, and zero for an illegal ``alpha``."""
+    g = algebra.graph
+    if not g.is_prefix_legal(alpha):
+        return algebra.zero()
+    return AlgebraElement(algebra, {(alpha, OMEGA): CoeffFn(g, {alpha: algebra.ring.one()})})
+
+
 def test_monomial_is_the_product_of_its_factors():
-    # ``mono`` builds one component; the product of the generators, which
-    # ``elem_s``, ``gen_p`` and ``elem_s_star`` build, is the same element.
-    # The shifts are the five census shifts and L_2..L_4; the ring and the
-    # scalar cycle through every pair.
+    # ``mono`` builds one component; the product of the generators, built
+    # by the checked constructor (``s_beta^*`` as the star of ``s_beta``)
+    # and ``gen_p``, is the same element.  The shifts are the five census
+    # shifts and L_2..L_4; the ring and the scalar cycle through every pair.
     ks = [None, 2, -1, 3, 6]
     census = [SHIFTS[name] for name in ("full2", "golden_mean", "y", "period2")]
     n = 0
@@ -165,9 +174,9 @@ def test_monomial_is_the_product_of_its_factors():
             algebra, k = algebras[n % 2], ks[n % len(ks)]
             ring = algebra.ring
             scalar = ring.one() if k is None else ring.parse_scalar(str(k))
-            factors = (algebra.elem_s(alpha).scale(scalar)
+            factors = (_s(algebra, alpha).scale(scalar)
                        * algebra.gen_p(full_set(g) if a_set is None else a_set)
-                       * algebra.elem_s_star(beta))
+                       * _s(algebra, beta).star())
             assert algebra.mono(alpha, a_set, beta, k).components == factors.components, \
                 (spec, ring, k, alpha, a_set, beta)
 

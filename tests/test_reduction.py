@@ -64,11 +64,11 @@ def test_skipped_products_change_nothing(monkeypatch, all_graphs, ring):
                 assert factor * self.x == self.x
             super().left(factor, label, idle)
 
-        def right(self, factor, label, idle=False):
+        def right(self, factor, *labels, idle=False):
             if idle:
-                skips.append(label)
+                skips.extend(labels)
                 assert self.x * factor == self.x
-            super().right(factor, label, idle)
+            super().right(factor, *labels, idle=idle)
 
     mul = AlgebraElement.mul
 
@@ -152,6 +152,42 @@ def test_positive_letter_is_first_letter_of_negative_word(all_graphs, ring):
                 comp = AlgebraElement(x.algebra, {t: x.components[t]})
                 for a in range(g.n_letters):
                     assert (not (comp * algebra.elem_s((a,))).is_zero()) == (a == t[1][0])
+
+
+def _positive_by_letters(p):
+    """The positive phase one letter at a time: the letter ``v[0]`` of the
+    component with the longest negative part ``(u, v)``, least first, until
+    every component is positive.  The reference for the one product by
+    ``s_v``."""
+    while negs := [t for t in p.x.components if t[1] != OMEGA]:
+        before = sum(len(v) for (_, v) in p.x.components)
+        letter = min(negs, key=lambda t: (-len(t[1]), t[1], t[0]))[1][0]
+        p.right(p.alg.elem_s((letter,)), f"s({p.alg.graph.spec.alphabet[letter]})")
+        assert sum(len(v) for (_, v) in p.x.components) < before
+
+
+@pytest.mark.parametrize("ring", [ZZ, Zmod(6)])
+def test_positive_phase_is_the_letter_loop(all_graphs, ring):
+    # One product by s_v gives the element, nu and trace that multiplying
+    # by the target's first letter until every component is positive gives.
+    graphs = list(all_graphs.values())
+    for spec in random_specs(40, seed=37):
+        try:
+            graphs.append(build_follower_graph(spec))
+        except EmptyShift:
+            pass
+    rng = random.Random(41)
+    long_phases = 0
+    for g in graphs:
+        algebra = SubshiftAlgebra(g, ring)
+        for _ in range(60):
+            x = random_nonzero_element(algebra, rng, max_word=3, max_terms=3)
+            got, want = _Pipeline(x, record_trace=True), _Pipeline(x, record_trace=True)
+            _phase_positive(got)
+            _positive_by_letters(want)
+            assert (got.x, got.nu, got.trace) == (want.x, want.nu, want.trace), (g.spec, x)
+            long_phases += len(want.trace) >= 2
+    assert long_phases >= 1000
 
 
 # -- _phase_prefix_nest ----------------------------------------------------------------

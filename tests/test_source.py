@@ -68,8 +68,7 @@ def test_only_operations_skip_the_support_check():
     # reduction, must be added here on purpose.  ``mono``'s words come from
     # a checked set and the graph's own code, filtered by the tail memo.
     assert _callers("_merged") == {
-        "algebra:SubshiftAlgebra.gen_p", "algebra:SubshiftAlgebra.elem_s",
-        "algebra:SubshiftAlgebra.elem_s_star", "algebra:SubshiftAlgebra.mono",
+        "algebra:SubshiftAlgebra.gen_p", "algebra:SubshiftAlgebra.mono",
         "algebra:AlgebraElement.z_grade_component",
         "algebra:AlgebraElement.support_set", "algebra:AlgebraElement._sum",
         "algebra:AlgebraElement._map_values", "algebra:AlgebraElement.mul",
