@@ -204,10 +204,15 @@ def translate_into(out: dict[Word, object], items, old: Word, new: Word, memo) -
 def _carve(g: FollowerGraph, w: Word, below: list[Word]) -> list[Word]:
     """The words covering ``Z_w`` minus the cylinders of ``below``, proper
     extensions of ``w`` that form a prefix code: at each word on the way from
-    ``w`` to them, the legal letters off their paths."""
-    path = {s[:n] for s in below for n in range(len(w), len(s))}
-    inside = path.union(below)
-    return [p + (a,) for p in path for a in g.letters(p) if p + (a,) not in inside]
+    ``w`` to them, the legal letters off their paths.  Each word below is
+    walked once, and the ids met on the way give those letters."""
+    path = {}  # a word on the way -> its id
+    for s in below:
+        ids = g.ids(s)
+        for n in range(len(w), len(s)):
+            path[s[:n]] = ids[n]
+    inside, letters = path.keys() | below, g.out_letters
+    return [p + (a,) for p, i in path.items() for a in letters[i] if p + (a,) not in inside]
 
 
 # An indicator's values: "or" adds, "and" multiplies, only True is stored.
@@ -218,10 +223,14 @@ class ClopenSet(CoeffFn):
     """A clopen set: its indicator, ``True`` on the stored words, built from
     any prefix code of legal words, which the constructor checks, and stored
     canonically (:func:`canonical` at ``(omega, omega)``).  Equality is
-    semantic, so sets are not hashable."""
+    semantic, so sets are not hashable.  The complement is computed at most
+    once per set: it is kept, and its own complement is the set."""
+
+    __slots__ = ("_complement",)
 
     def __init__(self, graph: FollowerGraph, words):
         super().__init__(graph, canonical(graph, dict.fromkeys(words, True)))
+        self._complement = None
 
     @classmethod
     def _merged(cls, graph: FollowerGraph, coeffs: dict[Word, bool]) -> "ClopenSet":
@@ -230,6 +239,7 @@ class ClopenSet(CoeffFn):
         It is only merged, not checked again."""
         s = cls.__new__(cls)
         CoeffFn.__init__(s, graph, merge_siblings(graph, coeffs, 0))
+        s._complement = None
         return s
 
     @property
@@ -258,9 +268,13 @@ class ClopenSet(CoeffFn):
                                               self._overlay(other, left=True) if y is None})
 
     def complement(self) -> "ClopenSet":
-        g = self.graph
-        words = _carve(g, OMEGA, list(self.coeffs)) if self.coeffs else [OMEGA]
-        return ClopenSet._merged(g, dict.fromkeys(words, True))
+        c = self._complement
+        if c is None:
+            g = self.graph
+            words = _carve(g, OMEGA, list(self.coeffs)) if self.coeffs else [OMEGA]
+            c = self._complement = ClopenSet._merged(g, dict.fromkeys(words, True))
+            c._complement = self
+        return c
 
     def is_subset(self, other: "ClopenSet") -> bool:
         """Whether the difference is empty, decided without building it."""

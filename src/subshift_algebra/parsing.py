@@ -37,6 +37,17 @@ dropping each after its last use.  A monomial ``k.s(u)*p(S)*st(v)`` is not
 multiplied out: its generators fold into one unbuilt chain, which
 :meth:`SubshiftAlgebra.mono` builds as its one component where it is used
 otherwise, once.
+
+The evaluator extends the hash-consing to the set leaves ``Z(w)``, ``F(w)``,
+``C(a, b)`` and ``X`` for the lifetime of the follower graph: their sets are
+interned in the graph's leaf memo (``FollowerGraph.leaves``), keyed by the
+leaf's node key, such as ``('Z', w)`` or ``('X',)``.  A miss builds the set
+with the checked constructor (:func:`cylinder`, :func:`c_set` or
+:func:`full_set`); a hit is that set again, in any text and any ring over
+the graph.  The memo lives and dies with the graph; it is never emptied, so
+it holds one entry per distinct leaf asked.  Sets are immutable by
+convention and :meth:`ClopenSet.complement` is computed at most once per
+set and kept, so ``!Z(w)`` of an interned ``Z(w)`` is built once too.
 """
 
 from __future__ import annotations
@@ -326,8 +337,19 @@ def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
     The generators are unbuilt chains (:class:`_Chain`).  A product of two
     chains is one chain when the right one has no scalar and its first factor
     comes after the left one's last, so a monomial's factors never meet in a
-    product; any other use builds a chain."""
+    product; any other use builds a chain.  A set leaf is taken from the
+    graph's leaf memo, and built by ``build`` only on a miss."""
     g, ring = algebra.graph, algebra.ring
+    leaves = g.leaves
+
+    def leaf(tag, build):
+        def interned(*words):
+            key = (tag, *words)
+            found = leaves.get(key)
+            if found is None:
+                found = leaves[key] = build(*words)
+            return found
+        return interned
 
     def built(x):
         return x.build(algebra) if type(x) is _Chain else x
@@ -349,8 +371,9 @@ def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
               "one": algebra.one, "zero": algebra.zero, "scale": scale, "mul": mul,
               "add": lambda x, y: built(x) + built(y), "sub": lambda x, y: built(x) - built(y),
               "and": operator.and_, "or": operator.or_,
-              "Z": partial(cylinder, g), "F": lambda w: c_set(g, w, OMEGA),
-              "C": partial(c_set, g), "X": partial(full_set, g), "not": ClopenSet.complement}
+              "Z": leaf("Z", partial(cylinder, g)), "F": leaf("F", lambda w: c_set(g, w, OMEGA)),
+              "C": leaf("C", partial(c_set, g)), "X": leaf("X", partial(full_set, g)),
+              "not": ClopenSet.complement}
     if fractions and ring != QQ:
         stop, scalar = fractions[0]
         _run(islice(nodes, stop), uses, makers)

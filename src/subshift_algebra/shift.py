@@ -17,7 +17,7 @@ the tail memo of the pair from the pair memo, keyed by the words ``(u, v)``
 (:meth:`FollowerGraph.tails`), and then walks only the tails ``q``, from both
 ids at once: the tail memo answers ``memo[q]`` and fills itself, with one key
 per tail of at most m letters, and a longer tail takes its first m letters
-from it.  Two walks keep nothing, :meth:`FollowerGraph.letters` and the
+from it.  Two walks keep nothing, :meth:`FollowerGraph.ids` and the
 legality check of a tail longer than m letters: their words are the stored
 words of supports and their prefixes, of any length, which the word memo
 would keep alive after the supports are gone.
@@ -115,7 +115,8 @@ class FollowerGraph:
     which lies in its last m letters.  ``_inclusion[i]`` has bit ``j`` set
     iff ``F(i) <= F(j)``.
 
-    ``out_degree[i]`` is the number of letters that may follow id ``i``.
+    ``out_letters[i]`` are the letters that may follow id ``i``, in
+    ascending order, and ``out_degree[i]`` is their number.
     Four memos fill themselves as they are asked and are never emptied, so
     each holds one entry per distinct key asked: ``_ids`` the word memo, the
     id each word passed to :meth:`reach` reaches from the start state (-1
@@ -125,6 +126,11 @@ class FollowerGraph:
     answers of :meth:`follower_code` per pair of ids.  The keys of the word
     and pair memos are the words their callers pass: every query takes a
     word as a tuple of letter indices (``Word``), and a list is not a word.
+    A fifth, ``leaves``, is the set-leaf memo that :mod:`.parsing` fills: the
+    clopen set of each leaf ``Z(w)``, ``F(w)``, ``C(a, b)`` or ``X`` that an
+    expression over the graph names, keyed by the leaf's node key, such as
+    ``('Z', w)``.  It too is never emptied, so it holds one entry per
+    distinct leaf asked.
     """
 
     def __init__(self, spec: SftSpec, delta: list[list[int]]):
@@ -133,14 +139,17 @@ class FollowerGraph:
         self.n_letters = len(spec.alphabet)
         self.n_states = len(delta)
         self._delta = delta
-        # The last entry, 0, answers the id -1.
-        self.out_degree = [self.n_letters - row.count(-1) for row in delta] + [0]
+        # The last entries answer the id -1.
+        self.out_letters = [tuple(a for a, t in enumerate(row) if t >= 0)
+                            for row in delta] + [()]
+        self.out_degree = list(map(len, self.out_letters))
         self._inclusion = _inclusions(delta)
         self._codes: dict[tuple[int, int], tuple[Word, ...]] = {}
         self._ids: dict[Word, int] = _Memo(partial(_walk, delta))
         self._tails: dict[tuple[int, int], _TailMemo] = _Memo(lambda ids: _TailMemo(self, *ids))
         self._pairs: dict[tuple[Word, Word], _TailMemo] = _Memo(
             lambda uv: self._tails[self._ids[uv[0]], self._ids[uv[1]]])
+        self.leaves: dict[tuple, object] = {}
 
     def reach(self, w: Word, state: int = 0) -> int:
         """The id that ``w`` reaches from id ``state``, or -1 if its walk
@@ -154,12 +163,18 @@ class FollowerGraph:
         """True iff the cylinder of ``w`` is non-empty."""
         return self.reach(w) >= 0
 
-    def letters(self, w: Word) -> list[int]:
-        """The letters ``a`` with ``w.a`` legal, in ascending order.  ``w``
-        is walked without the word memo, which would keep every prefix of a
-        stored word that a caller enumerates."""
-        i = _walk(self._delta, w)
-        return [a for a, t in enumerate(self._delta[i]) if t >= 0] if i >= 0 else []
+    def ids(self, w: Word) -> list[int]:
+        """The ids that the prefixes of ``w`` reach, that of ``w[:n]`` at
+        index ``n``, and -1 from the first that is not legal: one walk, one
+        table step per letter.  It keeps nothing in the word memo, which
+        would then hold every prefix of a stored word that a caller
+        enumerates."""
+        delta, state, out = self._delta, 0, [0]
+        for a in w:
+            if state >= 0:
+                state = delta[state][a]
+            out.append(state)
+        return out
 
     def follower_subset(self, i: int, j: int) -> bool:
         """Whether ``F(i) <= F(j)`` for ids ``i`` and ``j`` (-1 names the

@@ -160,17 +160,17 @@ def corner_to_laurent(x: AlgebraElement, a: ClopenSet, c: Word) -> LaurentPoly:
 
 def laurent_to_corner(poly: LaurentPoly, algebra: SubshiftAlgebra,
                       a: ClopenSet, c: Word) -> AlgebraElement:
-    """Inverse map: ``x^n`` goes to ``s_c^n p_A`` (negative powers use the
-    starred generator)."""
+    """Inverse map: ``x^n`` goes to ``s_c^n p_A``, built as one monomial
+    (negative powers use the starred generator and a product)."""
     _require_minimal_cycle(a, c)
     proj = algebra.gen_p(a)
     acc = algebra.zero()
     for n, coeff in poly.coeffs.items():
         if n >= 0:
-            term = algebra.elem_s(c * n) * proj
+            term = algebra.mono(c * n, a, OMEGA, coeff)
         else:
-            term = algebra.elem_s_star(c * (-n)) * proj
-        acc = acc + term.scale(coeff)
+            term = (algebra.elem_s_star(c * (-n)) * proj).scale(coeff)
+        acc = acc + term
     return acc
 
 

@@ -17,9 +17,9 @@ from subshift_algebra import reduction
 from subshift_algebra.algebra import MAX_PRODUCT_PAIRS, AlgebraElement, SubshiftAlgebra
 from subshift_algebra.cli import main
 from subshift_algebra.clopen import (MAX_PRINTED_LETTERS, MAX_PRINTED_WORDS, ClopenSet,
-                                     c_set, cylinder, full_set)
+                                     c_set, cylinder, full_set, relative_range)
 from subshift_algebra.errors import (BadScalarForRing, DuplicateSymbol,
-                                     EmptyAlphabet, ExprSyntaxError,
+                                     EmptyAlphabet, EmptyShift, ExprSyntaxError,
                                      IllegalForbiddenWord, ShiftParseError,
                                      UnknownLetter)
 from subshift_algebra.parsing import (_KIDS, MAX_NESTING, MAX_WORD_LETTERS,
@@ -29,7 +29,7 @@ from subshift_algebra.rings import MAX_MODULUS, QQ, ZZ, ring_from_name
 from subshift_algebra.shift import FollowerGraph, SftSpec, build_follower_graph
 from subshift_algebra.words import OMEGA
 
-from conftest import W, l_spec
+from conftest import DIFFERENTIAL_SHIFTS, W, l_spec, random_specs
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -325,7 +325,7 @@ def test_parse_shares_equal_subtrees(g_full):
 def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
     # (X)*((Y)+(Z)) - (X)*(Y) - (X)*(Z) builds X, Y and Z once each, each
     # monomial by one ``mono`` call; a second call builds them again, so
-    # nothing is kept between calls.
+    # nothing but the set leaves (the graph's leaf memo) is kept between calls.
     algebra = SubshiftAlgebra(g_gold, ZZ)
     built = Counter()
     mono = SubshiftAlgebra.mono
@@ -342,6 +342,131 @@ def test_evaluate_builds_each_repeated_operand_once(g_gold, monkeypatch):
     for calls in (1, 2):
         assert evaluate(text, algebra).is_zero()
         assert built == Counter({key: calls * n for key, n in once.items()})
+
+
+# -- set leaves, interned per graph ----------------------------------------------
+
+_LEAF_TAGS = {"Z", "F", "C", "X"}
+
+
+def _fresh_set(g, key):
+    """The set of a leaf's node key, built anew by the checked constructors."""
+    tag, *words = key
+    return {"Z": lambda w: cylinder(g, w), "F": lambda w: c_set(g, w, OMEGA),
+            "C": lambda u, w: c_set(g, u, w), "X": lambda: full_set(g)}[tag](*words)
+
+
+def _leaf_keys(text, spec, start):
+    return {key for key in _parse(text, spec, start)[0] if key[0] in _LEAF_TAGS}
+
+
+def test_set_leaves_are_interned_per_graph(monkeypatch):
+    # A leaf is built once per graph, by the checked constructor, and is then
+    # the same object in every text, in ``evaluate`` and ``evaluate_set``
+    # and in every ring over the graph; another graph builds its own.
+    spec = SftSpec.make("ab", ["bb"])
+    g = build_follower_graph(spec)
+    text = "s(a)*p(Z(ab)) + 2.p(F(a))*st(a) - s(ba)*p(C(a,b)) + p(!Z(ab))*st(b) + p(X)"
+    z, q = SubshiftAlgebra(g, ZZ), SubshiftAlgebra(g, QQ)
+    expected = _reference_value(_tree(text, spec), z)
+    assert g.leaves == {}
+    built = Counter()
+    init = ClopenSet.__init__
+
+    def counted_init(self, graph, words):
+        built[id(graph)] += 1
+        init(self, graph, words)
+
+    monkeypatch.setattr(ClopenSet, "__init__", counted_init)
+    first = evaluate(text, z)
+    assert first == expected
+    memo = dict(g.leaves)
+    assert set(memo) == {("Z", W("ab")), ("F", W("a")), ("C", W("a"), W("b")), ("X",)}
+    assert built[id(g)] == 4
+    z_ab = memo["Z", W("ab")]
+    for algebra in (z, q, z):
+        assert evaluate(text, algebra).format() == first.format()
+        evaluate("p(Z(ab) | F(a)) * s(b) + 3.p(X)", algebra)
+        assert evaluate_set("Z(ab)", algebra) is z_ab
+        assert evaluate_set("!Z(ab)", algebra) is z_ab.complement()
+        assert evaluate_set("!!Z(ab)", algebra) is z_ab
+        assert evaluate_set("C(a,b)", algebra) is memo["C", W("a"), W("b")]
+    assert g.leaves.keys() == memo.keys() and all(g.leaves[k] is v for k, v in memo.items())
+    assert built[id(g)] == 4
+    other = build_follower_graph(spec)
+    assert evaluate(text, SubshiftAlgebra(other, ZZ)).format() == first.format()
+    assert set(other.leaves) == set(memo) and built[id(other)] == 4
+    assert all(other.leaves[k] is not v and other.leaves[k].graph is other
+               for k, v in memo.items())
+    assert evaluate_set("Z(ab)", SubshiftAlgebra(other, ZZ)) is not z_ab
+
+
+def test_interned_leaves_are_never_changed():
+    # Every operation on sets and elements built from interned leaves leaves
+    # each memo entry, and its complement, equal to a set built anew.
+    rng = random.Random(41)
+    specs = [SftSpec.make(*spec) for spec in DIFFERENTIAL_SHIFTS.values()]
+    checked = 0
+    for spec in specs + list(random_specs(60, seed=43)):
+        try:
+            g = build_follower_graph(spec)
+        except EmptyShift:
+            continue
+        algebra = SubshiftAlgebra(g, ring_from_name(rng.choice(("z", "zmod:6"))))
+        words = [spec.word_to_str(w) for w in g.legal_words(1) + g.legal_words(2)]
+        leaf_texts = ["X"] + [f"{t}({rng.choice(words)})" for t in "ZZFF"] + \
+            [f"C({rng.choice(words)},{rng.choice(words)})" for _ in range(2)]
+
+        def set_text():
+            a, b = rng.sample(leaf_texts, 2)
+            return rng.choice([a, f"!{a}", f"{a} | {b}", f"{a} & !{b}", f"!({a} & {b})"])
+
+        sets = [evaluate_set(set_text(), algebra) for _ in range(6)]
+        elements = [evaluate(" + ".join(
+            f"{rng.randint(1, 3)}.s({rng.choice(words)})*p({set_text()})*st({rng.choice(words)})"
+            for _ in range(rng.randint(1, 3))), algebra) for _ in range(4)]
+        for a, b in zip(sets, sets[1:]):  # the results are dropped: only the operands count
+            _ = (a | b, a & b, a - b, a.complement(), b.complement().complement(), a.is_subset(b),
+                 relative_range(a, W("a")), relative_range(b, rng.choice(g.legal_words(2))))
+        for x, y in zip(elements, elements[1:]):
+            _ = (x * y, x + y, x - y, x.star(), y * x)
+            if not x.is_zero():
+                assert reduction.verify(reduction.reduce(x, record_trace=True), x)
+        for key, value in g.leaves.items():
+            fresh = _fresh_set(g, key)
+            assert value == fresh and value.complement() == fresh.complement(), (spec, key)
+            checked += 1
+    assert checked > 350
+
+
+def test_leaf_memo_holds_exactly_the_leaves_asked():
+    # One entry per distinct leaf that an evaluation reached: none for a text
+    # that does not parse, and only those before a refused fraction scalar.
+    rng = random.Random(47)
+    g = build_follower_graph(SftSpec.make("abc", ["cc", "ab"]))
+    z = SubshiftAlgebra(g, ZZ)
+    with pytest.raises(ExprSyntaxError):
+        evaluate("p(Z(a)) + p(F(b) |", z)
+    assert g.leaves == {}
+    with pytest.raises(BadScalarForRing):
+        evaluate("p(Z(a)) + 1/2.p(Z(b)) + p(X)", z)
+    assert set(g.leaves) == {("Z", W("a"))}
+    asked = {("Z", W("a"))}
+    words = ["_", "a", "b", "c", "ac", "ba", "ca", "cb", "bc"]
+    for i in range(300):
+        leaves = [rng.choice(["X", f"Z({rng.choice(words)})", f"F({rng.choice(words)})",
+                              f"C({rng.choice(words)},{rng.choice(words)})"])
+                  for _ in range(3)]
+        set_text = " | ".join(f"!{a}" if rng.random() < 0.3 else a for a in leaves)
+        if i % 2:
+            evaluate_set(set_text, z)
+            asked |= _leaf_keys(set_text, g.spec, "set")
+        else:
+            text = f"s(a)*p({set_text}) + 2.p({leaves[0]})*st(c)"
+            evaluate(text, z)
+            asked |= _leaf_keys(text, g.spec, "expr")
+        assert set(g.leaves) == asked
+    assert len(g.leaves) == len(asked) > 40
 
 
 # Products of generators that ``evaluate`` folds into one monomial, and those
@@ -787,6 +912,13 @@ GOLDEN_COMMANDS["reduce_monomials_golden_mean"] = [
 GOLDEN_COMMANDS["reduce_positive_golden_mean"] = [
     "reduce", SHIFT_PATHS["golden_mean"], "-e",
     "s(b)*st(abaa) + 2.st(ab) - 3.s(ab)*st(ba) + s(a)", "--verify", "--trace"]
+# A sum whose terms repeat the set leaves !Z(ab), F(a) and C(a,b).
+LEAVES = ("s(a)*p(!Z(ab)) + 2.p(F(a))*st(a) - s(ba)*p(C(a,b)) + p(!Z(ab))*st(b)"
+          " + 3.p(F(a)) + p(C(a,b))*st(a) - p(!Z(ab))")
+GOLDEN_COMMANDS["nf_leaves_golden_mean"] = [
+    "nf", SHIFT_PATHS["golden_mean"], "-e", LEAVES]
+GOLDEN_COMMANDS["reduce_leaves_golden_mean"] = [
+    "reduce", SHIFT_PATHS["golden_mean"], "-e", LEAVES, "--verify", "--trace"]
 GOLDEN_COMMANDS["nf_ring_q"] = [
     "nf", SHIFT_PATHS["full2"], "-e", "1/2.s(a) + 1/2.s(a)", "--ring", "q"]
 GOLDEN_COMMANDS["corner_y"] = [

@@ -441,13 +441,74 @@ def test_canonical_form_is_unique():
                 if fine:
                     w = rng.choice(list(fine))
                     c = fine.pop(w)
-                    fine.update((w + (a,), c) for a in g.letters(w))
+                    fine.update((w + (a,), c) for a in g.out_letters[g.reach(w)])
             for floor in {0, len(root)}:
                 canon = clopen.merge_siblings(g, code, floor)
                 assert clopen.merge_siblings(g, fine, floor) == canon, (spec, code, fine)
                 assert is_canonical(spec, canon, floor) and min(map(len, canon), default=floor) >= floor
                 merged += len(canon) < len(fine)
     assert merged > 100
+
+
+def test_complement_is_computed_once_per_set():
+    # The complement is kept: asked again it is the same object, and its own
+    # complement is the set itself, equal to the one computed anew.
+    rng = random.Random(19)
+    for spec in [SftSpec.make("ab", ["bb"]), SftSpec.make("abc", ["cc", "ab"])]:
+        g = build_follower_graph(spec)
+        for _ in range(40):
+            a = ClopenSet(g, random_code(g, rng, g.m + 2))
+            c = a.complement()
+            assert a.complement() is c and c.complement() is a
+            assert a.complement().complement() == a
+            again = ClopenSet(g, a.words).complement()
+            assert again is not c and again == c and again.complement() == a
+            assert (a | c) == full_set(g) and (a & c).is_empty()
+
+
+def _carve_by_prefix_walks(g, w, below):
+    """``_carve`` with every prefix walked again from the start state: the
+    reference that the one walk per word must agree with."""
+    path = {s[:n] for s in below for n in range(len(w), len(s))}
+    inside = path.union(below)
+    return [p + (a,) for p in path for a in range(g.n_letters)
+            if g.is_prefix_legal(p + (a,)) and p + (a,) not in inside]
+
+
+def _random_walk(g, w, n, rng):
+    """A random legal extension of the legal word ``w`` to ``n`` letters."""
+    while len(w) < n:
+        w += (rng.choice([a for a in range(g.n_letters) if g.is_prefix_legal(w + (a,))]),)
+    return w
+
+
+def test_carve_walks_each_word_once_as_the_reference():
+    # On seeded codes below a root, short and mixed, and on a few long
+    # words below it, _carve gives the reference's words, in any order.
+    rng = random.Random(29)
+    graphs = [build_follower_graph(SftSpec.make(*spec)) for spec in
+              [("ab", []), ("ab", ["bb"]), ("ab", ["ba"])]]
+    for spec in random_specs(80, seed=31):
+        try:
+            graphs.append(build_follower_graph(spec))
+        except EmptyShift:
+            continue
+    carved = 0
+    for g in graphs:
+        for _ in range(12):
+            root = rng.choice(words_up_to(g, 2))
+            below = random_code(g, rng, len(root) + g.m + 2, root=root)
+            if rng.random() < 0.25:  # long words: a prefix code of random walks
+                below = []
+                for _ in range(rng.randint(1, 3)):
+                    s = _random_walk(g, root, len(root) + rng.randint(1, 40), rng)
+                    if not any(s[:len(t)] == t or t[:len(s)] == s for t in below):
+                        below.append(s)
+            got = clopen._carve(g, root, below)
+            assert sorted(got) == sorted(_carve_by_prefix_walks(g, root, below)), \
+                (g.spec, root, below)
+            carved += bool(got)
+    assert carved > 400
 
 
 # -- the support invariant: checked where it enters, kept by every operation ---------

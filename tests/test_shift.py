@@ -32,7 +32,7 @@ def _walk(g, w, state=0):
 def _edges(g):
     """The edges of the graph, read off its states (the m-blocks) and the
     letters that may follow each: ``(state, letter) -> last m letters``."""
-    return {(s, a): (s + (a,))[1:] for s in g.legal_words(g.m) for a in g.letters(s)}
+    return {(s, a): (s + (a,))[1:] for s in g.legal_words(g.m) for a in g.out_letters[g.reach(s)]}
 
 
 def test_golden_mean_graph(g_gold):
@@ -174,8 +174,9 @@ def _check_word_and_pair_memos(g, language, rng):
     second time as an equal tuple that is another object: ``reach`` from the
     start state agrees with a plain walk and with the brute-force language
     (``language[n]``, the legal words of length n), ``reach`` from every
-    other id with a plain walk, and ``tails(u, v)`` is the tail memo of the
-    ids that plain walks of ``u`` and ``v`` reach."""
+    other id with a plain walk, ``ids`` and ``out_letters`` with plain walks
+    of its prefixes and one-letter extensions, and ``tails(u, v)`` is the
+    tail memo of the ids that plain walks of ``u`` and ``v`` reach."""
     words = [w for n in language for w in product(range(g.n_letters), repeat=n)]
     for w in words:
         again = tuple(list(w))
@@ -183,6 +184,10 @@ def _check_word_and_pair_memos(g, language, rng):
         expected = _walk(g, w)
         assert (expected >= 0) == (w in language[len(w)]), (g.spec, w)
         assert g.reach(w) == expected == g.reach(again), (g.spec, w)
+        assert g.ids(w) == [_walk(g, w[:n]) for n in range(len(w) + 1)], (g.spec, w)
+        assert g.out_letters[expected] == tuple(
+            a for a in range(g.n_letters) if _walk(g, w + (a,)) >= 0), (g.spec, w)
+        assert g.out_degree[expected] == len(g.out_letters[expected]), (g.spec, w)
         for state in range(-1, g.n_states):
             assert g.reach(w, state) == _walk(g, w, state), (g.spec, w, state)
     for u in words:
@@ -429,7 +434,7 @@ def test_pair_memos_hold_only_asked_pairs():
     memo[W("a")]
     assert set(memo) == {W("a")} and set(g._tails) == {asked[0]}
     assert g._pairs == {(W("a"), W("b")): memo}
-    g.letters(W("abb"))
+    assert g.ids(W("abbab")) == [_walk(g, W("abbab")[:n]) for n in range(6)]
     memo[W("abab")]  # a tail longer than m is walked without being kept
     assert set(g._ids) == {w for pair in words for w in pair}
     reachable, frontier = set(), set(asked)

@@ -212,6 +212,47 @@ def test_laurent_multiplicative(y_corner):
         assert ea + eb == laurent_to_corner(pa.add(pb), algebra, a_set, c)
 
 
+def _laurent_by_products(poly, algebra, a_set, c):
+    """``laurent_to_corner`` with every term the product of its generators,
+    ``s_c^n p_A`` or ``s_c^(-n)^* p_A``, then scaled: the reference."""
+    proj = algebra.gen_p(a_set)
+    acc = algebra.zero()
+    for n, coeff in poly.coeffs.items():
+        gen = algebra.elem_s(c * n) if n >= 0 else algebra.elem_s_star(c * (-n))
+        acc = acc + (gen * proj).scale(coeff)
+    return acc
+
+
+# The census shifts of the benchmark and the census script.
+CENSUS_SPECS = [("ab", []), ("ab", ["bb"]), ("ab", ["ba"]), ("ab", ["aa", "bb"]),
+                ("abc", ["cc", "ab"])]
+
+
+def test_laurent_terms_equal_their_generator_products(all_graphs):
+    # Each term is built as one monomial; the corner element equals the
+    # product form for every cycle form of the fixtures, the census shifts,
+    # the differential shifts and seeded random shifts.
+    rng = random.Random(23)
+    specs = [SftSpec.make(*spec) for spec in CENSUS_SPECS + list(DIFFERENTIAL_SHIFTS.values())]
+    graphs = list(all_graphs.values())
+    for spec in specs + list(random_specs(60, seed=53)):
+        try:
+            graphs.append(build_follower_graph(spec))
+        except EmptyShift:
+            continue
+    forms = 0
+    for g in graphs:
+        for a_set, c in find_cycles_without_exit(g):
+            forms += 1
+            for ring in (ZZ, QQ, Zmod(6)):
+                algebra = SubshiftAlgebra(g, ring)
+                for _ in range(25):
+                    poly = random_laurent(rng, ring)
+                    assert laurent_to_corner(poly, algebra, a_set, c) == \
+                        _laurent_by_products(poly, algebra, a_set, c), (g.spec, c, poly)
+    assert forms >= 20
+
+
 def test_corner_project(y_corner, g_y):
     algebra, a_set, c = y_corner
     assert corner_project(algebra.one(), a_set) == algebra.gen_p(a_set)
