@@ -30,8 +30,22 @@ positions are found only for an error, by scanning again.  The parser
 hash-conses (Filliâtre & Conchon, *Type-safe modular hash-consing*, 2006):
 its table holds each distinct node once, keyed by its tag, words or scalar
 text and the table positions of its children, so a node comes after its
-children.  The table is the parse; no other form of it is built.  One
-evaluator serves expressions and sets: ``evaluate`` and
+children.  The table is the parse; no other form of it is built.
+
+Hash-consing makes a repeated node once, but each copy's tokens would still
+be read.  So the parser also keeps each parenthesised group it closes, the
+latest one per key (its chain and the two tokens after its ``(``), as the
+range of token positions it spans, its node, its letters and how deep it
+nests.  A group that opens with the key and the exact tokens of the kept one
+is that node: its tokens are skipped and its letters counted.  If its
+letters or its depth would cross ``MAX_WORD_LETTERS`` or ``MAX_NESTING``,
+it is read as any other group, so each error keeps its message and
+position.  One earlier group is compared per key, so the cost stays linear
+in the text.  The groups are kept for one text only: across texts a group
+recurs where the same text is read again, and a caller that reads a text
+again can keep its value instead.
+
+One evaluator serves expressions and sets: ``evaluate`` and
 ``evaluate_set`` build the table's values front to back in one pass,
 dropping each after its last use.  A monomial ``k.s(u)*p(S)*st(v)`` is not
 multiplied out: its generators fold into one unbuilt chain, which
@@ -155,9 +169,11 @@ _CHAINS = {"expr": (_PRIMARY_FORMS, {"+": "add", "-": "sub"}, {"*": "mul"},
 MAX_NESTING = 100
 # The most letters, over all its words, that one expression or set expression
 # may hold.  The cost of a reduction grows faster than the length of its words
-# (on the golden mean shift, reducing s(w) + st(bw) takes 2.6-3.6 s for most
-# seeded random w of 2,000 letters and 11-14 s for 4,000, on a 2-vCPU Xeon),
-# so longer input is refused at the word that crosses the bound.
+# (on the golden mean shift, reducing s(w) + st(bw) takes 1.9-2.1 s of CPU for
+# a seeded random w of 2,000 letters that ends in a, and 8.9-10.8 s for 4,000
+# letters, built through the library, on a 2-vCPU Xeon; a w that ends in b
+# takes milliseconds), so longer input is refused at the word that crosses
+# the bound.
 MAX_WORD_LETTERS = 4096
 
 
@@ -165,10 +181,13 @@ def _parse(text: str, spec: SftSpec, start: str):
     """The node table of ``text`` read as chain ``start``, with the parent counts
     and fraction scalars that ``_evaluate`` takes.  The open groups and p(..)
     forms are a stack of chains; the chain being read holds its loose part
-    ``left low``, its tight part ``right tight`` and its operand's prefixes."""
-    tokens = _EXPR_TOKENS.findall(text) + [""]  # "": the end of the text
+    ``left low``, its tight part ``right tight`` and its operand's prefixes.
+    A group whose tokens equal those of the latest group closed with the same
+    key is not read again (:func:`_fits`)."""
+    tokens = _EXPR_TOKENS.findall(text)
     letter = {s: k for k, s in enumerate(spec.alphabet)}.__getitem__
-    nodes, fractions, uses = {}, [], [0] * (2 * len(tokens))  # a token makes at most 2 nodes
+    nodes, fractions, uses = {}, [], [0] * (2 * len(tokens) + 2)  # a token makes at most 2 nodes
+    tokens += ["", ""]  # the end of the text; a group's key reads two tokens past its '('
     i = depth = letters = 0  # the next token; the open forms; letters read
 
     def position():
@@ -212,6 +231,10 @@ def _parse(text: str, spec: SftSpec, start: str):
     forms, ops, tight_ops, expected = chain = _CHAINS[start]
     left = low = right = tight = scalar = wrap = None
     nots, open_chains = 0, []
+    # The groups closed so far, the latest per key: (its length in tokens, where
+    # it opened, its node, its letters, how deep it nests); where the open
+    # chain opened, the letters read before it and its deepest form so far.
+    groups, opened, read, peak = {}, 0, 0, 0
     while True:
         # An operand: its prefixes, then its form.
         token = tokens[i]
@@ -239,16 +262,29 @@ def _parse(text: str, spec: SftSpec, start: str):
             node = nodes.setdefault((tag,), len(nodes))
             i += 1
         else:
-            depth += 1
-            i += 1
-            if arg is _UNIT:
-                nots += 1
+            # A group keyed as one closed before (by its chain, which ``expected``
+            # names, and its first two tokens) is that group's node if it fits.
+            seen = groups.get((expected, tokens[i + 1], tokens[i + 2])) if tag is None else None
+            if seen is not None and _fits(seen, tokens, i, depth, letters):
+                length, _, node, n, height = seen
+                i += length
+                letters += n
+                if depth + height > peak:
+                    peak = depth + height
             else:
-                open_chains.append((chain, left, low, right, tight, scalar, nots, wrap))
-                forms, ops, tight_ops, expected = chain = _CHAINS[arg]
-                left = low = right = tight = scalar = None
-                nots, wrap = 0, tag
-            continue
+                depth += 1
+                i += 1
+                if arg is _UNIT:
+                    nots += 1
+                    if depth > peak:
+                        peak = depth
+                else:
+                    open_chains.append((chain, left, low, right, tight, scalar, nots, wrap,
+                                        opened, read, peak))
+                    forms, ops, tight_ops, expected = chain = _CHAINS[arg]
+                    left = low = right = tight = scalar = None
+                    nots, wrap, opened, read, peak = 0, tag, i - 1, letters, depth
+                continue
         while True:
             # A complete operand: apply its prefixes, join it, read an operator.
             while nots:
@@ -268,10 +304,11 @@ def _parse(text: str, spec: SftSpec, start: str):
             low = ops.get(token[:1])
             if low is not None:
                 left = node
+                i += 1
                 if len(token) > 1:  # a signed scalar: its sign is the operator
-                    tokens[i] = token[1:]
-                else:
-                    i += 1
+                    scalar = token[1:-1]
+                    if "/" in scalar:
+                        fractions.append((len(nodes), scalar))
                 break
             if token != (")" if open_chains else ""):
                 raise error("expected ')'" if open_chains else "trailing input")
@@ -281,52 +318,49 @@ def _parse(text: str, spec: SftSpec, start: str):
             depth -= 1
             if wrap is not None:
                 node = make((wrap, node), node)
-            chain, left, low, right, tight, scalar, nots, wrap = open_chains.pop()
+            else:  # a group: kept for an equal one later in the text
+                key = (expected, tokens[opened + 1], tokens[opened + 2])
+                groups[key] = (i - opened, opened, node, letters - read, peak - depth)
+            (chain, left, low, right, tight, scalar, nots, wrap,
+             opened, read, inner) = open_chains.pop()
             forms, ops, tight_ops, expected = chain
+            if peak < inner:
+                peak = inner
+
+
+def _fits(seen, tokens, i, depth, letters):
+    """Whether the group read before as ``seen`` opens again at token ``i``
+    and may be taken as it is: its tokens are the same, and reading it again
+    would cross neither bound."""
+    length, start, _, n, height = seen
+    return (depth + height < MAX_NESTING and letters + n <= MAX_WORD_LETTERS
+            and tokens[i:i + length] == tokens[start:start + length])
 
 
 def _run(nodes, uses, makers: dict):
     """Make each entry's value front to back by ``makers[tag]``, from its words
     or scalar text and its children's values, dropped after their last use."""
-    values = []
-
-    def take(j):
-        value = values[j]
-        uses[j] -= 1
-        if not uses[j]:
-            values[j] = None
-        return value
-
-    value = None
+    values, value = [], None
     for key in nodes:
         tag = key[0]
         kids = _KIDS.get(tag)
         if kids is None:
             value = makers[tag](*key[1:])
-        elif kids == 1:
-            value = makers[tag](*key[1:-1], take(key[-1]))
         else:
-            value = makers[tag](take(key[1]), take(key[2]))
+            j = key[-1]
+            if kids == 1:
+                value = makers[tag](*key[1:-1], values[j])
+            else:
+                k = key[1]
+                value = makers[tag](values[k], values[j])
+                uses[k] -= 1
+                if not uses[k]:
+                    values[k] = None
+            uses[j] -= 1
+            if not uses[j]:
+                values[j] = None
         values.append(value)
     return value
-
-
-class _Chain:
-    """An unbuilt monomial ``k.s(alpha)*p(A)*st(beta)``: its factors, which
-    came in the order s, p, st, from stage ``first`` to stage ``last`` (0, 1
-    and 2), with ``None`` for a missing scalar or set.  It is built by one
-    :meth:`SubshiftAlgebra.mono` call, at most once."""
-
-    __slots__ = ("alpha", "a", "beta", "k", "first", "last", "element")
-
-    def __init__(self, alpha, a, beta, k, first, last):
-        self.alpha, self.a, self.beta, self.k = alpha, a, beta, k
-        self.first, self.last, self.element = first, last, None
-
-    def build(self, algebra: SubshiftAlgebra) -> AlgebraElement:
-        if self.element is None:
-            self.element = algebra.mono(self.alpha, self.a, self.beta, self.k)
-        return self.element
 
 
 def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
@@ -334,10 +368,17 @@ def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
     refused where its operand's entries would start, so errors come in the order
     of a walk of the expression: a scalar's ring check before its operand's.
 
-    The generators are unbuilt chains (:class:`_Chain`).  A product of two
-    chains is one chain when the right one has no scalar and its first factor
-    comes after the left one's last, so a monomial's factors never meet in a
-    product; any other use builds a chain.  A set leaf is taken from the
+    The generators are unbuilt chains.  A chain is a monomial
+    ``k.s(alpha)*p(A)*st(beta)`` as the list ``[alpha, A, beta, k, first,
+    last, element]``: its factors, which came in the order s, p, st, from stage
+    ``first`` to stage ``last`` (0, 1 and 2), with ``None`` for a missing
+    scalar or set, and the element that one :meth:`SubshiftAlgebra.mono` call
+    builds from them, at most once.  (A list, not an object: a text makes one
+    chain per generator, scaled generator and folded product, and a list is
+    made several times faster than an object with an ``__init__``.)  A product
+    of two chains is one chain when the right one has no scalar and its first
+    factor comes after the left one's last, so a monomial's factors never meet
+    in a product; any other use builds a chain.  A set leaf is taken from the
     graph's leaf memo, and built by ``build`` only on a miss."""
     g, ring = algebra.graph, algebra.ring
     leaves = g.leaves
@@ -352,22 +393,26 @@ def _evaluate(nodes, uses, fractions, algebra: SubshiftAlgebra):
         return interned
 
     def built(x):
-        return x.build(algebra) if type(x) is _Chain else x
+        if type(x) is not list:
+            return x
+        if x[6] is None:
+            x[6] = algebra.mono(*x[:4])
+        return x[6]
 
     def scale(scalar, x):
         k = ring.parse_scalar(scalar)
-        if type(x) is _Chain and x.k is None:
-            return _Chain(x.alpha, x.a, x.beta, k, x.first, x.last)
+        if type(x) is list and x[3] is None:
+            return [x[0], x[1], x[2], k, x[4], x[5], None]
         return built(x).scale(k)
 
     def mul(x, y):
-        if type(x) is _Chain and type(y) is _Chain and y.k is None and x.last < y.first:
-            return _Chain(x.alpha, y.a if x.a is None else x.a, y.beta, x.k, x.first, y.last)
+        if type(x) is list and type(y) is list and y[3] is None and x[5] < y[4]:
+            return [x[0], y[1] if x[1] is None else x[1], y[2], x[3], x[4], y[5], None]
         return built(x) * built(y)
 
-    makers = {"s": lambda w: _Chain(w, None, OMEGA, None, 0, 0),
-              "p": lambda a: _Chain(OMEGA, a, OMEGA, None, 1, 1),
-              "st": lambda w: _Chain(OMEGA, None, w, None, 2, 2),
+    makers = {"s": lambda w: [w, None, OMEGA, None, 0, 0, None],
+              "p": lambda a: [OMEGA, a, OMEGA, None, 1, 1, None],
+              "st": lambda w: [OMEGA, None, w, None, 2, 2, None],
               "one": algebra.one, "zero": algebra.zero, "scale": scale, "mul": mul,
               "add": lambda x, y: built(x) + built(y), "sub": lambda x, y: built(x) - built(y),
               "and": operator.and_, "or": operator.or_,

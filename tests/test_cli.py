@@ -493,7 +493,8 @@ def test_evaluate_folds_only_ordered_generators(all_graphs, text):
 
 
 def test_evaluate_builds_a_shared_chain_once(g_full, monkeypatch):
-    # One chain, three parents: a sum, a longer chain and a scaled chain.
+    # One chain, three parents: a sum, a longer chain and a scaled chain; and
+    # a scaled generator that keeps its stage, so it folds into one monomial.
     algebra = SubshiftAlgebra(g_full, ZZ)
     built = Counter()
     mono = SubshiftAlgebra.mono
@@ -503,14 +504,14 @@ def test_evaluate_builds_a_shared_chain_once(g_full, monkeypatch):
         return mono(self, alpha, a, beta, k)
 
     chain = "(s(a)*p(Z(b)))"
-    text = f"{chain} + {chain}*st(ab) - 2.{chain}"
+    text = f"{chain} + {chain}*st(ab) - 2.{chain} + 3.s(b)*p(Z(a))*st(b)"
     # The reference reaches ``mono`` through the generators: it is built
     # before the count starts.
     reference = _reference_value(_tree(text, g_full.spec), algebra)
     monkeypatch.setattr(SubshiftAlgebra, "mono", counted_mono)
     assert evaluate(text, algebra) == reference
     assert built == Counter({(W("a"), True, OMEGA, None): 1, (W("a"), True, W("ab"), None): 1,
-                             (W("a"), True, OMEGA, 2): 1})
+                             (W("a"), True, OMEGA, 2): 1, (W("b"), True, W("b"), 3): 1})
 
 
 def _random_product(rng, depth, scalars):
@@ -919,6 +920,10 @@ GOLDEN_COMMANDS["nf_leaves_golden_mean"] = [
     "nf", SHIFT_PATHS["golden_mean"], "-e", LEAVES]
 GOLDEN_COMMANDS["reduce_leaves_golden_mean"] = [
     "reduce", SHIFT_PATHS["golden_mean"], "-e", LEAVES, "--verify", "--trace"]
+# A product and sum whose operand groups repeat, read once each.
+GROUPS = "(s(a)+2.p(Z(b)))*((st(a))+(s(a)+2.p(Z(b)))) - (s(a)+2.p(Z(b)))*(st(a))"
+GOLDEN_COMMANDS["nf_groups_golden_mean"] = [
+    "nf", SHIFT_PATHS["golden_mean"], "-e", GROUPS]
 GOLDEN_COMMANDS["nf_ring_q"] = [
     "nf", SHIFT_PATHS["full2"], "-e", "1/2.s(a) + 1/2.s(a)", "--ring", "q"]
 GOLDEN_COMMANDS["corner_y"] = [
